@@ -8,6 +8,17 @@ so the search terminates.  At a fixpoint with no move left, the square
 graph restricted to the outside is bipartite; its two parts become the
 radius-2 color classes while s1/s2 become the radius-1 classes.
 
+The four cheap move kinds (Absorb, Flip, Deg3Exchange,
+SameSideExchange) each have a per-vertex evaluator, and the search keeps
+a dirty-flag worklist per kind instead of rescanning every vertex after
+each commit.  A commit changes the sides of a few vertices; an
+evaluator at v reads sides only within a fixed radius of v (1 for
+Absorb, 2 for Flip and SameSideExchange, 3 for Deg3Exchange), so only
+vertices that close to a changed vertex are flagged again.  That
+locality is the invariant that keeps the worklist exact: it returns the
+same move, in the same order, as a full scan of the kinds in priority
+order and the vertices in ascending id.
+
 Every candidate move goes through checked application: independence and
 a strict potential increase are validated before any commit, so a proof
 edge case can only ever surface as a ``StuckError`` diagnostic, never as
@@ -29,7 +40,7 @@ from .graph import (
     min_degree,
     odd_cycle_from_root,
 )
-from .weights import Potential, potential as potential_from_scratch
+from .weights import Potential, inside_potential
 
 
 class ExchangeError(ValueError):
@@ -77,17 +88,20 @@ class BipartitionState:
     nbr2: list[int]
     potential: Potential
 
+    def _members(self, s: int) -> frozenset[int]:
+        return frozenset(itertools.compress(range(len(self.side)), map(s.__eq__, self.side)))
+
     @property
     def s1(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.side) if s == 1)
+        return self._members(1)
 
     @property
     def s2(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.side) if s == 2)
+        return self._members(2)
 
     @property
     def outside(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.side) if s == OUTSIDE)
+        return self._members(OUTSIDE)
 
     def s_degree(self, v: int) -> int:
         """Number of neighbors of v inside s1 | s2."""
@@ -206,7 +220,7 @@ def make_state(g: Graph, w: list[int], s1, s2) -> BipartitionState:
                 nbr1[v] += 1
             elif side[u] == 2:
                 nbr2[v] += 1
-    return BipartitionState(side, nbr1, nbr2, potential_from_scratch(g, w, a, b))
+    return BipartitionState(side, nbr1, nbr2, inside_potential(g, w, side))
 
 
 def initial_state(g: Graph, w: list[int], seed: int | None = None) -> BipartitionState:
@@ -361,66 +375,118 @@ def _try_move(g, w, state, move) -> Move | None:
     return move if new_potential is not None else None
 
 
-def _find_absorb(g: Graph, state: BipartitionState) -> Absorb | None:
-    for x in range(g.n):
-        if state.side[x] != OUTSIDE:
-            continue
-        if state.nbr1[x] == 0:
-            return Absorb(x, 1)
-        if state.nbr2[x] == 0:
-            return Absorb(x, 2)
+def _absorb_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Absorb | None:
+    if state.side[x] != OUTSIDE:
+        return None
+    if state.nbr1[x] == 0:
+        return Absorb(x, 1)
+    if state.nbr2[x] == 0:
+        return Absorb(x, 2)
     return None
 
 
-def _find_flip(g: Graph, w: list[int], state: BipartitionState) -> Flip | None:
+def _flip_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Flip | None:
+    if state.side[x] != OUTSIDE:
+        return None
     nbr = (None, state.nbr1, state.nbr2)
-    for x in range(g.n):
-        if state.side[x] != OUTSIDE:
+    for side in (1, 2):
+        displaced = tuple(u for u in g.adj[x] if state.side[u] == side)
+        if not displaced:
             continue
-        for side in (1, 2):
-            displaced = tuple(u for u in g.adj[x] if state.side[u] == side)
-            if not displaced:
-                continue
-            other_counts = nbr[_other(side)]
-            if all(other_counts[u] == 0 for u in displaced):
-                mv = _try_move(g, w, state, Flip(x, side, displaced))
-                if mv:
-                    return mv
-    return None
-
-
-def _find_deg3_exchange(g: Graph, w: list[int], state: BipartitionState) -> Deg3Exchange | None:
-    for z in range(g.n):
-        if state.side[z] == OUTSIDE or g.degree(z) != 3 or state.s_degree(z) != 0:
-            continue
-        # all three neighbors of z are outside and z is isolated in S
-        if any(state.side[u] != OUTSIDE for u in g.adj[z]):
-            continue
-        for x in g.adj[z]:
-            if w[x] >= w[z]:
-                continue
-            for y in g.adj[x]:
-                if state.side[y] == OUTSIDE or w[y] >= w[x]:
-                    continue
-                mv = _try_move(g, w, state, Deg3Exchange(z, x, y))
-                if mv:
-                    return mv
-    return None
-
-
-def _find_same_side_exchange(g: Graph, w: list[int], state: BipartitionState) -> SameSideExchange | None:
-    for x in range(g.n):
-        if state.side[x] != OUTSIDE or state.s_degree(x) != 3:
-            continue
-        if state.nbr1[x] == 3 or state.nbr2[x] == 3:
-            continue  # absorbable, not exchangeable
-        lone_side = 1 if state.nbr1[x] == 1 else 2
-        x3 = next(u for u in g.adj[x] if state.side[u] == lone_side)
-        if state.s_degree(x3) <= 1 or w[x3] < w[x]:
-            mv = _try_move(g, w, state, SameSideExchange(x, x3))
+        other_counts = nbr[_other(side)]
+        if all(other_counts[u] == 0 for u in displaced):
+            mv = _try_move(g, w, state, Flip(x, side, displaced))
             if mv:
                 return mv
     return None
+
+
+def _deg3_exchange_at(g: Graph, w: list[int], state: BipartitionState, z: int) -> Deg3Exchange | None:
+    if state.side[z] == OUTSIDE or g.degree(z) != 3 or state.s_degree(z) != 0:
+        return None
+    # all three neighbors of z are outside and z is isolated in S
+    if any(state.side[u] != OUTSIDE for u in g.adj[z]):
+        return None
+    for x in g.adj[z]:
+        if w[x] >= w[z]:
+            continue
+        for y in g.adj[x]:
+            if state.side[y] == OUTSIDE or w[y] >= w[x]:
+                continue
+            mv = _try_move(g, w, state, Deg3Exchange(z, x, y))
+            if mv:
+                return mv
+    return None
+
+
+def _same_side_exchange_at(
+    g: Graph, w: list[int], state: BipartitionState, x: int
+) -> SameSideExchange | None:
+    if state.side[x] != OUTSIDE or state.s_degree(x) != 3:
+        return None
+    if state.nbr1[x] == 3 or state.nbr2[x] == 3:
+        return None  # absorbable, not exchangeable
+    lone_side = 1 if state.nbr1[x] == 1 else 2
+    x3 = next(u for u in g.adj[x] if state.side[u] == lone_side)
+    if state.s_degree(x3) <= 1 or w[x3] < w[x]:
+        return _try_move(g, w, state, SameSideExchange(x, x3))
+    return None
+
+
+# The cheap move kinds in priority order, each with its locality radius:
+# the evaluator at v reads sides (and neighbor counts derived from
+# them) only within this distance of v, so a commit can change its
+# answer only for vertices that close to a vertex whose side changed.
+_CHEAP_KINDS = (
+    (_absorb_at, 1),
+    (_flip_at, 2),
+    (_deg3_exchange_at, 3),
+    (_same_side_exchange_at, 2),
+)
+_REACH = max(radius for _, radius in _CHEAP_KINDS)
+
+
+class _Worklist:
+    """Dirty flags per cheap move kind; a clear flag means no move there.
+
+    The invariant: whenever ``flags[k][v]`` is 0, the kind-k evaluator
+    at v returns None in the current state.  The first flagged vertex
+    that yields a move is therefore the first move of the full scan
+    (kinds in priority order, vertices in ascending id).
+    """
+
+    def __init__(self, n: int):
+        self.flags = [bytearray(b"\x01") * n for _ in _CHEAP_KINDS]
+
+    def next_move(self, g: Graph, w: list[int], state: BipartitionState) -> Move | None:
+        for (evaluate, _), flags in zip(_CHEAP_KINDS, self.flags):
+            v = flags.find(1)
+            while v >= 0:
+                mv = evaluate(g, w, state, v)
+                if mv is not None:
+                    return mv
+                flags[v] = 0
+                v = flags.find(1, v + 1)
+        return None
+
+    def touch(self, g: Graph, changed: list[int]) -> None:
+        """Re-flag each kind within its radius of the vertices in ``changed``."""
+        seen = set(changed)
+        layer = list(seen)
+        for dist in range(_REACH + 1):
+            for (_, radius), flags in zip(_CHEAP_KINDS, self.flags):
+                if dist <= radius:
+                    for v in layer:
+                        flags[v] = 1
+            if dist == _REACH:
+                break
+            nxt = []
+            for v in layer:
+                for u in g.adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            layer = nxt
 
 
 def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int, ...]]:
@@ -554,12 +620,7 @@ def find_move(g: Graph, w: list[int], state: BipartitionState) -> Move | None:
     unresolvable odd cycle remains; ``run_to_fixpoint`` tells the two
     apart and raises StuckError for the latter).
     """
-    mv = (
-        _find_absorb(g, state)
-        or _find_flip(g, w, state)
-        or _find_deg3_exchange(g, w, state)
-        or _find_same_side_exchange(g, w, state)
-    )
+    mv = _Worklist(g.n).next_move(g, w, state)
     if mv:
         return mv
     swap, _, _ = _find_square_swap(g, w, state)
@@ -624,11 +685,23 @@ def run_to_fixpoint(
 ) -> FixpointResult:
     """Drive the state to a fixpoint whose outside square is bipartite.
 
-    After exhausting the cheap moves the outside square graph is built;
-    if it is bipartite we are done, otherwise a validated cycle or path
-    swap is committed and the loop restarts from Absorb.  ``validate``
-    additionally recounts the potential from scratch after every commit
-    and checks the structural fixpoint invariants.
+    Cheap moves come from a dirty-flag worklist (``_Worklist``), one
+    flag array per kind.  Each search takes the lowest flagged vertex of
+    the highest-priority kind and clears the flag of every vertex that
+    yields no move; each commit re-flags only the vertices within the
+    kind's locality radius of a vertex whose side changed: 1 for Absorb,
+    2 for Flip and SameSideExchange, 3 for Deg3Exchange.  Every side and
+    neighbor count an evaluator (and the plan validation behind it)
+    reads lies inside that radius, so a vertex left unflagged still has
+    no move, and the search returns exactly the move a rescan of every
+    vertex from Absorb would find.
+
+    Once no cheap move is left the outside square graph is built; if it
+    is bipartite we are done, otherwise a validated cycle or path swap
+    is committed and its changed vertices are re-flagged the same way.
+    ``validate`` additionally recounts the potential from scratch after
+    every commit and checks the structural fixpoint invariants at every
+    cheap-move fixpoint.
 
     Raises StuckError when an odd cycle resists every candidate swap and
     MoveBudgetExceededError when the step budget runs out; both indicate
@@ -636,28 +709,26 @@ def run_to_fixpoint(
     """
     budget = default_move_budget(g, w) if max_moves is None else max_moves
     records: list[MoveRecord] = []
+    work = _Worklist(g.n)
 
     def commit(move: Move) -> None:
         nonlocal state
-        before = state.potential
+        before = state
+        changed = [v for v, s in _move_plan(g, before, move) if before.side[v] != s]
         state = apply_move(g, w, state, move)
-        records.append(MoveRecord(move, before, state.potential))
+        records.append(MoveRecord(move, before.potential, state.potential))
         if validate:
-            scratch = potential_from_scratch(g, w, state.s1, state.s2)
+            scratch = inside_potential(g, w, state.side)
             if scratch != state.potential:
                 raise InvalidStateError(
                     f"cached potential {state.potential} != recount {scratch} after {move}"
                 )
         if len(records) > budget:
             raise MoveBudgetExceededError(f"move budget {budget} exhausted")
+        work.touch(g, changed)
 
     while True:
-        mv = (
-            _find_absorb(g, state)
-            or _find_flip(g, w, state)
-            or _find_deg3_exchange(g, w, state)
-            or _find_same_side_exchange(g, w, state)
-        )
+        mv = work.next_move(g, w, state)
         if mv is not None:
             commit(mv)
             continue

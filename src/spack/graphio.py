@@ -8,6 +8,8 @@ packing colorings shared by the CLI subcommands.
 from __future__ import annotations
 
 import json
+import math
+import re
 
 from .graph import Graph, build_graph
 from .verify import ColorClass, PackingColoring
@@ -40,6 +42,9 @@ class ColoringDocumentError(FormatError):
 
 
 GRAPH6_HEADER = ">>graph6<<"
+_NONZERO_BYTE = re.compile("[^?]")  # "?" encodes six zero bits
+# Offsets of the set bits of a 6-bit value, most significant first.
+_SET_BITS = tuple(tuple(b for b in range(6) if value & (32 >> b)) for value in range(64))
 _MAX_GRAPH6_N = (1 << 36) - 1
 
 
@@ -100,18 +105,20 @@ def parse_graph6(data: str | bytes) -> Graph:
         raise TrailingBitsError(
             f"n={n} needs {need} body bytes, got {len(body)}"
         )
-    values = [_char_value(ch) for ch in body]
+    if body and (min(body) < "?" or max(body) > "~"):
+        for ch in body:
+            _char_value(ch)  # raises on the first byte out of range
     edges = []
-    index = 0
-    for v in range(1, n):
-        for u in range(v):
-            if values[index // 6] & (1 << (5 - index % 6)):
-                edges.append((u, v))
-            index += 1
-    while index < 6 * need:
-        if values[index // 6] & (1 << (5 - index % 6)):
-            raise TrailingBitsError("nonzero padding bits")
-        index += 1
+    for match in _NONZERO_BYTE.finditer(body):
+        base = 6 * match.start()
+        for bit in _SET_BITS[ord(match.group()) - 63]:
+            k = base + bit
+            if k >= total_bits:
+                raise TrailingBitsError("nonzero padding bits")
+            # bit k of the upper triangle, column by column, is (u, v)
+            # with k = v(v-1)/2 + u and 0 <= u < v
+            v = (1 + math.isqrt(8 * k + 1)) // 2
+            edges.append((k - v * (v - 1) // 2, v))
     return build_graph(n, edges)
 
 

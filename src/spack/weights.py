@@ -14,7 +14,8 @@ weight, is strict progress.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple
+from itertools import chain, compress
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import EmptyGraphError, Graph, GraphError
 
@@ -79,6 +80,18 @@ def subgraph_weight(w: list[int], vertices: Iterable[int]) -> int:
     return sum(w[v] for v in vertices)
 
 
+def inside_potential(g: Graph, w: list[int], inside: Sequence[int]) -> Potential:
+    """Potential of the vertices v with ``inside[v]`` truthy, from scratch.
+
+    ``inside`` may be an exchange state's side list (0 = outside).  Each
+    edge with both ends inside is seen once from either end, so the
+    adjacency walk over the inside vertices counts it twice.
+    """
+    mask = list(map(bool, inside))
+    ends = sum(map(mask.__getitem__, chain.from_iterable(compress(g.adj, mask))))
+    return Potential(ends // 2, sum(compress(w, mask)))
+
+
 def potential(g: Graph, w: list[int], s1: Iterable[int], s2: Iterable[int]) -> Potential:
     """Potential of the induced subgraph on s1 | s2, computed from scratch.
 
@@ -88,6 +101,7 @@ def potential(g: Graph, w: list[int], s1: Iterable[int], s2: Iterable[int]) -> P
     a, b = set(s1), set(s2)
     if a & b:
         raise GraphError(f"parts overlap on {sorted(a & b)}")
-    inside = a | b
-    edge_total = sum(1 for u, v in g.edges() if u in inside and v in inside)
-    return Potential(edge_total, subgraph_weight(w, inside))
+    mask = bytearray(g.n)
+    for v in a | b:
+        mask[v] = 1
+    return inside_potential(g, w, mask)

@@ -1,8 +1,16 @@
 """Independent reference implementations the tests check the package against.
 
 Nothing here reuses solver code: distances come from a Floyd-Warshall
-matrix and colorability from a plain backtracking search that assigns
-vertices in id order with no ordering heuristics, bitmasks or pruning.
+matrix, colorability from a plain backtracking search that assigns
+vertices in id order with no ordering heuristics, bitmasks or pruning,
+and graph6 decoding from a walk over every bit of the body.
+
+The one exception is ``reference_run_to_fixpoint``: the exchange search
+as it was before the dirty-flag worklist, which rescans Absorb, Flip,
+Deg3Exchange and SameSideExchange over every vertex after each commit.
+It shares the move primitives of ``spack.exchange`` and keeps only the
+scan loop, so a differential test can show that the worklist commits
+the same moves in the same order.
 """
 from __future__ import annotations
 
@@ -10,8 +18,36 @@ import math
 from functools import lru_cache
 from pathlib import Path
 
-from spack.graph import Graph
-from spack.graphio import parse_graph6
+from spack.exchange import (
+    OUTSIDE,
+    Absorb,
+    BipartitionState,
+    Deg3Exchange,
+    FixpointResult,
+    Flip,
+    InvalidStateError,
+    Move,
+    MoveBudgetExceededError,
+    MoveRecord,
+    SameSideExchange,
+    StuckError,
+    _find_square_swap,
+    _other,
+    _try_move,
+    apply_move,
+    check_fixpoint_invariants,
+    default_move_budget,
+)
+from spack.graph import Graph, build_graph
+from spack.graphio import (
+    GRAPH6_HEADER,
+    BadCharError,
+    TrailingBitsError,
+    _char_value,
+    _parse_size,
+    parse_graph6,
+)
+from spack.weights import potential as potential_from_scratch
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_FILE = DATA_DIR / "connected_subcubic.g6"
@@ -113,3 +149,160 @@ def load_corpus(max_n: int = 9, include_cubic: bool = True) -> list[Graph]:
             continue
         out.append(g)
     return out
+
+
+def reference_parse_graph6(data: str | bytes) -> Graph:
+    """Decode one graph6 line by testing every bit of its body in turn."""
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise BadCharError(f"not ASCII: {exc}") from None
+    else:
+        text = data
+    text = text.strip()
+    if text.startswith(GRAPH6_HEADER):
+        text = text[len(GRAPH6_HEADER) :]
+    n, body = _parse_size(text)
+    total_bits = n * (n - 1) // 2
+    need = (total_bits + 5) // 6
+    if len(body) != need:
+        raise TrailingBitsError(
+            f"n={n} needs {need} body bytes, got {len(body)}"
+        )
+    values = [_char_value(ch) for ch in body]
+    edges = []
+    index = 0
+    for v in range(1, n):
+        for u in range(v):
+            if values[index // 6] & (1 << (5 - index % 6)):
+                edges.append((u, v))
+            index += 1
+    while index < 6 * need:
+        if values[index // 6] & (1 << (5 - index % 6)):
+            raise TrailingBitsError("nonzero padding bits")
+        index += 1
+    return build_graph(n, edges)
+
+
+def _find_absorb(g: Graph, state: BipartitionState) -> Absorb | None:
+    for x in range(g.n):
+        if state.side[x] != OUTSIDE:
+            continue
+        if state.nbr1[x] == 0:
+            return Absorb(x, 1)
+        if state.nbr2[x] == 0:
+            return Absorb(x, 2)
+    return None
+
+
+def _find_flip(g: Graph, w: list[int], state: BipartitionState) -> Flip | None:
+    nbr = (None, state.nbr1, state.nbr2)
+    for x in range(g.n):
+        if state.side[x] != OUTSIDE:
+            continue
+        for side in (1, 2):
+            displaced = tuple(u for u in g.adj[x] if state.side[u] == side)
+            if not displaced:
+                continue
+            other_counts = nbr[_other(side)]
+            if all(other_counts[u] == 0 for u in displaced):
+                mv = _try_move(g, w, state, Flip(x, side, displaced))
+                if mv:
+                    return mv
+    return None
+
+
+def _find_deg3_exchange(g: Graph, w: list[int], state: BipartitionState) -> Deg3Exchange | None:
+    for z in range(g.n):
+        if state.side[z] == OUTSIDE or g.degree(z) != 3 or state.s_degree(z) != 0:
+            continue
+        # all three neighbors of z are outside and z is isolated in S
+        if any(state.side[u] != OUTSIDE for u in g.adj[z]):
+            continue
+        for x in g.adj[z]:
+            if w[x] >= w[z]:
+                continue
+            for y in g.adj[x]:
+                if state.side[y] == OUTSIDE or w[y] >= w[x]:
+                    continue
+                mv = _try_move(g, w, state, Deg3Exchange(z, x, y))
+                if mv:
+                    return mv
+    return None
+
+
+def _find_same_side_exchange(g: Graph, w: list[int], state: BipartitionState) -> SameSideExchange | None:
+    for x in range(g.n):
+        if state.side[x] != OUTSIDE or state.s_degree(x) != 3:
+            continue
+        if state.nbr1[x] == 3 or state.nbr2[x] == 3:
+            continue  # absorbable, not exchangeable
+        lone_side = 1 if state.nbr1[x] == 1 else 2
+        x3 = next(u for u in g.adj[x] if state.side[u] == lone_side)
+        if state.s_degree(x3) <= 1 or w[x3] < w[x]:
+            mv = _try_move(g, w, state, SameSideExchange(x, x3))
+            if mv:
+                return mv
+    return None
+
+
+def reference_run_to_fixpoint(
+    g: Graph,
+    w: list[int],
+    state: BipartitionState,
+    *,
+    max_moves: int | None = None,
+    validate: bool = True,
+) -> FixpointResult:
+    """Drive the state to a fixpoint whose outside square is bipartite.
+
+    After exhausting the cheap moves the outside square graph is built;
+    if it is bipartite we are done, otherwise a validated cycle or path
+    swap is committed and the loop restarts from Absorb.  ``validate``
+    additionally recounts the potential from scratch after every commit
+    and checks the structural fixpoint invariants.
+
+    Raises StuckError when an odd cycle resists every candidate swap and
+    MoveBudgetExceededError when the step budget runs out; both indicate
+    a bug or an unhandled configuration, never a corrupted state.
+    """
+    budget = default_move_budget(g, w) if max_moves is None else max_moves
+    records: list[MoveRecord] = []
+
+    def commit(move: Move) -> None:
+        nonlocal state
+        before = state.potential
+        state = apply_move(g, w, state, move)
+        records.append(MoveRecord(move, before, state.potential))
+        if validate:
+            scratch = potential_from_scratch(g, w, state.s1, state.s2)
+            if scratch != state.potential:
+                raise InvalidStateError(
+                    f"cached potential {state.potential} != recount {scratch} after {move}"
+                )
+        if len(records) > budget:
+            raise MoveBudgetExceededError(f"move budget {budget} exhausted")
+
+    while True:
+        mv = (
+            _find_absorb(g, state)
+            or _find_flip(g, w, state)
+            or _find_deg3_exchange(g, w, state)
+            or _find_same_side_exchange(g, w, state)
+        )
+        if mv is not None:
+            commit(mv)
+            continue
+        if validate:
+            problems = check_fixpoint_invariants(g, w, state)
+            if problems:
+                raise InvalidStateError("fixpoint invariants violated: " + "; ".join(problems))
+        swap, bipartition, tried = _find_square_swap(g, w, state)
+        if bipartition is not None:
+            return FixpointResult(state, bipartition, records)
+        if swap is None:
+            raise StuckError(
+                f"no validated swap for odd outside cycles {tried}", state, tried
+            )
+        commit(swap)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spack.colorer import color_core, peel
 from spack.exchange import (
@@ -14,8 +17,9 @@ from spack.exchange import (
     PathSwap,
     SameSideExchange,
     StuckError,
-    _find_deg3_exchange,
-    _find_same_side_exchange,
+    _CHEAP_KINDS,
+    _deg3_exchange_at,
+    _same_side_exchange_at,
     _swap_candidates_for_cycle,
     apply_move,
     check_fixpoint_invariants,
@@ -29,10 +33,16 @@ from spack.exchange import (
 from spack.gen import cycle, path, random_subcubic
 from spack.graph import build_graph, induced
 from spack.weights import Potential, compute_weights
+from oracles import distance_matrix, reference_run_to_fixpoint
 from strategies import subcubic_graphs
 
 C4, C5 = cycle(4), cycle(5)
 W4, W5 = [1, 1, 1, 1], [1, 1, 1, 1, 1]
+
+
+def _first_move(evaluate, g, w, state):
+    """The first move of one kind over all vertices in ascending id."""
+    return next((mv for v in range(g.n) if (mv := evaluate(g, w, state, v))), None)
 
 
 def test_make_state_counts_and_potential():
@@ -119,7 +129,7 @@ def test_deg3_exchange_finder():
     g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 5)])
     w = [3, 2, 1, 1, 1, 1]
     state = make_state(g, w, {0, 4}, {5})
-    move = _find_deg3_exchange(g, w, state)
+    move = _first_move(_deg3_exchange_at, g, w, state)
     assert move == Deg3Exchange(hub=0, entering=1, leaving=4)
     after = apply_move(g, w, state, move)
     assert after.side[0] == 2 and after.side[1] == 1 and after.side[4] == 0
@@ -130,7 +140,7 @@ def test_same_side_exchange_finder():
     g = build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
     w = [1, 1, 1, 1, 1]
     state = make_state(g, w, {1, 2, 4}, {3})
-    move = _find_same_side_exchange(g, w, state)
+    move = _first_move(_same_side_exchange_at, g, w, state)
     assert move == SameSideExchange(entering=0, leaving=3)
     after = apply_move(g, w, state, move)
     assert after.side[0] == 2 and after.side[3] == 0
@@ -278,3 +288,84 @@ def test_exchange_reaches_clean_fixpoint(g):
     outside = result.state.outside
     assert result.square_bipartition.h1 | result.square_bipartition.h2 == outside
     assert not (result.square_bipartition.h1 & result.square_bipartition.h2)
+
+
+def _outcome(engine, g, w, state):
+    """Everything a run exposes: its trail, end state and bipartition, or where it got stuck."""
+    try:
+        result = engine(g, w, state)
+    except StuckError as stuck:
+        return "stuck", stuck.cycles, stuck.state.side
+    return "fixpoint", result.moves, result.state.side, result.square_bipartition
+
+
+def _assert_same_as_reference(g, seeds=(None,)):
+    core, _ = peel(g)
+    if not core:
+        return
+    sub = induced(g, core).graph
+    w = compute_weights(sub)
+    for seed in seeds:
+        start = initial_state(sub, w, seed=seed)
+        assert _outcome(run_to_fixpoint, sub, w, start) == _outcome(
+            reference_run_to_fixpoint, sub, w, start
+        ), f"seed={seed}"
+
+
+def test_worklist_matches_full_rescan_on_corpus(corpus_noncubic):
+    for g in corpus_noncubic:
+        _assert_same_as_reference(g, seeds=(None, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(subcubic_graphs(min_n=3, max_n=120), st.integers(1, 50))
+def test_worklist_matches_full_rescan_on_random_graphs(g, seed):
+    _assert_same_as_reference(g, seeds=(None, seed))
+
+
+def test_worklist_matches_full_rescan_through_swaps_and_restarts():
+    # Square swaps re-flag their changed vertices; the first instance
+    # needs a crossed path swap, the second gets stuck on its canonical
+    # start and recovers from a seeded one.
+    _assert_same_as_reference(random_subcubic(53, 73, seed=178), seeds=(None,))
+    _assert_same_as_reference(random_subcubic(105, 157, seed=9000345), seeds=(None, 1, 2))
+
+
+def test_cheap_move_radii_are_exact():
+    # The worklist re-flags kind k within radius r_k of a changed vertex.
+    # Change one vertex of a random valid state: no evaluator answer may
+    # change farther away than its radius, and across the sample each
+    # radius is reached, so none could be smaller.
+    reached = [0] * len(_CHEAP_KINDS)
+    for trial in range(1000):
+        rng = random.Random(trial)
+        n = rng.randint(6, 24)
+        cap = min(3 * n // 2 - (1 if n % 2 == 0 else 0), n * (n - 1) // 2)
+        g = random_subcubic(n, rng.randint(n - 1, cap), seed=trial, require_non_cubic=True)
+        w = [rng.randint(1, 3) for _ in range(n)]
+        side = [0] * n
+        for v in rng.sample(range(n), n):
+            s = rng.choice((0, 1, 2))
+            if s and all(side[u] != s for u in g.adj[v]):
+                side[v] = s
+        c = rng.randrange(n)
+        options = [
+            s
+            for s in (0, 1, 2)
+            if s != side[c] and (s == 0 or all(side[u] != s for u in g.adj[c]))
+        ]
+        if not options:
+            continue
+        changed = list(side)
+        changed[c] = rng.choice(options)
+        before, after = (
+            make_state(g, w, [v for v in range(n) if x[v] == 1], [v for v in range(n) if x[v] == 2])
+            for x in (side, changed)
+        )
+        dist = distance_matrix(g)[c]
+        for k, (evaluate, radius) in enumerate(_CHEAP_KINDS):
+            for v in range(n):
+                if evaluate(g, w, before, v) != evaluate(g, w, after, v):
+                    assert dist[v] <= radius, (trial, evaluate.__name__, v)
+                    reached[k] = max(reached[k], int(dist[v]))
+    assert reached == [radius for _, radius in _CHEAP_KINDS]

@@ -3,14 +3,16 @@ import json
 import networkx as nx
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import load_corpus
+from oracles import CORPUS_FILE, reference_parse_graph6
 from spack.gen import path, petersen
 from spack.graph import DuplicateEdgeError, build_graph
 from spack.graphio import (
     BadCharError,
     ColoringDocumentError,
     EdgeListError,
+    FormatError,
     MalformedHeaderError,
     TrailingBitsError,
     coloring_from_dict,
@@ -108,6 +110,59 @@ def test_graph6_matches_networkx_encoding(g):
 @given(loose_graphs(max_n=9, max_degree=8))
 def test_graph6_roundtrip_arbitrary(g):
     assert parse_graph6(encode_graph6(g)) == g
+
+
+def _decode_outcome(decode, data):
+    try:
+        return decode(data)
+    except FormatError as exc:
+        return type(exc), str(exc)
+
+
+MALFORMED_GRAPH6 = [
+    "B" + chr(127),
+    "été".encode("utf-8"),
+    "B>",
+    "C~\x7f",
+    "Bgg",
+    "B",
+    "Bj",
+    "C" + chr(200),
+    "",
+    "~B",
+    "~~?????DhD",
+]
+
+
+def test_graph6_decode_matches_per_bit_reference_on_corpus():
+    for line in CORPUS_FILE.read_text().split():
+        assert parse_graph6(line) == reference_parse_graph6(line)
+
+
+@given(loose_graphs(max_n=40, max_degree=40))
+def test_graph6_decode_matches_per_bit_reference_on_random_graphs(g):
+    line = encode_graph6(g)
+    assert parse_graph6(line) == reference_parse_graph6(line) == g
+
+
+@given(subcubic_graphs(min_n=1, max_n=300))
+def test_graph6_decode_matches_per_bit_reference_on_subcubic_graphs(g):
+    line = encode_graph6(g)
+    assert parse_graph6(line) == reference_parse_graph6(line) == g
+
+
+def test_graph6_decode_matches_per_bit_reference_on_malformed_input():
+    for data in MALFORMED_GRAPH6:
+        outcome = _decode_outcome(parse_graph6, data)
+        assert isinstance(outcome, tuple), data
+        assert outcome == _decode_outcome(reference_parse_graph6, data), data
+
+
+@given(st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=130), max_size=12))
+def test_graph6_decode_matches_per_bit_reference_on_arbitrary_text(data):
+    # Mostly malformed lines: wrong lengths, bytes out of range, set
+    # padding bits; the two decoders must agree on each outcome.
+    assert _decode_outcome(parse_graph6, data) == _decode_outcome(reference_parse_graph6, data)
 
 
 def test_edge_list_infers_size():

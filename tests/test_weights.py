@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import distance_matrix
 from spack.gen import cycle, petersen
@@ -13,6 +14,7 @@ from spack.weights import (
     check_weight_recurrence,
     check_weight_smoothness,
     compute_weights,
+    inside_potential,
     potential,
     subgraph_weight,
 )
@@ -129,6 +131,21 @@ def test_potential_counts_internal_edges():
     # Edges within one part count too; callers keeping the parts
     # independent never produce any.
     assert potential(cycle(4), [1, 1, 1, 1], {0, 1}, set()) == Potential(1, 2)
+
+
+@given(subcubic_graphs(min_n=1, max_n=40), st.data())
+def test_potential_matches_brute_force_edge_count(g, data):
+    side = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    w = data.draw(st.lists(st.integers(1, 9), min_size=g.n, max_size=g.n))
+    inside = {v for v in range(g.n) if side[v]}
+    expected = Potential(
+        sum(1 for u, v in g.edges() if u in inside and v in inside),
+        sum(w[v] for v in inside),
+    )
+    s1 = [v for v in range(g.n) if side[v] == 1]
+    s2 = [v for v in range(g.n) if side[v] == 2]
+    assert potential(g, w, s1, s2) == expected
+    assert inside_potential(g, w, side) == expected
 
 
 def test_potential_lexicographic_order():
