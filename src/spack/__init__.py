@@ -31,9 +31,7 @@ from .graph import (
     GraphError,
     build_graph,
     components,
-    distances_from,
     induced,
-    square,
     subdivide,
 )
 from .graphio import (
@@ -86,7 +84,6 @@ __all__ = [
     "compute_weights",
     "decide",
     "derive_subdivision_coloring",
-    "distances_from",
     "encode_edge_list",
     "encode_graph6",
     "extend_coloring",
@@ -99,7 +96,6 @@ __all__ = [
     "peel",
     "potential",
     "run_to_fixpoint",
-    "square",
     "subdivide",
     "verify",
     "verify_sequence_shape",

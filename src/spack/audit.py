@@ -14,7 +14,7 @@ from .colorer import ColorResult, CoreRun
 from .exchange import apply_move, check_fixpoint_invariants, square_outside
 from .graph import Graph, induced
 from .verify import verify
-from .weights import potential as potential_from_scratch
+from .weights import inside_potential
 
 
 class AuditError(ValueError):
@@ -35,7 +35,7 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     """Replay one core run; raises AuditError on any discrepancy."""
     w = list(run.weights)
     state = run.initial
-    scratch = potential_from_scratch(core, w, state.s1, state.s2)
+    scratch = inside_potential(core, w, state.side)
     if scratch != state.potential:
         raise AuditError(f"initial potential {state.potential} != recount {scratch}")
     for i, record in enumerate(run.moves):
@@ -46,7 +46,7 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
         state = apply_move(core, w, state, record.move)
         if state.potential != record.after:
             raise AuditError(f"move {i}: recorded after {record.after} != {state.potential}")
-        scratch = potential_from_scratch(core, w, state.s1, state.s2)
+        scratch = inside_potential(core, w, state.side)
         if scratch != state.potential:
             raise AuditError(f"move {i}: cached potential {state.potential} != recount {scratch}")
     if state.side != run.final.side:

@@ -3,10 +3,12 @@
 `decide` answers whether a graph admits a packing coloring with a given
 radius sequence, producing an explicit coloring on success.  The search
 assigns vertices in descending-degree order, prunes with precomputed
-distance balls held as bitmasks, and skips symmetric branches by only
-opening an empty class when every earlier class of the same radius is
-already used.  `chi_rho` wraps it to compute the packing chromatic
-number by trying (1), (1,2), (1,2,3), ... up to a limit.
+distance balls held as bitmasks (one ``graph.ball`` per vertex at the
+sequence's largest radius yields the mask of every radius), and skips
+symmetric branches by only opening an empty class when every earlier
+class of the same radius is already used.  `chi_rho` wraps it to
+compute the packing chromatic number by trying (1), (1,2), (1,2,3), ...
+up to a limit.
 
 Intended for small instances; the node budget turns runaway searches
 into an explicit inconclusive outcome instead of a hang.
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 import string
 import sys
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph
+from .graph import Graph, ball
 from .verify import ColorClass, PackingColoring
 
 DEFAULT_BUDGET = 10_000_000
@@ -89,24 +91,26 @@ def _validate_sequence(seq) -> tuple[int, ...]:
     return seq
 
 
-def _balls(g: Graph, radius: int) -> list[int]:
-    """ball[v] = bitmask of vertices u != v with dist(u, v) <= radius."""
-    masks = []
+def _balls(g: Graph, radii: set[int]) -> dict[int, list[int]]:
+    """balls[r][v] = bitmask of vertices u != v with dist(u, v) <= r.
+
+    One ball per vertex, at the largest radius, gives the mask of every
+    radius in ``radii``: it lists the vertices by distance, so the mask
+    grows one layer at a time, and a radius beyond the last layer gets
+    the whole ball.
+    """
+    top = max(radii)
+    balls: dict[int, list[int]] = {r: [] for r in radii}
     for v in range(g.n):
+        within: dict[int, int] = {}  # within[d]: mask of the vertices at distance 1..d
         mask = 0
-        dist = {v: 0}
-        frontier = deque([v])
-        while frontier:
-            x = frontier.popleft()
-            if dist[x] == radius:
-                continue
-            for u in g.adj[x]:
-                if u not in dist:
-                    dist[u] = dist[x] + 1
-                    mask |= 1 << u
-                    frontier.append(u)
-        masks.append(mask)
-    return masks
+        for u, d in ball(g, (v,), top).items():
+            if d:
+                mask |= 1 << u
+            within[d] = mask
+        for r, masks in balls.items():  # d is now the last layer's distance
+            masks.append(within[min(r, d)])
+    return balls
 
 
 def decide(g: Graph, seq, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
@@ -123,7 +127,7 @@ def decide(g: Graph, seq, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
         empty = tuple(ColorClass(labels[i], seq[i], frozenset()) for i in range(k))
         return DecisionOutcome(Status.SAT, PackingColoring(0, empty), 0)
 
-    balls = {r: _balls(g, r) for r in set(seq)}
+    balls = _balls(g, set(seq))
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     occupied = [0] * k
     assigned_class = [0] * g.n

@@ -35,10 +35,11 @@ from .graph import (
     Bipartition,
     Graph,
     OddCycle,
+    ball,
     bipartition_or_odd_cycle,
     build_graph,
     min_degree,
-    odd_cycle_from_root,
+    two_color_from,
 )
 from .weights import Potential, inside_potential
 
@@ -457,6 +458,11 @@ class _Worklist:
 
     def __init__(self, n: int):
         self.flags = [bytearray(b"\x01") * n for _ in _CHEAP_KINDS]
+        # within[d]: the flags of the kinds whose radius is at least d
+        self.within = [
+            [flags for (_, radius), flags in zip(_CHEAP_KINDS, self.flags) if d <= radius]
+            for d in range(_REACH + 1)
+        ]
 
     def next_move(self, g: Graph, w: list[int], state: BipartitionState) -> Move | None:
         for (evaluate, _), flags in zip(_CHEAP_KINDS, self.flags):
@@ -470,23 +476,15 @@ class _Worklist:
         return None
 
     def touch(self, g: Graph, changed: list[int]) -> None:
-        """Re-flag each kind within its radius of the vertices in ``changed``."""
-        seen = set(changed)
-        layer = list(seen)
-        for dist in range(_REACH + 1):
-            for (_, radius), flags in zip(_CHEAP_KINDS, self.flags):
-                if dist <= radius:
-                    for v in layer:
-                        flags[v] = 1
-            if dist == _REACH:
-                break
-            nxt = []
-            for v in layer:
-                for u in g.adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            layer = nxt
+        """Re-flag each kind within its radius of the vertices in ``changed``.
+
+        One ball of radius ``_REACH`` around all of ``changed`` gives each
+        vertex its distance d to the nearest changed vertex; the vertex is
+        flagged for every kind whose radius is at least d.
+        """
+        for v, d in ball(g, changed, _REACH).items():
+            for flags in self.within[d]:
+                flags[v] = 1
 
 
 def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int, ...]]:
@@ -496,18 +494,14 @@ def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int,
     ascending order matching its ids.  Two outside vertices are adjacent
     when their distance in the *full* graph is at most 2.
     """
-    outside = sorted(v for v in range(g.n) if state.side[v] == OUTSIDE)
+    outside = [v for v in range(g.n) if state.side[v] == OUTSIDE]
     index = {v: i for i, v in enumerate(outside)}
-    edges = set()
-    for x in outside:
-        near = set(g.adj[x])
-        for u in g.adj[x]:
-            near.update(g.adj[u])
-        near.discard(x)
-        for y in near:
+    edges = []
+    for i, x in enumerate(outside):
+        for y in ball(g, (x,), 2):
             j = index.get(y)
-            if j is not None and index[x] < j:
-                edges.add((index[x], j))
+            if j is not None and i < j:
+                edges.append((i, j))
     return build_graph(len(outside), sorted(edges)), tuple(outside)
 
 
@@ -577,7 +571,7 @@ def _odd_cycles(sq: Graph, first: OddCycle | None) -> Iterator[tuple[int, ...]]:
         seen.add(frozenset(first.vertices))
         yield first.vertices
     for root in range(sq.n):
-        found = odd_cycle_from_root(sq, root)
+        found = two_color_from(sq, root, [0] * sq.n, [-1] * sq.n)
         if found is None:
             continue
         key = frozenset(found.vertices)
@@ -643,13 +637,12 @@ def check_fixpoint_invariants(g: Graph, w: list[int], state: BipartitionState) -
     """
     problems: list[str] = []
     side = state.side
+    nbr = (None, state.nbr1, state.nbr2)
     for x in range(g.n):
         if side[x] != OUTSIDE:
             continue
         for s in (1, 2):
-            witnesses = [
-                u for u in g.adj[x] if side[u] == s and _count_side(state, g, u, _other(s)) > 0
-            ]
+            witnesses = [u for u in g.adj[x] if side[u] == s and nbr[_other(s)][u] > 0]
             if not witnesses:
                 problems.append(f"outside vertex {x} has no side-{s} neighbor linked across")
         out_nbrs = [u for u in g.adj[x] if side[u] == OUTSIDE]
@@ -669,10 +662,6 @@ def check_fixpoint_invariants(g: Graph, w: list[int], state: BipartitionState) -
         if out_count > 2:
             problems.append(f"S-vertex {z} has {out_count} outside neighbors")
     return problems
-
-
-def _count_side(state: BipartitionState, g: Graph, v: int, side: int) -> int:
-    return state.nbr1[v] if side == 1 else state.nbr2[v]
 
 
 def run_to_fixpoint(

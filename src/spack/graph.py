@@ -1,8 +1,9 @@
 """Immutable simple undirected graphs with dense 0-based vertex ids.
 
 Adjacency lists are kept sorted so that every traversal in the package is
-deterministic.  Unreachable distances are reported as ``INFINITY`` (a real
-``math.inf``), never as a large magic number.
+deterministic.  Every distance in the package comes from one breadth-first
+search, ``ball``, whose default radius ``INFINITY`` (a real ``math.inf``,
+never a large magic number) reaches the whole component.
 """
 from __future__ import annotations
 
@@ -111,56 +112,41 @@ def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
-def distances_from(g: Graph, source: int) -> list[int | float]:
-    """BFS distances from ``source``; unreachable vertices get INFINITY."""
-    if not (0 <= source < g.n):
-        raise VertexOutOfRangeError(f"source {source} outside 0..{g.n - 1}")
-    dist: list[int | float] = [INFINITY] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if dist[v] is INFINITY:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+def ball(
+    g: Graph, sources: Iterable[int], radius: int | float = INFINITY
+) -> dict[int, int]:
+    """Distance to the nearest source for every vertex within ``radius``.
+
+    One breadth-first search from all sources at once, a layer at a
+    time.  The keys come in BFS order, the sources first, so the
+    distances never decrease along the dict.  With the default radius
+    the whole of each source's component is reached.
+    """
+    dist = dict.fromkeys(sources, 0)
+    layer = list(dist)
+    d = 0
+    while layer and d < radius:
+        d += 1
+        next_layer = []
+        for u in layer:
+            for v in g.adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    next_layer.append(v)
+        layer = next_layer
     return dist
 
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, ordered by their smallest vertex."""
-    seen = [False] * g.n
+    seen: set[int] = set()
     out: list[frozenset[int]] = []
     for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        out.append(frozenset(comp))
+        if root not in seen:
+            comp = frozenset(ball(g, (root,)))
+            seen |= comp
+            out.append(comp)
     return out
-
-
-def square(g: Graph) -> Graph:
-    """The square graph: edges join vertices at distance 1 or 2 in g."""
-    edges = []
-    for u in range(g.n):
-        reach: set[int] = set()
-        for v in g.adj[u]:
-            reach.add(v)
-            reach.update(g.adj[v])
-        reach.discard(u)
-        for v in reach:
-            if u < v:
-                edges.append((u, v))
-    return build_graph(g.n, edges)
 
 
 @dataclass(frozen=True)
@@ -233,41 +219,36 @@ def bipartition_or_odd_cycle(g: Graph) -> Bipartition | OddCycle:
     Components are processed by ascending root id and each root lands in
     part 1, so the bipartition is deterministic.
     """
-    color: list[int] = [0] * g.n  # 0 = unvisited, 1 / 2 = parts
+    color: list[int] = [0] * g.n
     parent: list[int] = [-1] * g.n
     for root in range(g.n):
-        if color[root]:
-            continue
-        color[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if not color[v]:
-                    color[v] = 3 - color[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    cycle = _cycle_through(parent, u, v)
-                    return OddCycle(tuple(_shorten_to_chordless(g, cycle)))
+        if not color[root]:
+            cycle = two_color_from(g, root, color, parent)
+            if cycle is not None:
+                return cycle
     part1 = frozenset(v for v in range(g.n) if color[v] == 1)
     part2 = frozenset(v for v in range(g.n) if color[v] == 2)
     return Bipartition(part1, part2)
 
 
-def odd_cycle_from_root(g: Graph, root: int) -> OddCycle | None:
-    """Chordless odd cycle found by BFS 2-coloring from one root, if any.
+def two_color_from(
+    g: Graph, root: int, color: list[int], parent: list[int]
+) -> OddCycle | None:
+    """2-color the component of ``root`` by BFS, or find an odd cycle.
 
-    Only the component containing ``root`` is explored.  Different roots
-    can surface different cycles of the same non-bipartite graph.
+    ``color`` holds 0 for an unvisited vertex and 1 or 2 for its part;
+    ``root`` lands in part 1 and ``parent`` records the BFS tree, with -1
+    at every root.  Both lists are filled in place.  Returns a chordless
+    odd cycle at the first edge whose ends share a part, or None when
+    the component is bipartite.  Different roots can surface different
+    cycles of the same non-bipartite component.
     """
-    color: dict[int, int] = {root: 1}
-    parent: list[int] = [-1] * g.n
+    color[root] = 1
     queue = deque([root])
     while queue:
         u = queue.popleft()
         for v in g.adj[u]:
-            if v not in color:
+            if not color[v]:
                 color[v] = 3 - color[u]
                 parent[v] = u
                 queue.append(v)

@@ -7,10 +7,9 @@ the first failure) so tests can assert exact witness sets.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexOutOfRangeError, subdivide
+from .graph import Graph, VertexOutOfRangeError, ball, subdivide
 
 
 class ColoringError(ValueError):
@@ -106,30 +105,13 @@ def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
         members = sorted(cls.vertices)
         member_set = cls.vertices
         for x in members:
-            for y, d in _truncated_ball(g, x, cls.radius):
+            for y, d in ball(g, (x,), cls.radius).items():
                 if y > x and y in member_set:
                     keyed.append((pos, (x, y), Violation(cls.label, cls.radius, (x, y), d)))
     keyed.sort(key=lambda item: item[:2])
     violations = [vi for _, _, vi in keyed]
     ok = not violations and not missing and not multiply_assigned
     return VerifyResult(ok, violations, missing, multiply_assigned)
-
-
-def _truncated_ball(g: Graph, source: int, radius: int) -> list[tuple[int, int]]:
-    """(vertex, distance) pairs with 1 <= distance <= radius from source."""
-    dist = {source: 0}
-    queue = deque([source])
-    out: list[tuple[int, int]] = []
-    while queue:
-        u = queue.popleft()
-        if dist[u] == radius:
-            continue
-        for v in g.adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                out.append((v, dist[v]))
-                queue.append(v)
-    return out
 
 
 def verify_sequence_shape(coloring: PackingColoring, seq: tuple[int, ...]) -> None:

@@ -13,11 +13,10 @@ weight, is strict progress.
 """
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import EmptyGraphError, Graph, GraphError
+from .graph import EmptyGraphError, Graph, GraphError, ball
 
 
 class CubicGraphError(GraphError):
@@ -46,20 +45,10 @@ def compute_weights(g: Graph) -> list[int]:
     sources = [v for v in range(g.n) if g.degree(v) <= 2]
     if not sources:
         raise CubicGraphError("graph is 3-regular; no light vertex to anchor weights")
-    dist = [-1] * g.n
-    queue = deque()
-    for s in sources:
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    if any(d < 0 for d in dist):
+    dist = ball(g, sources)
+    if len(dist) < g.n:
         raise DisconnectedError("graph is not connected")
-    return [d + 1 for d in dist]
+    return [dist[v] + 1 for v in range(g.n)]
 
 
 def check_weight_smoothness(g: Graph, w: list[int]) -> list[tuple[int, int]]:
@@ -74,10 +63,6 @@ def check_weight_recurrence(g: Graph, w: list[int]) -> list[int]:
         for v in range(g.n)
         if g.degree(v) == 3 and w[v] != 1 + min(w[u] for u in g.adj[v])
     ]
-
-
-def subgraph_weight(w: list[int], vertices: Iterable[int]) -> int:
-    return sum(w[v] for v in vertices)
 
 
 def inside_potential(g: Graph, w: list[int], inside: Sequence[int]) -> Potential:

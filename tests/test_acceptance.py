@@ -1,7 +1,8 @@
 """Acceptance gate: ten system-level criteria, one test per criterion.
 
-A last test pins the move trail of one graph at the scale of criterion
-10, under the same time budget.
+Two more tests pin behaviour: a sha256 digest of every coloring and
+move trail of criteria 1-2, and the move trail of one graph at the scale
+of criterion 10, under the same time budget.
 
 Criteria 1-2 drive the constructive colorer over an exhaustive corpus
 and a large randomized sweep; their per-move and per-fixpoint evidence
@@ -11,6 +12,7 @@ is independently replayed and re-verified, never trusted.
 from __future__ import annotations
 
 import collections
+import hashlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -24,6 +26,7 @@ from spack.exact import Status, chi_rho, decide
 from spack.exchange import StuckError, check_fixpoint_invariants
 from spack.gen import petersen, random_subcubic
 from spack.graph import build_graph, induced, subdivide
+from spack.graphio import coloring_to_json
 from spack.verify import derive_subdivision_coloring, verify, verify_sequence_shape
 from spack.weights import check_weight_recurrence, check_weight_smoothness, compute_weights
 
@@ -50,6 +53,9 @@ class SweepStats:
     audit_errors: list[str] = field(default_factory=list)
     failure_notes: list[str] = field(default_factory=list)
     elapsed: float = 0.0
+    # Running hash of every coloring and move trail, in the trail format
+    # of perfbench/pipeline.py, so that a change of behaviour shows.
+    trail: hashlib._Hash = field(default_factory=hashlib.sha256)
 
 
 def _record_run(g, result, stats: SweepStats) -> None:
@@ -86,6 +92,12 @@ def _color_and_tally(g, stats: SweepStats) -> None:
             stats.failure_notes.append(f"{type(exc).__name__}: {exc}")
         return
     stats.colored += 1
+    stats.trail.update(coloring_to_json(result.coloring).encode())
+    stats.trail.update(repr([
+        (c.used_exact, None if c.core_run is None else (c.core_run.attempts, c.core_run.moves))
+        for c in result.components
+    ]).encode())
+    stats.trail.update(b"\n")
     if verify(g, result.coloring).ok:
         stats.verified += 1
     _record_run(g, result, stats)
@@ -177,6 +189,18 @@ def test_criterion_02_randomized_theorem_reproduction(random_sweep_stats):
     assert stats.stuck == 0
     assert stats.other_failures == 0, stats.failure_notes
     assert stats.elapsed < 300.0
+
+
+def test_sweep_trails_pinned(corpus_stats, random_sweep_stats):
+    # A change in either digest means some coloring or committed move
+    # differs.  The sweep makes every move kind, both swaps included,
+    # and 4 of its runs need a second attempt.
+    assert corpus_stats.trail.hexdigest() == (
+        "490497b7334a2047489e737cceb141b233e537dd7e4d2ed389e4d8cfafdee618"
+    )
+    assert random_sweep_stats.trail.hexdigest() == (
+        "abbc1ddabfb29eaa550f6f0824f179fae0454cd6a1d00dd0df7f343c6f1714b3"
+    )
 
 
 def test_criterion_03_petersen_dichotomy():

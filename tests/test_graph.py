@@ -2,8 +2,10 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import distance_matrix
+from spack.exchange import make_state, square_outside
 from spack.gen import cycle, path, petersen
 from spack.graph import (
     INFINITY,
@@ -16,16 +18,15 @@ from spack.graph import (
     SelfLoopError,
     VertexOutOfRangeError,
     assert_subcubic,
+    ball,
     bipartition_or_odd_cycle,
     build_graph,
     components,
-    distances_from,
     induced,
     is_cubic,
     min_degree,
-    odd_cycle_from_root,
-    square,
     subdivide,
+    two_color_from,
 )
 from strategies import loose_graphs, subcubic_graphs
 
@@ -95,24 +96,34 @@ def test_min_degree():
 
 
 def test_distances_c5():
-    assert distances_from(cycle(5), 0) == [0, 1, 2, 2, 1]
+    dist = ball(cycle(5), (0,))
+    assert dist == {0: 0, 1: 1, 2: 2, 3: 2, 4: 1}
+    assert list(dist) == [0, 1, 4, 2, 3]  # BFS order
 
 
 def test_distances_disconnected():
     g = build_graph(4, [(0, 1), (2, 3)])
-    assert distances_from(g, 0) == [0, 1, INFINITY, INFINITY]
-
-
-def test_distances_bad_source():
-    with pytest.raises(VertexOutOfRangeError):
-        distances_from(cycle(3), 3)
+    assert ball(g, (0,)) == {0: 0, 1: 1}
 
 
 @given(loose_graphs(max_n=8, max_degree=7))
 def test_distances_match_floyd_warshall(g):
     matrix = distance_matrix(g)
     for source in range(g.n):
-        assert distances_from(g, source) == matrix[source]
+        dist = ball(g, (source,))
+        assert [dist.get(v, INFINITY) for v in range(g.n)] == matrix[source]
+
+
+@given(loose_graphs(max_n=8, max_degree=7), st.data())
+def test_ball_several_sources_within_radius(g, data):
+    sources = data.draw(st.permutations(range(g.n)))[: data.draw(st.integers(0, g.n))]
+    radius = data.draw(st.integers(0, 4))
+    matrix = distance_matrix(g)
+    nearest = {v: min((matrix[s][v] for s in sources), default=INFINITY) for v in range(g.n)}
+    dist = ball(g, sources, radius)
+    assert dist == {v: d for v, d in nearest.items() if d <= radius}
+    assert list(dist)[: len(sources)] == sources
+    assert list(dist.values()) == sorted(dist.values())
 
 
 def test_components_order_and_cover():
@@ -125,23 +136,30 @@ def test_components_order_and_cover():
     ]
 
 
+def _square(g):
+    """The square graph of g: ``square_outside`` with every vertex outside."""
+    sq, order = square_outside(g, make_state(g, [1] * g.n, (), ()))
+    assert order == tuple(range(g.n))
+    return sq
+
+
 def test_square_p3_is_triangle():
-    assert set(square(path(3)).edges()) == {(0, 1), (0, 2), (1, 2)}
+    assert set(_square(path(3)).edges()) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_square_c5_is_complete():
-    assert square(cycle(5)).edge_count == 10
+    assert _square(cycle(5)).edge_count == 10
 
 
 def test_square_claw_is_complete():
     claw = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert square(claw).edge_count == 6
+    assert _square(claw).edge_count == 6
 
 
 @given(loose_graphs(max_n=8))
 def test_square_edges_are_distance_at_most_two(g):
     matrix = distance_matrix(g)
-    sq = square(g)
+    sq = _square(g)
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert sq.has_edge(u, v) == (matrix[u][v] <= 2)
@@ -247,7 +265,7 @@ def test_bipartition_or_certificate_properties(g):
 def test_odd_cycle_from_root(g):
     bipartite = isinstance(bipartition_or_odd_cycle(g), Bipartition)
     for root in range(g.n):
-        found = odd_cycle_from_root(g, root)
+        found = two_color_from(g, root, [0] * g.n, [-1] * g.n)
         in_odd_component = not isinstance(
             bipartition_or_odd_cycle(induced(g, components(g)[_component_index(g, root)]).graph),
             Bipartition,

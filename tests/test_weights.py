@@ -16,7 +16,6 @@ from spack.weights import (
     compute_weights,
     inside_potential,
     potential,
-    subgraph_weight,
 )
 from strategies import subcubic_graphs
 
@@ -107,12 +106,6 @@ def test_weights_relabeling_equivariant(g):
     w = compute_weights(g)
     w_rel = compute_weights(relabeled)
     assert all(w[v] == w_rel[perm[v]] for v in range(g.n))
-
-
-def test_subgraph_weight():
-    assert subgraph_weight([1, 1, 1, 1], range(4)) == 4
-    assert subgraph_weight([1, 1, 1, 1], []) == 0
-    assert subgraph_weight(compute_weights(K4_MINUS_EDGE), [0, 1]) == 4
 
 
 def test_potential_examples():
