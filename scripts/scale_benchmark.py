@@ -1,8 +1,10 @@
 """Throughput benchmark for the exchange colorer at increasing scale.
 
 Colors random connected non-cubic subcubic graphs across a ladder of
-sizes and densities, verifying every result, and prints a timing table
-(coloring time, verification time, committed moves, restart attempts).
+sizes and densities, verifying and auditing every result, and prints a
+timing table (coloring time, verification time, replay-audit time,
+committed moves, restart attempts).  Validation stays on, as in
+``color_graph``'s defaults.
 
 Usage: python scripts/scale_benchmark.py [--sizes 100,1000,10000] [--seed S]
 """
@@ -12,6 +14,7 @@ import argparse
 import sys
 import time
 
+from spack.audit import audit_color_result
 from spack.colorer import color_graph
 from spack.gen import random_subcubic
 from spack.verify import verify
@@ -30,7 +33,7 @@ def density_ladder(n: int) -> list[tuple[str, int]]:
     ]
 
 
-def bench_one(n: int, m: int, seed: int) -> tuple[float, float, int, int]:
+def bench_one(n: int, m: int, seed: int) -> tuple[float, float, float, int, int]:
     g = random_subcubic(n, m, seed=seed, require_non_cubic=True)
     start = time.perf_counter()
     result = color_graph(g)
@@ -40,6 +43,9 @@ def bench_one(n: int, m: int, seed: int) -> tuple[float, float, int, int]:
     t_verify = time.perf_counter() - start
     if not report.ok:
         raise RuntimeError(f"invalid coloring at n={n} m={m} seed={seed}")
+    start = time.perf_counter()
+    audit_color_result(g, result)
+    t_audit = time.perf_counter() - start
     moves = sum(
         len(comp.core_run.moves) for comp in result.components if comp.core_run is not None
     )
@@ -47,16 +53,19 @@ def bench_one(n: int, m: int, seed: int) -> tuple[float, float, int, int]:
         (comp.core_run.attempts for comp in result.components if comp.core_run is not None),
         default=0,
     )
-    return t_color, t_verify, moves, attempts
+    return t_color, t_verify, t_audit, moves, attempts
 
 
 def run(sizes: list[int], seed: int) -> int:
-    print(f"{'n':>7} {'m':>7} {'density':>8} {'color s':>9} {'verify s':>9} {'moves':>8} {'attempts':>8}")
+    print(
+        f"{'n':>7} {'m':>7} {'density':>8} {'color s':>9} {'verify s':>9} {'audit s':>9} "
+        f"{'moves':>8} {'attempts':>8}"
+    )
     for n in sizes:
         for label, m in density_ladder(n):
-            t_color, t_verify, moves, attempts = bench_one(n, m, seed)
+            t_color, t_verify, t_audit, moves, attempts = bench_one(n, m, seed)
             print(
-                f"{n:>7} {m:>7} {label:>8} {t_color:>9.3f} {t_verify:>9.3f} "
+                f"{n:>7} {m:>7} {label:>8} {t_color:>9.3f} {t_verify:>9.3f} {t_audit:>9.3f} "
                 f"{moves:>8} {attempts:>8}"
             )
     return 0

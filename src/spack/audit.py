@@ -1,20 +1,25 @@
 """Independent replay audits of coloring runs.
 
-Re-executes a recorded exchange run from its initial state, recomputing
-the potential from scratch at every step, and re-derives the fixpoint
-structure and the outside square bipartition.  Used by the test suite
-to certify that every committed move strictly increased the potential
-and that every terminal state satisfies the structural invariants.
+Re-executes a recorded exchange run from a copy of its initial state,
+validating every move and committing it in place.  The potential is
+recounted from scratch at the start and at the end of the replay; in
+between, each move's potential change is checked against a count over
+the vertices whose side it changed (``weights.touched_potential``),
+which equals a recount by induction from the first anchor.  The audit
+then re-derives the fixpoint structure and the outside square
+bipartition.  Used by the test suite to certify that every committed
+move strictly increased the potential and that every terminal state
+satisfies the structural invariants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .colorer import ColorResult, CoreRun
-from .exchange import apply_move, check_fixpoint_invariants, square_outside
+from .exchange import check_fixpoint_invariants, commit_move, evaluate_move, square_outside
 from .graph import Graph, induced
 from .verify import verify
-from .weights import inside_potential
+from .weights import inside_potential, touched_potential
 
 
 class AuditError(ValueError):
@@ -34,7 +39,7 @@ class AuditReport:
 def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     """Replay one core run; raises AuditError on any discrepancy."""
     w = list(run.weights)
-    state = run.initial
+    state = run.initial.copy()
     scratch = inside_potential(core, w, state.side)
     if scratch != state.potential:
         raise AuditError(f"initial potential {state.potential} != recount {scratch}")
@@ -43,12 +48,21 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
             raise AuditError(f"move {i}: recorded before {record.before} != {state.potential}")
         if not record.after > record.before:
             raise AuditError(f"move {i}: potential did not strictly increase: {record}")
-        state = apply_move(core, w, state, record.move)
+        found = evaluate_move(core, w, state, record.move)
+        changed = [v for v, s in found.plan if state.side[v] != s]
+        was = touched_potential(core, w, state.side, changed)
+        commit_move(core, state, found)
         if state.potential != record.after:
             raise AuditError(f"move {i}: recorded after {record.after} != {state.potential}")
-        scratch = inside_potential(core, w, state.side)
-        if scratch != state.potential:
-            raise AuditError(f"move {i}: cached potential {state.potential} != recount {scratch}")
+        now = touched_potential(core, w, state.side, changed)
+        if record.after - record.before != now - was:
+            raise AuditError(
+                f"move {i}: potential {record.before} -> {record.after} disagrees with "
+                f"the touched count {was} -> {now}"
+            )
+    scratch = inside_potential(core, w, state.side)
+    if scratch != state.potential:
+        raise AuditError(f"final potential {state.potential} != recount {scratch}")
     if state.side != run.final.side:
         raise AuditError("replayed final state differs from recorded final state")
 

@@ -56,8 +56,11 @@ class ColorOptions:
     ``fallback_exact`` lets 3-regular components go to the exact oracle;
     ``fallback_max_n`` caps the component size for any oracle call;
     ``exact_budget`` caps its backtracking nodes.  ``max_moves``
-    overrides the exchange-step budget and ``validate`` toggles the
-    per-commit recount and fixpoint structure checks.
+    overrides the exchange-step budget.  ``validate`` toggles the
+    exchange search's checks: each commit's potential change against a
+    count over the vertices it touched, a from-scratch recount of the
+    potential at the start and at every cheap-move fixpoint, and the
+    fixpoint structure checks.
     ``restart_attempts`` bounds how many seeded greedy starts the
     exchange search may try when a run ends on an odd outside cycle
     that admits no strict-increase swap.

@@ -22,14 +22,18 @@ order and the vertices in ascending id.
 Every candidate move goes through checked application: independence and
 a strict potential increase are validated before any commit, so a proof
 edge case can only ever surface as a ``StuckError`` diagnostic, never as
-a corrupt state.
+a corrupt state.  Each move is evaluated once; the search commits the
+evaluated plan in place.  With validation on, each commit is checked on
+the vertices it touches (``weights.touched_potential``) rather than by
+an O(n) recount, and the from-scratch recount anchors that check at the
+start and at every cheap-move fixpoint.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .graph import (
     Bipartition,
@@ -41,7 +45,7 @@ from .graph import (
     min_degree,
     two_color_from,
 )
-from .weights import Potential, inside_potential
+from .weights import Potential, inside_potential, touched_potential
 
 
 class ExchangeError(ValueError):
@@ -78,10 +82,12 @@ OUTSIDE = 0
 
 @dataclass
 class BipartitionState:
-    """Mutable-by-copy partition of vertices into s1 / s2 / outside.
+    """Mutable partition of vertices into s1 / s2 / outside.
 
     ``nbr1[v]`` / ``nbr2[v]`` cache how many neighbors of v currently
     sit in each side; the cached potential always matches a recount.
+    The search commits moves into its own copy in place; ``apply_move``
+    returns a new state.
     """
 
     side: list[int]  # 0 = outside, 1, 2
@@ -174,6 +180,14 @@ class PathSwap:
 
 
 Move = Union[Absorb, Flip, Deg3Exchange, SameSideExchange, CycleSwap, PathSwap]
+
+
+class Candidate(NamedTuple):
+    """A validated move: its (vertex, new side) plan and the potential it reaches."""
+
+    move: Move
+    plan: list[tuple[int, int]]
+    potential: Potential
 
 
 @dataclass(frozen=True)
@@ -341,8 +355,8 @@ def _evaluate_plan(
     return new, None
 
 
-def apply_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> BipartitionState:
-    """Validated, copy-on-write application of a move.
+def evaluate_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> Candidate:
+    """Validate a move against the state without changing it.
 
     Raises InvalidMoveError when independence would break or the
     potential would not strictly increase.
@@ -351,42 +365,58 @@ def apply_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> B
     new_potential, reason = _evaluate_plan(g, w, state, plan)
     if new_potential is None:
         raise InvalidMoveError(f"{type(move).__name__} rejected: {reason}")
-    out = state.copy()
-    for v, s in plan:
-        old = out.side[v]
+    return Candidate(move, plan, new_potential)
+
+
+def commit_move(g: Graph, state: BipartitionState, found: Candidate) -> None:
+    """Commit a validated move into ``state`` in place."""
+    side, nbr1, nbr2 = state.side, state.nbr1, state.nbr2
+    for v, s in found.plan:
+        old = side[v]
         if old == s:
             continue
-        out.side[v] = s
+        side[v] = s
         for u in g.adj[v]:
             if old == 1:
-                out.nbr1[u] -= 1
+                nbr1[u] -= 1
             elif old == 2:
-                out.nbr2[u] -= 1
+                nbr2[u] -= 1
             if s == 1:
-                out.nbr1[u] += 1
+                nbr1[u] += 1
             elif s == 2:
-                out.nbr2[u] += 1
-    out.potential = new_potential
+                nbr2[u] += 1
+    state.potential = found.potential
+
+
+def apply_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> BipartitionState:
+    """Validated, copy-on-write application of a move.
+
+    Raises InvalidMoveError when independence would break or the
+    potential would not strictly increase.
+    """
+    found = evaluate_move(g, w, state, move)
+    out = state.copy()
+    commit_move(g, out, found)
     return out
 
 
-def _try_move(g, w, state, move) -> Move | None:
+def _try_move(g, w, state, move) -> Candidate | None:
     plan = _move_plan(g, state, move)
     new_potential, _ = _evaluate_plan(g, w, state, plan)
-    return move if new_potential is not None else None
+    return None if new_potential is None else Candidate(move, plan, new_potential)
 
 
-def _absorb_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Absorb | None:
+def _absorb_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
     if state.side[x] != OUTSIDE:
         return None
     if state.nbr1[x] == 0:
-        return Absorb(x, 1)
+        return _try_move(g, w, state, Absorb(x, 1))
     if state.nbr2[x] == 0:
-        return Absorb(x, 2)
+        return _try_move(g, w, state, Absorb(x, 2))
     return None
 
 
-def _flip_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Flip | None:
+def _flip_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
     if state.side[x] != OUTSIDE:
         return None
     nbr = (None, state.nbr1, state.nbr2)
@@ -396,13 +426,13 @@ def _flip_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Flip | 
             continue
         other_counts = nbr[_other(side)]
         if all(other_counts[u] == 0 for u in displaced):
-            mv = _try_move(g, w, state, Flip(x, side, displaced))
-            if mv:
-                return mv
+            found = _try_move(g, w, state, Flip(x, side, displaced))
+            if found:
+                return found
     return None
 
 
-def _deg3_exchange_at(g: Graph, w: list[int], state: BipartitionState, z: int) -> Deg3Exchange | None:
+def _deg3_exchange_at(g: Graph, w: list[int], state: BipartitionState, z: int) -> Candidate | None:
     if state.side[z] == OUTSIDE or g.degree(z) != 3 or state.s_degree(z) != 0:
         return None
     # all three neighbors of z are outside and z is isolated in S
@@ -414,15 +444,15 @@ def _deg3_exchange_at(g: Graph, w: list[int], state: BipartitionState, z: int) -
         for y in g.adj[x]:
             if state.side[y] == OUTSIDE or w[y] >= w[x]:
                 continue
-            mv = _try_move(g, w, state, Deg3Exchange(z, x, y))
-            if mv:
-                return mv
+            found = _try_move(g, w, state, Deg3Exchange(z, x, y))
+            if found:
+                return found
     return None
 
 
 def _same_side_exchange_at(
     g: Graph, w: list[int], state: BipartitionState, x: int
-) -> SameSideExchange | None:
+) -> Candidate | None:
     if state.side[x] != OUTSIDE or state.s_degree(x) != 3:
         return None
     if state.nbr1[x] == 3 or state.nbr2[x] == 3:
@@ -464,13 +494,13 @@ class _Worklist:
             for d in range(_REACH + 1)
         ]
 
-    def next_move(self, g: Graph, w: list[int], state: BipartitionState) -> Move | None:
+    def next_move(self, g: Graph, w: list[int], state: BipartitionState) -> Candidate | None:
         for (evaluate, _), flags in zip(_CHEAP_KINDS, self.flags):
             v = flags.find(1)
             while v >= 0:
-                mv = evaluate(g, w, state, v)
-                if mv is not None:
-                    return mv
+                found = evaluate(g, w, state, v)
+                if found is not None:
+                    return found
                 flags[v] = 0
                 v = flags.find(1, v + 1)
         return None
@@ -582,11 +612,12 @@ def _odd_cycles(sq: Graph, first: OddCycle | None) -> Iterator[tuple[int, ...]]:
 
 def _find_square_swap(
     g: Graph, w: list[int], state: BipartitionState
-) -> tuple[Move | None, SquareBipartition | None, list[tuple[int, ...]]]:
+) -> tuple[Candidate | None, SquareBipartition | None, list[tuple[int, ...]]]:
     """Stage 5: bipartition the outside square or find a validated swap.
 
-    Returns (move, bipartition, tried_cycles); exactly one of move and
-    bipartition is set unless the search is stuck (both None).
+    Returns (swap, bipartition, tried_cycles); exactly one of the
+    evaluated swap and the bipartition is set unless the search is
+    stuck (both None).
     """
     sq, order = square_outside(g, state)
     result = bipartition_or_odd_cycle(sq)
@@ -600,8 +631,9 @@ def _find_square_swap(
         tried.append(cycle)
         candidates = _swap_candidates_for_cycle(g, state, cycle)
         for candidate in itertools.islice(candidates, _CANDIDATE_CAP):
-            if _try_move(g, w, state, candidate):
-                return candidate, None, tried
+            found = _try_move(g, w, state, candidate)
+            if found:
+                return found, None, tried
     return None, None, tried
 
 
@@ -614,11 +646,8 @@ def find_move(g: Graph, w: list[int], state: BipartitionState) -> Move | None:
     unresolvable odd cycle remains; ``run_to_fixpoint`` tells the two
     apart and raises StuckError for the latter).
     """
-    mv = _Worklist(g.n).next_move(g, w, state)
-    if mv:
-        return mv
-    swap, _, _ = _find_square_swap(g, w, state)
-    return swap
+    found = _Worklist(g.n).next_move(g, w, state) or _find_square_swap(g, w, state)[0]
+    return found.move if found else None
 
 
 def default_move_budget(g: Graph, w: list[int]) -> int:
@@ -688,9 +717,19 @@ def run_to_fixpoint(
     Once no cheap move is left the outside square graph is built; if it
     is bipartite we are done, otherwise a validated cycle or path swap
     is committed and its changed vertices are re-flagged the same way.
-    ``validate`` additionally recounts the potential from scratch after
-    every commit and checks the structural fixpoint invariants at every
-    cheap-move fixpoint.
+
+    The search commits into its own copy of ``state`` in place, so the
+    caller's start state stays as it was.  ``validate`` checks the
+    potential at every commit without an O(n) recount: only the
+    vertices C whose side the commit changes can change the count, so
+    the cached potential must move by exactly
+    ``touched_potential(after, C) - touched_potential(before, C)``,
+    which reads the side list alone, not the plan's delta arithmetic.
+    That local check equals a recount by induction from an anchor, and
+    the from-scratch ``inside_potential`` recount is that anchor: it
+    runs on the start state and at every cheap-move fixpoint, the last
+    of which is the state returned, next to the structural fixpoint
+    invariants.  A fault raises InvalidStateError within the run.
 
     Raises StuckError when an odd cycle resists every candidate swap and
     MoveBudgetExceededError when the step budget runs out; both indicate
@@ -699,29 +738,44 @@ def run_to_fixpoint(
     budget = default_move_budget(g, w) if max_moves is None else max_moves
     records: list[MoveRecord] = []
     work = _Worklist(g.n)
+    state = state.copy()
 
-    def commit(move: Move) -> None:
-        nonlocal state
-        before = state
-        changed = [v for v, s in _move_plan(g, before, move) if before.side[v] != s]
-        state = apply_move(g, w, state, move)
-        records.append(MoveRecord(move, before.potential, state.potential))
+    def recount(where: str) -> None:
+        scratch = inside_potential(g, w, state.side)
+        if scratch != state.potential:
+            raise InvalidStateError(
+                f"cached potential {state.potential} != recount {scratch} {where}"
+            )
+
+    def commit(found: Candidate) -> None:
+        side = state.side
+        changed = [v for v, s in found.plan if side[v] != s]
+        before = state.potential
         if validate:
-            scratch = inside_potential(g, w, state.side)
-            if scratch != state.potential:
+            was = touched_potential(g, w, side, changed)
+        commit_move(g, state, found)
+        after = state.potential
+        records.append(MoveRecord(found.move, before, after))
+        if validate:
+            now = touched_potential(g, w, side, changed)
+            if after - before != now - was:
                 raise InvalidStateError(
-                    f"cached potential {state.potential} != recount {scratch} after {move}"
+                    f"potential {before} -> {after} disagrees with the touched count "
+                    f"{was} -> {now} after {found.move}"
                 )
         if len(records) > budget:
             raise MoveBudgetExceededError(f"move budget {budget} exhausted")
         work.touch(g, changed)
 
+    if validate:
+        recount("at the start")
     while True:
-        mv = work.next_move(g, w, state)
-        if mv is not None:
-            commit(mv)
+        found = work.next_move(g, w, state)
+        if found is not None:
+            commit(found)
             continue
         if validate:
+            recount(f"at the fixpoint after {len(records)} moves")
             problems = check_fixpoint_invariants(g, w, state)
             if problems:
                 raise InvalidStateError("fixpoint invariants violated: " + "; ".join(problems))

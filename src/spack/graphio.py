@@ -46,6 +46,8 @@ _NONZERO_BYTE = re.compile("[^?]")  # "?" encodes six zero bits
 # Offsets of the set bits of a 6-bit value, most significant first.
 _SET_BITS = tuple(tuple(b for b in range(6) if value & (32 >> b)) for value in range(64))
 _MAX_GRAPH6_N = (1 << 36) - 1
+# bytes.translate table sending each 6-bit value v to the character v + 63
+_GRAPH6_CHARS = bytes(range(63, 127)) + bytes(192)
 
 
 def _size_prefix(n: int) -> str:
@@ -124,21 +126,11 @@ def parse_graph6(data: str | bytes) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Canonical graph6 line (shortest size form, no optional header)."""
-    nbr = [set(g.adj[v]) for v in range(g.n)]
-    out = [_size_prefix(g.n)]
-    acc = 0
-    filled = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            acc = (acc << 1) | (1 if u in nbr[v] else 0)
-            filled += 1
-            if filled == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                filled = 0
-    if filled:
-        out.append(chr((acc << (6 - filled)) + 63))
-    return "".join(out)
+    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for u, v in g.edges():
+        k = v * (v - 1) // 2 + u  # the bit of (u, v), u < v, as in parse_graph6
+        body[k // 6] |= 32 >> (k % 6)
+    return _size_prefix(g.n) + body.translate(_GRAPH6_CHARS).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

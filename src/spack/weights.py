@@ -33,6 +33,9 @@ class Potential(NamedTuple):
     edges: int
     weight: int
 
+    def __sub__(self, other: "Potential") -> "Potential":
+        return Potential(self.edges - other.edges, self.weight - other.weight)
+
 
 def compute_weights(g: Graph) -> list[int]:
     """Per-vertex weights on a connected graph with a light vertex.
@@ -75,6 +78,29 @@ def inside_potential(g: Graph, w: list[int], inside: Sequence[int]) -> Potential
     mask = list(map(bool, inside))
     ends = sum(map(mask.__getitem__, chain.from_iterable(compress(g.adj, mask))))
     return Potential(ends // 2, sum(compress(w, mask)))
+
+
+def touched_potential(
+    g: Graph, w: list[int], inside: Sequence[int], vertices: Iterable[int]
+) -> Potential:
+    """The part of the potential that depends on ``vertices``.
+
+    Counts the inside edges with at least one end in ``vertices`` and
+    the inside weight of ``vertices``.  Every other inside edge, and
+    every other vertex's weight, is the same whichever side the given
+    vertices take, so when only they change side the potential changes
+    by exactly the difference of this count before and after.
+    """
+    touched = set(vertices)
+    edges = weight = 0
+    for v in touched:
+        if inside[v]:
+            weight += w[v]
+            for u in g.adj[v]:
+                # an edge between two touched vertices is counted from its lower end
+                if inside[u] and (u > v or u not in touched):
+                    edges += 1
+    return Potential(edges, weight)
 
 
 def potential(g: Graph, w: list[int], s1: Iterable[int], s2: Iterable[int]) -> Potential:

@@ -3,7 +3,8 @@
 Nothing here reuses solver code: distances come from a Floyd-Warshall
 matrix, colorability from a plain backtracking search that assigns
 vertices in id order with no ordering heuristics, bitmasks or pruning,
-and graph6 decoding from a walk over every bit of the body.
+graph6 decoding from a walk over every bit of the body, and graph6
+encoding from a walk over every vertex pair.
 
 The one exception is ``reference_run_to_fixpoint``: the exchange search
 as it was before the dirty-flag worklist, which rescans Absorb, Flip,
@@ -45,6 +46,7 @@ from spack.graphio import (
     TrailingBitsError,
     _char_value,
     _parse_size,
+    _size_prefix,
     parse_graph6,
 )
 from spack.weights import potential as potential_from_scratch
@@ -185,6 +187,25 @@ def reference_parse_graph6(data: str | bytes) -> Graph:
     return build_graph(n, edges)
 
 
+def reference_encode_graph6(g: Graph) -> str:
+    """Encode a graph6 line by testing every vertex pair in turn."""
+    nbr = [set(g.adj[v]) for v in range(g.n)]
+    out = [_size_prefix(g.n)]
+    acc = 0
+    filled = 0
+    for v in range(1, g.n):
+        for u in range(v):
+            acc = (acc << 1) | (1 if u in nbr[v] else 0)
+            filled += 1
+            if filled == 6:
+                out.append(chr(acc + 63))
+                acc = 0
+                filled = 0
+    if filled:
+        out.append(chr((acc << (6 - filled)) + 63))
+    return "".join(out)
+
+
 def _find_absorb(g: Graph, state: BipartitionState) -> Absorb | None:
     for x in range(g.n):
         if state.side[x] != OUTSIDE:
@@ -207,9 +228,9 @@ def _find_flip(g: Graph, w: list[int], state: BipartitionState) -> Flip | None:
                 continue
             other_counts = nbr[_other(side)]
             if all(other_counts[u] == 0 for u in displaced):
-                mv = _try_move(g, w, state, Flip(x, side, displaced))
-                if mv:
-                    return mv
+                found = _try_move(g, w, state, Flip(x, side, displaced))
+                if found:
+                    return found.move
     return None
 
 
@@ -226,9 +247,9 @@ def _find_deg3_exchange(g: Graph, w: list[int], state: BipartitionState) -> Deg3
             for y in g.adj[x]:
                 if state.side[y] == OUTSIDE or w[y] >= w[x]:
                     continue
-                mv = _try_move(g, w, state, Deg3Exchange(z, x, y))
-                if mv:
-                    return mv
+                found = _try_move(g, w, state, Deg3Exchange(z, x, y))
+                if found:
+                    return found.move
     return None
 
 
@@ -241,9 +262,9 @@ def _find_same_side_exchange(g: Graph, w: list[int], state: BipartitionState) ->
         lone_side = 1 if state.nbr1[x] == 1 else 2
         x3 = next(u for u in g.adj[x] if state.side[u] == lone_side)
         if state.s_degree(x3) <= 1 or w[x3] < w[x]:
-            mv = _try_move(g, w, state, SameSideExchange(x, x3))
-            if mv:
-                return mv
+            found = _try_move(g, w, state, SameSideExchange(x, x3))
+            if found:
+                return found.move
     return None
 
 
@@ -305,4 +326,4 @@ def reference_run_to_fixpoint(
             raise StuckError(
                 f"no validated swap for odd outside cycles {tried}", state, tried
             )
-        commit(swap)
+        commit(swap.move)

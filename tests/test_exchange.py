@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spack.audit
+import spack.exchange
+from spack.audit import AuditError, audit_core_run
 from spack.colorer import color_core, peel
 from spack.exchange import (
+    OUTSIDE,
     Absorb,
+    Candidate,
     CycleSwap,
     Deg3Exchange,
     Flip,
@@ -32,7 +37,7 @@ from spack.exchange import (
 )
 from spack.gen import cycle, path, random_subcubic
 from spack.graph import build_graph, induced
-from spack.weights import Potential, compute_weights
+from spack.weights import Potential, compute_weights, inside_potential, touched_potential
 from oracles import distance_matrix, reference_run_to_fixpoint
 from strategies import subcubic_graphs
 
@@ -40,9 +45,15 @@ C4, C5 = cycle(4), cycle(5)
 W4, W5 = [1, 1, 1, 1], [1, 1, 1, 1, 1]
 
 
+def _move_at(evaluate, g, w, state, v):
+    """The move one kind's evaluator finds at v, without its evaluation."""
+    found = evaluate(g, w, state, v)
+    return found.move if found else None
+
+
 def _first_move(evaluate, g, w, state):
     """The first move of one kind over all vertices in ascending id."""
-    return next((mv for v in range(g.n) if (mv := evaluate(g, w, state, v))), None)
+    return next((mv for v in range(g.n) if (mv := _move_at(evaluate, g, w, state, v))), None)
 
 
 def test_make_state_counts_and_potential():
@@ -365,7 +376,156 @@ def test_cheap_move_radii_are_exact():
         dist = distance_matrix(g)[c]
         for k, (evaluate, radius) in enumerate(_CHEAP_KINDS):
             for v in range(n):
-                if evaluate(g, w, before, v) != evaluate(g, w, after, v):
+                if _move_at(evaluate, g, w, before, v) != _move_at(evaluate, g, w, after, v):
                     assert dist[v] <= radius, (trial, evaluate.__name__, v)
                     reached[k] = max(reached[k], int(dist[v]))
     assert reached == [radius for _, radius in _CHEAP_KINDS]
+
+
+def _core(g):
+    core, _ = peel(g)
+    sub = induced(g, core).graph
+    return sub, compute_weights(sub)
+
+
+def _patch_commit(mp, wrapper):
+    """Route every commit, in the search and in the audit replay, through ``wrapper(real, ...)``."""
+    real = spack.exchange.commit_move
+
+    def patched(g, state, found):
+        wrapper(real, g, state, found)
+
+    mp.setattr(spack.exchange, "commit_move", patched)
+    mp.setattr(spack.audit, "commit_move", patched)
+
+
+def _assert_local_check_matches_recount(g):
+    # At every commit the touched count and the from-scratch recount
+    # must move by the same amount, and the cached potential must be
+    # the recount, in the search and again in the audit replay.
+    if not peel(g)[0]:
+        return
+    sub, w = _core(g)
+    commits = []
+
+    def check(real, graph, state, found):
+        changed = [v for v, s in found.plan if state.side[v] != s]
+        full = inside_potential(graph, w, state.side)
+        local = touched_potential(graph, w, state.side, changed)
+        real(graph, state, found)
+        full_now = inside_potential(graph, w, state.side)
+        local_now = touched_potential(graph, w, state.side, changed)
+        assert state.potential == full_now
+        assert full_now - full == local_now - local
+        commits.append(found.move)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_commit(mp, check)
+        run = color_core(sub, w)
+        searched = list(commits)
+        audit_core_run(sub, run)
+    replayed = commits[len(searched):]
+    assert replayed == [r.move for r in run.moves]
+    assert searched[len(searched) - len(run.moves):] == replayed
+
+
+def test_local_check_matches_recount_on_corpus(corpus_noncubic):
+    for g in corpus_noncubic:
+        _assert_local_check_matches_recount(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subcubic_graphs(min_n=3, max_n=120))
+def test_local_check_matches_recount_on_random_graphs(g):
+    _assert_local_check_matches_recount(g)
+
+
+# 13 moves, all cheap; the fault tests below corrupt one of its commits
+FAULT_GRAPH = random_subcubic(60, 85, seed=2, require_non_cubic=True)
+
+
+def _corrupt_at(index, corrupt):
+    """A commit wrapper that runs ``corrupt(real, g, state, found)`` in place of commit ``index``."""
+    calls = []
+
+    def wrapper(real, g, state, found):
+        calls.append(found.move)
+        if len(calls) == index + 1:
+            corrupt(real, g, state, found)
+        else:
+            real(g, state, found)
+
+    return wrapper, calls
+
+
+def _bump_potential(real, g, state, found):
+    real(g, state, found)
+    state.potential = Potential(state.potential.edges, state.potential.weight + 1)
+
+
+def _drop_last_assignment(real, g, state, found):
+    real(g, state, found._replace(plan=found.plan[:-1]))
+
+
+def _move_far_vertex_outside(real, g, state, found):
+    # An inside vertex neither in the plan nor next to it leaves its
+    # side: the touched count of this commit cannot see it.
+    near = {v for v, _ in found.plan}
+    near |= {u for v in list(near) for u in g.adj[v]}
+    far = next(v for v in range(g.n) if state.side[v] != OUTSIDE and v not in near)
+    real(g, state, found)
+    real(g, state, Candidate(found.move, [(far, OUTSIDE)], state.potential))
+
+
+@pytest.mark.parametrize("corrupt", [_bump_potential, _drop_last_assignment])
+@pytest.mark.parametrize("index", [0, 5, 12])
+def test_validate_catches_a_bad_commit_at_that_commit(monkeypatch, corrupt, index):
+    sub, w = _core(FAULT_GRAPH)
+    assert len(run_to_fixpoint(sub, w, initial_state(sub, w)).moves) == 13
+    wrapper, calls = _corrupt_at(index, corrupt)
+    _patch_commit(monkeypatch, wrapper)
+    with pytest.raises(InvalidStateError, match="touched count"):
+        run_to_fixpoint(sub, w, initial_state(sub, w))
+    assert len(calls) == index + 1
+
+
+@pytest.mark.parametrize("index", [0, 12])
+def test_validate_catches_a_side_changed_outside_the_plan_at_the_next_fixpoint(monkeypatch, index):
+    sub, w = _core(FAULT_GRAPH)
+    wrapper, calls = _corrupt_at(index, _move_far_vertex_outside)
+    _patch_commit(monkeypatch, wrapper)
+    with pytest.raises(InvalidStateError, match="recount .* at the fixpoint after") as exc:
+        run_to_fixpoint(sub, w, initial_state(sub, w))
+    assert len(calls) > index
+    if index == 12:  # the last commit: the recount is of the state that would be returned
+        assert "after 13 moves" in str(exc.value)
+
+
+def test_validate_recounts_the_start_state():
+    sub, w = _core(FAULT_GRAPH)
+    start = initial_state(sub, w)
+    start.potential = Potential(start.potential.edges + 1, start.potential.weight)
+    with pytest.raises(InvalidStateError, match="at the start"):
+        run_to_fixpoint(sub, w, start)
+    run_to_fixpoint(sub, w, start, validate=False)
+
+
+def test_run_to_fixpoint_leaves_the_start_state_alone():
+    sub, w = _core(FAULT_GRAPH)
+    start = initial_state(sub, w)
+    kept = start.copy()
+    result = run_to_fixpoint(sub, w, start)
+    assert start == kept and result.state.side != start.side
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_last_assignment, "touched count"),
+    (_move_far_vertex_outside, "final potential"),
+])
+def test_audit_catches_a_bad_replayed_commit(monkeypatch, corrupt, message):
+    sub, w = _core(FAULT_GRAPH)
+    run = color_core(sub, w)
+    wrapper, _ = _corrupt_at(5, corrupt)
+    _patch_commit(monkeypatch, wrapper)
+    with pytest.raises(AuditError, match=message):
+        audit_core_run(sub, run)

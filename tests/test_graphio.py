@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import CORPUS_FILE, reference_parse_graph6
+from oracles import CORPUS_FILE, reference_encode_graph6, reference_parse_graph6
 from spack.gen import path, petersen
 from spack.graph import DuplicateEdgeError, build_graph
 from spack.graphio import (
@@ -149,6 +149,32 @@ def test_graph6_decode_matches_per_bit_reference_on_random_graphs(g):
 def test_graph6_decode_matches_per_bit_reference_on_subcubic_graphs(g):
     line = encode_graph6(g)
     assert parse_graph6(line) == reference_parse_graph6(line) == g
+
+
+def test_graph6_encode_matches_per_pair_reference_on_corpus():
+    for line in CORPUS_FILE.read_text().split():
+        g = parse_graph6(line)
+        assert encode_graph6(g) == reference_encode_graph6(g) == line
+
+
+@given(loose_graphs(max_n=70, max_degree=70))
+def test_graph6_encode_matches_per_pair_reference_on_random_graphs(g):
+    assert encode_graph6(g) == reference_encode_graph6(g)
+
+
+@given(subcubic_graphs(min_n=1, max_n=300))
+def test_graph6_encode_matches_per_pair_reference_on_subcubic_graphs(g):
+    assert encode_graph6(g) == reference_encode_graph6(g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 62, 63, 64])
+def test_graph6_encode_matches_per_pair_reference_at_size_form_switch(n):
+    # n = 62 is the last one-character size prefix, 63 the first "~" form
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    for edges in ([], pairs[: n - 1], pairs[::3], pairs):
+        g = build_graph(n, edges)
+        assert encode_graph6(g) == reference_encode_graph6(g)
+        assert parse_graph6(encode_graph6(g)) == g
 
 
 def test_graph6_decode_matches_per_bit_reference_on_malformed_input():

@@ -16,6 +16,7 @@ from spack.weights import (
     compute_weights,
     inside_potential,
     potential,
+    touched_potential,
 )
 from strategies import subcubic_graphs
 
@@ -139,6 +140,22 @@ def test_potential_matches_brute_force_edge_count(g, data):
     s2 = [v for v in range(g.n) if side[v] == 2]
     assert potential(g, w, s1, s2) == expected
     assert inside_potential(g, w, side) == expected
+
+
+@given(subcubic_graphs(min_n=1, max_n=40), st.data())
+def test_touched_potential_moves_with_the_recount(g, data):
+    # Any side changes confined to a vertex set C move the from-scratch
+    # count by exactly the change of the count over C.
+    sides = st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)
+    before, after = data.draw(sides), data.draw(sides)
+    w = data.draw(st.lists(st.integers(1, 9), min_size=g.n, max_size=g.n))
+    changed = [v for v in range(g.n) if before[v] != after[v]]
+    extra = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3))
+    touched = changed + extra  # C may hold unchanged vertices too
+    assert inside_potential(g, w, after) - inside_potential(g, w, before) == (
+        touched_potential(g, w, after, touched) - touched_potential(g, w, before, touched)
+    )
+    assert touched_potential(g, w, after, range(g.n)) == inside_potential(g, w, after)
 
 
 def test_potential_lexicographic_order():
