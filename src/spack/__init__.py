@@ -5,35 +5,16 @@ The main entry points are :func:`color_graph` (constructive coloring),
 :func:`verify` (S-packing coloring checker), :func:`decide` /
 :func:`chi_rho` (exact backtracking oracle), and
 :func:`derive_subdivision_coloring` (lift a (1,1,2,2) coloring of G to
-a (1,2,3,4,5) coloring of its subdivision).
+a (1,2,3,4,5) coloring of its subdivision).  The package re-exports
+them with their option, result and error types and the graph I/O.  The
+stages of the search (peeling, weights, the exchange state and its
+moves) stay in their modules: ``spack.colorer``, ``spack.weights`` and
+``spack.exchange``.
 """
-from .colorer import (
-    ColorOptions,
-    ColorResult,
-    CubicComponentError,
-    color_core,
-    color_graph,
-    extend_coloring,
-    peel,
-)
+from .colorer import ColorOptions, ColorResult, CubicComponentError, color_graph
 from .exact import ChiRhoResult, DecisionOutcome, Status, chi_rho, decide
-from .exchange import (
-    BipartitionState,
-    MoveBudgetExceededError,
-    StuckError,
-    apply_move,
-    find_move,
-    initial_state,
-    run_to_fixpoint,
-)
-from .graph import (
-    Graph,
-    GraphError,
-    build_graph,
-    components,
-    induced,
-    subdivide,
-)
+from .exchange import MoveBudgetExceededError, StuckError
+from .graph import Graph, GraphError, build_graph, subdivide
 from .graphio import (
     FormatError,
     coloring_from_json,
@@ -48,16 +29,13 @@ from .verify import (
     PackingColoring,
     VerifyResult,
     derive_subdivision_coloring,
-    make_coloring,
     verify,
     verify_sequence_shape,
 )
-from .weights import Potential, compute_weights, potential
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartitionState",
     "ChiRhoResult",
     "ColorClass",
     "ColorOptions",
@@ -69,33 +47,20 @@ __all__ = [
     "GraphError",
     "MoveBudgetExceededError",
     "PackingColoring",
-    "Potential",
     "Status",
     "StuckError",
     "VerifyResult",
-    "apply_move",
     "build_graph",
     "chi_rho",
-    "color_core",
     "color_graph",
     "coloring_from_json",
     "coloring_to_json",
-    "components",
-    "compute_weights",
     "decide",
     "derive_subdivision_coloring",
     "encode_edge_list",
     "encode_graph6",
-    "extend_coloring",
-    "find_move",
-    "induced",
-    "initial_state",
-    "make_coloring",
     "parse_edge_list",
     "parse_graph6",
-    "peel",
-    "potential",
-    "run_to_fixpoint",
     "subdivide",
     "verify",
     "verify_sequence_shape",

@@ -5,6 +5,8 @@ exact oracle (when enabled); otherwise degree-<=1 vertices are peeled
 off, the remaining core is split by the potential-increasing exchange
 search, the outside of the split is 2-colored in the square graph, and
 the peeled vertices are re-attached greedily into the radius-1 classes.
+No other component reaches the oracle: when the exchange search stays
+stuck through every restart, its StuckError surfaces.
 
 Class labels are always ``1_a``/``1_b`` (radius 1) and ``2_a``/``2_b``
 (radius 2); classes may be empty.  Components are colored independently
@@ -54,13 +56,16 @@ class ColorOptions:
     """Knobs for ``color_graph``.
 
     ``fallback_exact`` lets 3-regular components go to the exact oracle;
-    ``fallback_max_n`` caps the component size for any oracle call;
-    ``exact_budget`` caps its backtracking nodes.  ``max_moves``
-    overrides the exchange-step budget.  ``validate`` toggles the
-    exchange search's checks: each commit's potential change against a
-    count over the vertices it touched, a from-scratch recount of the
-    potential at the start and at every cheap-move fixpoint, and the
-    fixpoint structure checks.
+    ``fallback_max_n`` caps the size of a 3-regular component sent to
+    it; ``exact_budget`` caps its backtracking nodes.  ``max_moves``
+    overrides the exchange-step budget, which defaults to
+    (m + 1)(sum of weights + 1) commits per run on a core with m edges;
+    every commit strictly increases the potential, so exceeding the
+    default means the potential failed to increase.  ``validate``
+    toggles the exchange search's checks: each commit's potential change
+    against a count over the vertices it touched, a from-scratch recount
+    of the potential at the start and at every cheap-move fixpoint, and
+    the fixpoint structure checks.
     ``restart_attempts`` bounds how many seeded greedy starts the
     exchange search may try when a run ends on an odd outside cycle
     that admits no strict-increase swap.
@@ -250,7 +255,13 @@ def _oracle_component(g: Graph, options: ColorOptions, host: tuple[int, ...]):
 def _color_component(
     g: Graph, options: ColorOptions, host: tuple[int, ...]
 ) -> tuple[list[set[int]], ComponentRun]:
-    """Color one connected component given in its own dense id space."""
+    """Color one connected component given in its own dense id space.
+
+    A 3-regular component goes to the exact oracle when
+    ``fallback_exact`` allows it; every other component goes to the
+    exchange search, whose StuckError (every restart exhausted)
+    surfaces to the caller.
+    """
     run = ComponentRun(vertices=host)
     if is_cubic(g):
         if not options.fallback_exact:
@@ -266,22 +277,13 @@ def _color_component(
     else:
         sub = induced(g, core_vertices)
         w = compute_weights(sub.graph)
-        try:
-            core_run = color_core(
-                sub.graph,
-                w,
-                max_moves=options.max_moves,
-                validate=options.validate,
-                restart_attempts=options.restart_attempts,
-            )
-        except StuckError:
-            # Restarts exhausted without reaching a clean fixpoint; fall
-            # back to the exact oracle on the whole component so the
-            # caller still gets a coloring, else let the error surface.
-            if g.n <= options.fallback_max_n:
-                run.used_exact = True
-                return _oracle_component(g, options, host), run
-            raise
+        core_run = color_core(
+            sub.graph,
+            w,
+            max_moves=options.max_moves,
+            validate=options.validate,
+            restart_attempts=options.restart_attempts,
+        )
         run.core_run = core_run
         sets = _empty_class_sets()
         for idx, c in enumerate(core_run.coloring.classes):
@@ -303,8 +305,10 @@ def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
 
     Works component by component; 3-regular components need the oracle
     fallback enabled (CubicComponentError otherwise, also raised for
-    oracle-refuting components such as the Petersen graph).  The result
-    always carries the four classes 1_a, 1_b, 2_a, 2_b in this order.
+    oracle-refuting components such as the Petersen graph).  The oracle
+    sees no other component: a StuckError from the exchange search
+    propagates.  The result always carries the four classes 1_a, 1_b,
+    2_a, 2_b in this order.
     """
     options = options or ColorOptions()
     assert_subcubic(g)

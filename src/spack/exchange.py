@@ -23,10 +23,13 @@ Every candidate move goes through checked application: independence and
 a strict potential increase are validated before any commit, so a proof
 edge case can only ever surface as a ``StuckError`` diagnostic, never as
 a corrupt state.  Each move is evaluated once; the search commits the
-evaluated plan in place.  With validation on, each commit is checked on
-the vertices it touches (``weights.touched_potential``) rather than by
-an O(n) recount, and the from-scratch recount anchors that check at the
-start and at every cheap-move fixpoint.
+evaluated plan in place.  ``evaluate_move`` and ``commit_move`` are
+that validation and that commit for a move given from outside; the
+audit replays a recorded run through them.  With validation on, each
+commit is checked on the vertices it touches
+(``weights.touched_potential``) rather than by an O(n) recount, and the
+from-scratch recount anchors that check at the start and at every
+cheap-move fixpoint.
 """
 from __future__ import annotations
 
@@ -86,8 +89,8 @@ class BipartitionState:
 
     ``nbr1[v]`` / ``nbr2[v]`` cache how many neighbors of v currently
     sit in each side; the cached potential always matches a recount.
-    The search commits moves into its own copy in place; ``apply_move``
-    returns a new state.
+    The search commits moves into its own copy in place, so the
+    caller's state stays as it was.
     """
 
     side: list[int]  # 0 = outside, 1, 2
@@ -388,18 +391,6 @@ def commit_move(g: Graph, state: BipartitionState, found: Candidate) -> None:
     state.potential = found.potential
 
 
-def apply_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> BipartitionState:
-    """Validated, copy-on-write application of a move.
-
-    Raises InvalidMoveError when independence would break or the
-    potential would not strictly increase.
-    """
-    found = evaluate_move(g, w, state, move)
-    out = state.copy()
-    commit_move(g, out, found)
-    return out
-
-
 def _try_move(g, w, state, move) -> Candidate | None:
     plan = _move_plan(g, state, move)
     new_potential, _ = _evaluate_plan(g, w, state, plan)
@@ -637,24 +628,6 @@ def _find_square_swap(
     return None, None, tried
 
 
-def find_move(g: Graph, w: list[int], state: BipartitionState) -> Move | None:
-    """First applicable move in the fixed scan order, already validated.
-
-    Order: Absorb, Flip, Deg3Exchange, SameSideExchange, then cycle and
-    path swaps on the outside square graph; each stage scans vertices in
-    ascending id.  Returns None at a fixpoint (and also when only an
-    unresolvable odd cycle remains; ``run_to_fixpoint`` tells the two
-    apart and raises StuckError for the latter).
-    """
-    found = _Worklist(g.n).next_move(g, w, state) or _find_square_swap(g, w, state)[0]
-    return found.move if found else None
-
-
-def default_move_budget(g: Graph, w: list[int]) -> int:
-    top = max(w) if w else 1
-    return max(64, 4 * g.edge_count * g.n * top)
-
-
 def check_fixpoint_invariants(g: Graph, w: list[int], state: BipartitionState) -> list[str]:
     """Structural facts that must hold once no cheap move applies.
 
@@ -731,11 +704,17 @@ def run_to_fixpoint(
     of which is the state returned, next to the structural fixpoint
     invariants.  A fault raises InvalidStateError within the run.
 
+    ``max_moves`` defaults to (m + 1)(sum of w + 1) commits.  Every
+    commit strictly increases the potential (inside edges, inside
+    weight) in lexicographic order, and both parts are integers in
+    [0, m] and [0, sum of w], so a run that exceeds the default means
+    the potential failed to increase.
+
     Raises StuckError when an odd cycle resists every candidate swap and
     MoveBudgetExceededError when the step budget runs out; both indicate
     a bug or an unhandled configuration, never a corrupted state.
     """
-    budget = default_move_budget(g, w) if max_moves is None else max_moves
+    budget = (g.edge_count + 1) * (sum(w) + 1) if max_moves is None else max_moves
     records: list[MoveRecord] = []
     work = _Worklist(g.n)
     state = state.copy()

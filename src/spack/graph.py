@@ -49,9 +49,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
@@ -65,9 +62,6 @@ class Graph:
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -151,10 +145,9 @@ def components(g: Graph) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class InducedSubgraph:
-    """An induced subgraph together with both vertex-id translations."""
+    """An induced subgraph and the host id of each of its vertices."""
 
     graph: Graph
-    to_sub: dict[int, int]
     to_host: tuple[int, ...]
 
 
@@ -171,14 +164,13 @@ def induced(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
         for v in g.adj[u]
         if u < v and v in to_sub
     ]
-    return InducedSubgraph(build_graph(len(order), edges), to_sub, tuple(order))
+    return InducedSubgraph(build_graph(len(order), edges), tuple(order))
 
 
 @dataclass(frozen=True)
 class SubdivisionMap:
     """Vertex bookkeeping for a subdivision: originals keep their ids."""
 
-    original_count: int
     edge_vertex: dict[tuple[int, int], int]
 
 
@@ -197,7 +189,7 @@ def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
         edges.append((u, next_id))
         edges.append((next_id, v))
         next_id += 1
-    return build_graph(next_id, edges), SubdivisionMap(g.n, edge_vertex)
+    return build_graph(next_id, edges), SubdivisionMap(edge_vertex)
 
 
 @dataclass(frozen=True)

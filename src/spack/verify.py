@@ -42,23 +42,8 @@ class PackingColoring:
     n: int
     classes: tuple[ColorClass, ...]
 
-    def class_of(self) -> dict[int, str]:
-        """Vertex -> label map (later classes win on duplicates)."""
-        out: dict[int, str] = {}
-        for cls in self.classes:
-            for v in cls.vertices:
-                out[v] = cls.label
-        return out
-
     def radii(self) -> tuple[int, ...]:
         return tuple(cls.radius for cls in self.classes)
-
-
-def make_coloring(n: int, triples: list[tuple[str, int, list[int] | set[int] | frozenset[int]]]) -> PackingColoring:
-    """Convenience constructor from (label, radius, vertices) triples."""
-    return PackingColoring(
-        n, tuple(ColorClass(label, radius, frozenset(vs)) for label, radius, vs in triples)
-    )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ Two facts drive the exchange search:
 
 The potential of a bipartition compares edge count first and total
 weight second, so any move that adds an edge, or keeps edges and adds
-weight, is strict progress.
+weight, is strict progress.  ``inside_potential`` counts it from
+scratch over a side list; ``touched_potential`` counts only the part
+that a side change of given vertices can move.
 """
 from __future__ import annotations
 
@@ -54,20 +56,6 @@ def compute_weights(g: Graph) -> list[int]:
     return [dist[v] + 1 for v in range(g.n)]
 
 
-def check_weight_smoothness(g: Graph, w: list[int]) -> list[tuple[int, int]]:
-    """Edges whose endpoint weights differ by more than one (should be none)."""
-    return [(u, v) for u, v in g.edges() if abs(w[u] - w[v]) > 1]
-
-
-def check_weight_recurrence(g: Graph, w: list[int]) -> list[int]:
-    """Degree-3 vertices violating ``w(x) = 1 + min neighbor weight``."""
-    return [
-        v
-        for v in range(g.n)
-        if g.degree(v) == 3 and w[v] != 1 + min(w[u] for u in g.adj[v])
-    ]
-
-
 def inside_potential(g: Graph, w: list[int], inside: Sequence[int]) -> Potential:
     """Potential of the vertices v with ``inside[v]`` truthy, from scratch.
 
@@ -101,18 +89,3 @@ def touched_potential(
                 if inside[u] and (u > v or u not in touched):
                     edges += 1
     return Potential(edges, weight)
-
-
-def potential(g: Graph, w: list[int], s1: Iterable[int], s2: Iterable[int]) -> Potential:
-    """Potential of the induced subgraph on s1 | s2, computed from scratch.
-
-    The two parts must be disjoint; edges inside a part are counted too
-    (callers that maintain independence will never produce any).
-    """
-    a, b = set(s1), set(s2)
-    if a & b:
-        raise GraphError(f"parts overlap on {sorted(a & b)}")
-    mask = bytearray(g.n)
-    for v in a | b:
-        mask[v] = 1
-    return inside_potential(g, w, mask)

@@ -12,6 +12,10 @@ Deg3Exchange and SameSideExchange over every vertex after each commit.
 It shares the move primitives of ``spack.exchange`` and keeps only the
 scan loop, so a differential test can show that the worklist commits
 the same moves in the same order.
+
+The module also holds the helpers only tests need: the two weight
+predicates, a copy-on-write move application and a coloring
+constructor.
 """
 from __future__ import annotations
 
@@ -35,9 +39,9 @@ from spack.exchange import (
     _find_square_swap,
     _other,
     _try_move,
-    apply_move,
     check_fixpoint_invariants,
-    default_move_budget,
+    commit_move,
+    evaluate_move,
 )
 from spack.graph import Graph, build_graph
 from spack.graphio import (
@@ -49,7 +53,8 @@ from spack.graphio import (
     _size_prefix,
     parse_graph6,
 )
-from spack.weights import potential as potential_from_scratch
+from spack.verify import ColorClass, PackingColoring
+from spack.weights import Potential
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_FILE = DATA_DIR / "connected_subcubic.g6"
@@ -147,7 +152,7 @@ def load_corpus(max_n: int = 9, include_cubic: bool = True) -> list[Graph]:
     for g in _corpus_graphs():
         if g.n > max_n:
             continue
-        if not include_cubic and g.n > 0 and all(g.degree(v) == 3 for v in g.vertices()):
+        if not include_cubic and g.n > 0 and all(g.degree(v) == 3 for v in range(g.n)):
             continue
         out.append(g)
     return out
@@ -204,6 +209,52 @@ def reference_encode_graph6(g: Graph) -> str:
     if filled:
         out.append(chr((acc << (6 - filled)) + 63))
     return "".join(out)
+
+
+def make_coloring(n: int, triples) -> PackingColoring:
+    """A coloring from (label, radius, vertices) triples."""
+    return PackingColoring(
+        n, tuple(ColorClass(label, radius, frozenset(vs)) for label, radius, vs in triples)
+    )
+
+
+def class_of(coloring: PackingColoring) -> dict[int, str]:
+    """Vertex -> label map (later classes win on duplicates)."""
+    return {v: cls.label for cls in coloring.classes for v in cls.vertices}
+
+
+def check_weight_smoothness(g: Graph, w: list[int]) -> list[tuple[int, int]]:
+    """Edges whose endpoint weights differ by more than one (should be none)."""
+    return [(u, v) for u, v in g.edges() if abs(w[u] - w[v]) > 1]
+
+
+def check_weight_recurrence(g: Graph, w: list[int]) -> list[int]:
+    """Degree-3 vertices violating ``w(x) = 1 + min neighbor weight``."""
+    return [
+        v
+        for v in range(g.n)
+        if g.degree(v) == 3 and w[v] != 1 + min(w[u] for u in g.adj[v])
+    ]
+
+
+def reference_potential(g: Graph, w: list[int], side) -> Potential:
+    """Inside edges and inside weight of a side list, by a walk over ``g.edges()``."""
+    return Potential(
+        sum(1 for u, v in g.edges() if side[u] and side[v]),
+        sum(w[v] for v in range(g.n) if side[v]),
+    )
+
+
+def apply_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> BipartitionState:
+    """Validate a move and commit it into a copy of ``state``.
+
+    Raises InvalidMoveError when independence would break or the
+    potential would not strictly increase.
+    """
+    found = evaluate_move(g, w, state, move)
+    out = state.copy()
+    commit_move(g, out, found)
+    return out
 
 
 def _find_absorb(g: Graph, state: BipartitionState) -> Absorb | None:
@@ -288,7 +339,7 @@ def reference_run_to_fixpoint(
     MoveBudgetExceededError when the step budget runs out; both indicate
     a bug or an unhandled configuration, never a corrupted state.
     """
-    budget = default_move_budget(g, w) if max_moves is None else max_moves
+    budget = (g.edge_count + 1) * (sum(w) + 1) if max_moves is None else max_moves
     records: list[MoveRecord] = []
 
     def commit(move: Move) -> None:
@@ -297,7 +348,7 @@ def reference_run_to_fixpoint(
         state = apply_move(g, w, state, move)
         records.append(MoveRecord(move, before, state.potential))
         if validate:
-            scratch = potential_from_scratch(g, w, state.s1, state.s2)
+            scratch = reference_potential(g, w, state.side)
             if scratch != state.potential:
                 raise InvalidStateError(
                     f"cached potential {state.potential} != recount {scratch} after {move}"

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from oracles import load_corpus, naive_chi_rho, naive_packing_colorable
+from oracles import (
+    check_weight_recurrence,
+    check_weight_smoothness,
+    load_corpus,
+    naive_chi_rho,
+    naive_packing_colorable,
+)
 from spack.audit import AuditError, audit_core_run
 from spack.colorer import CubicComponentError, color_graph, peel
 from spack.exact import Status, chi_rho, decide
@@ -28,7 +34,7 @@ from spack.gen import petersen, random_subcubic
 from spack.graph import build_graph, induced, subdivide
 from spack.graphio import coloring_to_json
 from spack.verify import derive_subdivision_coloring, verify, verify_sequence_shape
-from spack.weights import check_weight_recurrence, check_weight_smoothness, compute_weights
+from spack.weights import compute_weights
 
 RANDOM_SWEEP_TRIALS = 10_000
 RANDOM_SWEEP_MAX_N = 200

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+import spack.colorer
 from spack.cli import main
+from spack.exchange import StuckError, initial_state
 from spack.gen import cycle, petersen
 from spack.graph import subdivide
 from spack.graphio import coloring_from_json, encode_graph6, parse_graph6
@@ -132,6 +134,17 @@ def test_color_max_moves_budget_exit(monkeypatch, capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_color_stuck_search_exit_one(monkeypatch, capsys):
+    def stuck(g, w, **_):
+        raise StuckError("no swap for the test", initial_state(g, w), [])
+
+    monkeypatch.setattr(spack.colorer, "color_core", stuck)
+    code, out, err = run_cli(monkeypatch, capsys, ["color"], stdin=encode_graph6(cycle(5)) + "\n")
+    assert code == 1
+    assert out == ""
+    assert "exchange search stuck" in err
 
 
 def test_verify_reports_violations(monkeypatch, capsys):

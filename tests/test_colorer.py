@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings
 
-from oracles import naive_packing_colorable
+import spack.colorer
+
+from oracles import make_coloring, naive_packing_colorable
 from spack.colorer import (
     ColorOptions,
     CubicComponentError,
@@ -11,10 +13,10 @@ from spack.colorer import (
     extend_coloring,
     peel,
 )
-from spack.exchange import MoveBudgetExceededError
+from spack.exchange import MoveBudgetExceededError, StuckError, initial_state
 from spack.gen import cycle, path, petersen, prism, random_subcubic
 from spack.graph import DegreeExceededError, build_graph
-from spack.verify import InvalidInputColoringError, make_coloring, verify, verify_sequence_shape
+from spack.verify import InvalidInputColoringError, verify, verify_sequence_shape
 from spack.weights import compute_weights
 from strategies import subcubic_graphs
 
@@ -146,6 +148,23 @@ def test_cubic_component_size_cap():
     with pytest.raises(CubicComponentError) as exc:
         color_graph(K4, ColorOptions(fallback_exact=True, fallback_max_n=3))
     assert exc.value.reason == "oracle-timeout"
+
+
+def _stuck_core(g, w, **_):
+    raise StuckError("no swap for the test", initial_state(g, w), [])
+
+
+@pytest.mark.parametrize("options", [ColorOptions(), ColorOptions(fallback_exact=True)])
+def test_stuck_search_surfaces_without_the_oracle(monkeypatch, options):
+    # Only 3-regular components reach the oracle: a StuckError that
+    # escapes every restart reaches the caller, also on a small graph,
+    # and no component is colored by the oracle (none is used_exact).
+    oracle_calls = []
+    monkeypatch.setattr(spack.colorer, "color_core", _stuck_core)
+    monkeypatch.setattr(spack.colorer, "decide", lambda *args, **kw: oracle_calls.append(args))
+    with pytest.raises(StuckError):
+        color_graph(cycle(5), options)
+    assert oracle_calls == []
 
 
 def test_petersen_plus_isolated_vertex_still_fails():

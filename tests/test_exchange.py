@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import spack.audit
 import spack.exchange
 from spack.audit import AuditError, audit_core_run
-from spack.colorer import color_core, peel
+from spack.colorer import color_core, color_graph, peel
 from spack.exchange import (
     OUTSIDE,
     Absorb,
@@ -23,13 +23,12 @@ from spack.exchange import (
     SameSideExchange,
     StuckError,
     _CHEAP_KINDS,
+    _Worklist,
     _deg3_exchange_at,
+    _find_square_swap,
     _same_side_exchange_at,
     _swap_candidates_for_cycle,
-    apply_move,
     check_fixpoint_invariants,
-    default_move_budget,
-    find_move,
     initial_state,
     make_state,
     run_to_fixpoint,
@@ -38,7 +37,7 @@ from spack.exchange import (
 from spack.gen import cycle, path, random_subcubic
 from spack.graph import build_graph, induced
 from spack.weights import Potential, compute_weights, inside_potential, touched_potential
-from oracles import distance_matrix, reference_run_to_fixpoint
+from oracles import apply_move, distance_matrix, reference_run_to_fixpoint
 from strategies import subcubic_graphs
 
 C4, C5 = cycle(4), cycle(5)
@@ -54,6 +53,12 @@ def _move_at(evaluate, g, w, state, v):
 def _first_move(evaluate, g, w, state):
     """The first move of one kind over all vertices in ascending id."""
     return next((mv for v in range(g.n) if (mv := _move_at(evaluate, g, w, state, v))), None)
+
+
+def find_move(g, w, state):
+    """The move the search would commit first from ``state``; None at a fixpoint."""
+    found = _Worklist(g.n).next_move(g, w, state) or _find_square_swap(g, w, state)[0]
+    return found.move if found else None
 
 
 def test_make_state_counts_and_potential():
@@ -234,11 +239,21 @@ def test_move_budget_exhaustion():
         run_to_fixpoint(C4, W4, state, max_moves=2)
 
 
-def test_default_move_budget_floor():
-    assert default_move_budget(cycle(3), [1, 1, 1]) == 64
-    g = random_subcubic(40, 55, seed=0)
-    w = compute_weights(g)
-    assert default_move_budget(g, w) == 4 * g.edge_count * g.n * max(w)
+def test_default_move_budget_is_the_potential_bound(monkeypatch, corpus_noncubic):
+    # Every commit raises the potential (inside edges in [0, m], inside
+    # weight in [0, sum w]) lexicographically, so no run needs more than
+    # (m + 1)(sum w + 1) commits.
+    for g in corpus_noncubic:
+        for comp in color_graph(g).components:
+            if comp.core_run is not None:
+                m = induced(g, comp.core_vertices).graph.edge_count
+                assert len(comp.core_run.moves) < (m + 1) * (sum(comp.core_run.weights) + 1)
+    # A commit that changes nothing repeats until that default runs out:
+    # C4 has m = 4 and weight 4 in total, so 25 commits.
+    monkeypatch.setattr(spack.exchange, "commit_move", lambda g, state, found: None)
+    state = make_state(C4, W4, set(), set())
+    with pytest.raises(MoveBudgetExceededError, match="move budget 25 exhausted"):
+        run_to_fixpoint(C4, W4, state, validate=False)
 
 
 def test_fixpoint_invariants_flag_bad_states():

@@ -49,7 +49,6 @@ def test_build_graph_single_vertex_and_empty():
 def test_build_graph_sorts_adjacency():
     g = build_graph(4, [(3, 0), (2, 0), (0, 1)])
     assert g.adj[0] == (1, 2, 3)
-    assert g.neighbors(0) == (1, 2, 3)
 
 
 def test_build_graph_rejects_self_loop():
@@ -169,7 +168,6 @@ def test_induced_redensifies_ascending():
     g = cycle(5)
     sub = induced(g, [4, 1, 2])
     assert sub.to_host == (1, 2, 4)
-    assert sub.to_sub == {1: 0, 2: 1, 4: 2}
     assert set(sub.graph.edges()) == {(0, 1)}  # only 1-2 survives
 
 
@@ -192,7 +190,6 @@ def test_subdivide_triangle_gives_six_cycle():
     assert s.n == 6 and s.edge_count == 6
     assert all(s.degree(v) == 2 for v in range(6))
     assert len(components(s)) == 1
-    assert mapping.original_count == 3
     assert mapping.edge_vertex == {(0, 1): 3, (0, 2): 4, (1, 2): 5}
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import CORPUS_FILE, reference_encode_graph6, reference_parse_graph6
+from oracles import CORPUS_FILE, make_coloring, reference_encode_graph6, reference_parse_graph6
 from spack.gen import path, petersen
 from spack.graph import DuplicateEdgeError, build_graph
 from spack.graphio import (
@@ -24,7 +24,6 @@ from spack.graphio import (
     parse_edge_list,
     parse_graph6,
 )
-from spack.verify import make_coloring
 from strategies import loose_graphs, subcubic_graphs
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])

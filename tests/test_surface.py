@@ -1,0 +1,108 @@
+"""The package's public surface: no library code that only tests call.
+
+``test_every_public_name_has_a_caller`` parses ``src/spack/*.py`` and
+collects every public module-level function and class and every public
+method.  Each must be named somewhere in the non-test code: the other
+modules of ``src/spack`` (``__init__.py`` excluded, since re-exporting
+is not calling), ``scripts/`` or ``perfbench/``.  A name counts as used
+when it appears as an identifier, an attribute or an imported name.
+The scan compares names, not bindings, so it cannot see a dead function
+whose name collides with a live attribute or local: a module-level
+``potential`` function would pass, because ``state.potential`` is used.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import spack
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "spack"
+
+# Called from outside the repository's code: the console-script entry
+# point that pyproject.toml declares.
+ENTRY_POINTS = {"cli.console"}
+
+EXPORTS = [
+    "ChiRhoResult",
+    "ColorClass",
+    "ColorOptions",
+    "ColorResult",
+    "CubicComponentError",
+    "DecisionOutcome",
+    "FormatError",
+    "Graph",
+    "GraphError",
+    "MoveBudgetExceededError",
+    "PackingColoring",
+    "Status",
+    "StuckError",
+    "VerifyResult",
+    "build_graph",
+    "chi_rho",
+    "color_graph",
+    "coloring_from_json",
+    "coloring_to_json",
+    "decide",
+    "derive_subdivision_coloring",
+    "encode_edge_list",
+    "encode_graph6",
+    "parse_edge_list",
+    "parse_graph6",
+    "subdivide",
+    "verify",
+    "verify_sequence_shape",
+]
+
+
+def _public_definitions() -> list[str]:
+    """``module.name`` and ``module.Class.method`` for every public definition."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out.append(f"{path.stem}.{node.name}")
+                if isinstance(node, ast.ClassDef):
+                    out.extend(
+                        f"{path.stem}.{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                    )
+    return out
+
+
+def _names_used_outside_tests() -> set[str]:
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    files += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    used: set[str] = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    used = _names_used_outside_tests()
+    unused = [
+        name
+        for name in _public_definitions()
+        if name.rpartition(".")[2] not in used and name not in ENTRY_POINTS
+    ]
+    assert unused == []
+
+
+def test_all_is_pinned():
+    assert sorted(spack.__all__) == EXPORTS
+
+
+def test_star_import_binds_every_name():
+    namespace: dict[str, object] = {}
+    exec("from spack import *", namespace)
+    assert [name for name in EXPORTS if name not in namespace] == []

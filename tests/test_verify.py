@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import violating_pairs
+from oracles import class_of, make_coloring, violating_pairs
 from spack.colorer import color_graph
 from spack.gen import cycle, path
 from spack.graph import VertexOutOfRangeError, build_graph, subdivide
@@ -16,7 +16,6 @@ from spack.verify import (
     RadiusMismatchError,
     Violation,
     derive_subdivision_coloring,
-    make_coloring,
     verify,
     verify_sequence_shape,
 )
@@ -27,7 +26,7 @@ def test_make_coloring():
     coloring = make_coloring(3, [("1", 1, [0, 2]), ("2", 2, {1})])
     assert coloring.n == 3
     assert coloring.radii() == (1, 2)
-    assert coloring.class_of() == {0: "1", 1: "2", 2: "1"}
+    assert class_of(coloring) == {0: "1", 1: "2", 2: "1"}
 
 
 def test_color_class_rejects_bad_radius():

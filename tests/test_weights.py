@@ -4,18 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import distance_matrix
+from oracles import check_weight_recurrence, check_weight_smoothness, distance_matrix
 from spack.gen import cycle, petersen
-from spack.graph import EmptyGraphError, GraphError, build_graph, induced
+from spack.graph import EmptyGraphError, build_graph, induced
 from spack.weights import (
     CubicGraphError,
     DisconnectedError,
     Potential,
-    check_weight_recurrence,
-    check_weight_smoothness,
     compute_weights,
     inside_potential,
-    potential,
     touched_potential,
 )
 from strategies import subcubic_graphs
@@ -111,20 +108,15 @@ def test_weights_relabeling_equivariant(g):
 
 def test_potential_examples():
     w = [1, 1, 1, 1]
-    assert potential(cycle(4), w, {0, 2}, {1, 3}) == Potential(4, 4)
-    assert potential(cycle(4), w, {0}, {1}) == Potential(1, 2)
-    assert potential(cycle(4), w, set(), set()) == Potential(0, 0)
-
-
-def test_potential_rejects_overlap():
-    with pytest.raises(GraphError):
-        potential(cycle(4), [1, 1, 1, 1], {0, 1}, {1, 2})
+    assert inside_potential(cycle(4), w, [1, 2, 1, 2]) == Potential(4, 4)
+    assert inside_potential(cycle(4), w, [1, 2, 0, 0]) == Potential(1, 2)
+    assert inside_potential(cycle(4), w, [0, 0, 0, 0]) == Potential(0, 0)
 
 
 def test_potential_counts_internal_edges():
-    # Edges within one part count too; callers keeping the parts
+    # Edges within one side count too; callers keeping the sides
     # independent never produce any.
-    assert potential(cycle(4), [1, 1, 1, 1], {0, 1}, set()) == Potential(1, 2)
+    assert inside_potential(cycle(4), [1, 1, 1, 1], [1, 1, 0, 0]) == Potential(1, 2)
 
 
 @given(subcubic_graphs(min_n=1, max_n=40), st.data())
@@ -136,9 +128,6 @@ def test_potential_matches_brute_force_edge_count(g, data):
         sum(1 for u, v in g.edges() if u in inside and v in inside),
         sum(w[v] for v in inside),
     )
-    s1 = [v for v in range(g.n) if side[v] == 1]
-    s2 = [v for v in range(g.n) if side[v] == 2]
-    assert potential(g, w, s1, s2) == expected
     assert inside_potential(g, w, side) == expected
 
 
