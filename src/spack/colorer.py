@@ -27,7 +27,15 @@ from .exchange import (
     initial_state,
     run_to_fixpoint,
 )
-from .graph import Graph, GraphError, assert_subcubic, components, induced, is_cubic
+from .graph import (
+    Graph,
+    GraphError,
+    InducedSubgraph,
+    assert_subcubic,
+    components,
+    induced,
+    is_cubic,
+)
 from .verify import ColorClass, ColoringError, InvalidInputColoringError, PackingColoring
 from .weights import compute_weights
 
@@ -275,10 +283,11 @@ def _color_component(
     if not core_vertices:
         sets = _empty_class_sets()
     else:
-        sub = induced(g, core_vertices)
-        w = compute_weights(sub.graph)
+        # peel keeps ascending ids, so a whole core is g itself
+        core = g if len(core_vertices) == g.n else induced(g, core_vertices).graph
+        w = compute_weights(core)
         core_run = color_core(
-            sub.graph,
+            core,
             w,
             max_moves=options.max_moves,
             validate=options.validate,
@@ -315,7 +324,10 @@ def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
     merged = _empty_class_sets()
     runs: list[ComponentRun] = []
     for comp in components(g):
-        sub = induced(g, comp)
+        if len(comp) == g.n:
+            sub = InducedSubgraph(g, tuple(range(g.n)))
+        else:
+            sub = induced(g, comp)
         sets, run = _color_component(sub.graph, options, sub.to_host)
         for target, local in zip(merged, sets):
             target.update(sub.to_host[v] for v in local)

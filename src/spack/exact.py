@@ -1,22 +1,34 @@
 """Exact backtracking decision of S-packing colorability for small graphs.
 
 `decide` answers whether a graph admits a packing coloring with a given
-radius sequence, producing an explicit coloring on success.  The search
-assigns vertices in descending-degree order, prunes with precomputed
-distance balls held as bitmasks (one ``graph.ball`` per vertex at the
-sequence's largest radius yields the mask of every radius), and skips
-symmetric branches by only opening an empty class when every earlier
-class of the same radius is already used.  `chi_rho` wraps it to
-compute the packing chromatic number by trying (1), (1,2), (1,2,3), ...
+radius sequence, producing an explicit coloring on success.  `chi_rho`
+computes the packing chromatic number by trying (1), (1,2), (1,2,3), ...
 up to a limit.
+
+The search is iterative: an explicit array holds the class committed at
+each depth, and backtracking resumes at the next class, so no depth
+limit or recursion limit applies.  Conflicts are tested on bitmasks:
+one ``graph.ball`` per vertex at the largest radius needed yields its
+distance ball at every radius, and the search reads, per depth, a tuple
+with the placed vertex's mask for each class.  Symmetric branches are
+skipped by only opening an empty class when every earlier class of the
+same radius is already used.
+
+Vertices are placed in a static constrained-first order: next comes the
+unplaced vertex with the most already-placed vertices within distance
+2, ties going to the higher degree and then to the lower id, so the
+first vertex is the lowest-id one of highest degree.  The order depends on the graph
+alone.  `decide` builds the masks and the order for its one sequence;
+`chi_rho` builds them once for radii 1..k_max and searches every k on
+them, each k exactly as ``decide(g, (1, ..., k))`` would.
 
 Intended for small instances; the node budget turns runaway searches
 into an explicit inconclusive outcome instead of a hang.
 """
 from __future__ import annotations
 
+import heapq
 import string
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -113,6 +125,94 @@ def _balls(g: Graph, radii: set[int]) -> dict[int, list[int]]:
     return balls
 
 
+def _bits(mask: int):
+    """The vertex ids set in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _order(g: Graph, near: list[int]) -> list[int]:
+    """Constrained-first vertex order: next is the unplaced vertex with the
+    most placed vertices in ``near`` (its distance-2 mask), then the
+    higher degree, then the lower id.
+
+    Counts only grow, so a heap entry whose count is stale is skipped
+    when popped instead of being updated in place.
+    """
+    placed = [False] * g.n
+    count = [0] * g.n
+    heap = [(0, -g.degree(v), v) for v in range(g.n)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        c, _, v = heapq.heappop(heap)
+        if placed[v] or -c != count[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for u in _bits(near[v]):
+            if not placed[u]:
+                count[u] += 1
+                heapq.heappush(heap, (-count[u], -g.degree(u), u))
+    return order
+
+
+def _plan(g: Graph, radii: tuple[int, ...]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The search order, and per depth the placed vertex's mask at each of
+    ``radii``, from one ball per vertex."""
+    balls = _balls(g, set(radii) | {2})
+    order = _order(g, balls[2])
+    return order, [tuple(balls[r][v] for r in radii) for v in order]
+
+
+def _search(
+    order: list[int], masks: list[tuple[int, ...]], seq: tuple[int, ...], budget: int
+) -> DecisionOutcome:
+    """Backtrack over the classes of ``seq`` with an explicit stack.
+
+    ``masks[d][i]`` is the radius-``seq[i]`` mask of the vertex placed at
+    depth d; a longer tuple is fine, only its first len(seq) entries are
+    read.
+    """
+    n, k = len(order), len(seq)
+    labels = class_labels(seq)
+    # twin[i]: class i has the radius of class i - 1; it is opened only
+    # once class i - 1 is, since equal-radius classes are interchangeable.
+    twin = [i > 0 and seq[i] == seq[i - 1] for i in range(k)]
+    bits = [1 << v for v in order]
+    occupied = [0] * k
+    chosen = [0] * n  # chosen[d]: class committed at depth d; d's next try is chosen[d] + 1
+    nodes = 0
+    depth = 0
+    i = 0  # next class to try at this depth
+    while depth < n:
+        m = masks[depth]
+        while i < k and (occupied[i] & m[i] or (twin[i] and not occupied[i] and not occupied[i - 1])):
+            i += 1
+        if i < k:
+            nodes += 1
+            if nodes > budget:
+                return DecisionOutcome(Status.BUDGET, None, nodes)
+            occupied[i] |= bits[depth]
+            chosen[depth] = i
+            depth += 1
+            i = 0
+        elif depth:
+            depth -= 1
+            i = chosen[depth]
+            occupied[i] ^= bits[depth]
+            i += 1
+        else:
+            return DecisionOutcome(Status.UNSAT, None, nodes)
+    members: list[set[int]] = [set() for _ in range(k)]
+    for v, c in zip(order, chosen):
+        members[c].add(v)
+    classes = tuple(ColorClass(labels[i], seq[i], frozenset(members[i])) for i in range(k))
+    return DecisionOutcome(Status.SAT, PackingColoring(n, classes), nodes)
+
+
 def decide(g: Graph, seq, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     """Decide whether g admits a packing coloring with radii ``seq``.
 
@@ -121,61 +221,8 @@ def decide(g: Graph, seq, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     BUDGET means the verdict is unknown.
     """
     seq = _validate_sequence(seq)
-    k = len(seq)
-    labels = class_labels(seq)
-    if g.n == 0:
-        empty = tuple(ColorClass(labels[i], seq[i], frozenset()) for i in range(k))
-        return DecisionOutcome(Status.SAT, PackingColoring(0, empty), 0)
-
-    balls = _balls(g, set(seq))
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    occupied = [0] * k
-    assigned_class = [0] * g.n
-    nodes = 0
-    exceeded = False
-
-    def dfs(idx: int) -> bool:
-        nonlocal nodes, exceeded
-        if idx == g.n:
-            return True
-        v = order[idx]
-        bit = 1 << v
-        for i in range(k):
-            if occupied[i] & balls[seq[i]][v]:
-                continue
-            if not occupied[i] and i > 0 and seq[i] == seq[i - 1] and not occupied[i - 1]:
-                continue  # equal-radius classes are interchangeable
-            nodes += 1
-            if nodes > budget:
-                exceeded = True
-                return False
-            occupied[i] |= bit
-            assigned_class[v] = i
-            if dfs(idx + 1):
-                return True
-            occupied[i] &= ~bit
-            if exceeded:
-                return False
-        return False
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, g.n + 200))
-    try:
-        found = dfs(0)
-    finally:
-        sys.setrecursionlimit(limit)
-
-    if found:
-        members: list[set[int]] = [set() for _ in range(k)]
-        for v in range(g.n):
-            members[assigned_class[v]].add(v)
-        classes = tuple(
-            ColorClass(labels[i], seq[i], frozenset(members[i])) for i in range(k)
-        )
-        return DecisionOutcome(Status.SAT, PackingColoring(g.n, classes), nodes)
-    if exceeded:
-        return DecisionOutcome(Status.BUDGET, None, nodes)
-    return DecisionOutcome(Status.UNSAT, None, nodes)
+    order, masks = _plan(g, seq)
+    return _search(order, masks, seq, budget)
 
 
 def chi_rho(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> ChiRhoResult:
@@ -183,12 +230,16 @@ def chi_rho(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> ChiRhoResult:
 
     Returns value=None either when every attempt up to k_max is UNSAT or
     when some attempt hits the node budget (``limited`` tells which).
+    Each k is searched exactly as ``decide(g, (1, ..., k), budget)``
+    would; the masks and the order are built once for all of them.
     """
     if k_max < 1:
         raise InvalidSequenceError("k_max must be at least 1")
+    radii = tuple(range(1, k_max + 1))
+    order, masks = _plan(g, radii)
     total = 0
-    for k in range(1, k_max + 1):
-        outcome = decide(g, tuple(range(1, k + 1)), budget=budget)
+    for k in radii:
+        outcome = _search(order, masks, radii[:k], budget)
         total += outcome.nodes
         if outcome.status is Status.SAT:
             return ChiRhoResult(k, outcome.coloring, total, False)

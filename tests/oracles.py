@@ -13,6 +13,13 @@ It shares the move primitives of ``spack.exchange`` and keeps only the
 scan loop, so a differential test can show that the worklist commits
 the same moves in the same order.
 
+``reference_decide`` is the second exception: the exact oracle as it
+was before the iterative search, a recursive backtracking over the
+vertices in descending-degree order that raises the recursion limit to
+n + 200 while it runs.  It shares the ball masks of ``spack.exact``, and
+``reference_chi_rho`` loops it over k, so differential tests can show
+that the iterative search reaches the same verdicts and chi values.
+
 The module also holds the helpers only tests need: the two weight
 predicates, a copy-on-write move application and a coloring
 constructor.
@@ -20,9 +27,19 @@ constructor.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from pathlib import Path
 
+from spack.exact import (
+    DEFAULT_BUDGET,
+    ChiRhoResult,
+    DecisionOutcome,
+    Status,
+    _balls,
+    _validate_sequence,
+    class_labels,
+)
 from spack.exchange import (
     OUTSIDE,
     Absorb,
@@ -378,3 +395,81 @@ def reference_run_to_fixpoint(
                 f"no validated swap for odd outside cycles {tried}", state, tried
             )
         commit(swap.move)
+
+
+def reference_decide(g: Graph, seq, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
+    """Decide whether g admits a packing coloring with radii ``seq``.
+
+    Complete up to the node budget: SAT comes with a coloring, UNSAT
+    only after exhausting the (symmetry-reduced) search space, and
+    BUDGET means the verdict is unknown.
+    """
+    seq = _validate_sequence(seq)
+    k = len(seq)
+    labels = class_labels(seq)
+    if g.n == 0:
+        empty = tuple(ColorClass(labels[i], seq[i], frozenset()) for i in range(k))
+        return DecisionOutcome(Status.SAT, PackingColoring(0, empty), 0)
+
+    balls = _balls(g, set(seq))
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    occupied = [0] * k
+    assigned_class = [0] * g.n
+    nodes = 0
+    exceeded = False
+
+    def dfs(idx: int) -> bool:
+        nonlocal nodes, exceeded
+        if idx == g.n:
+            return True
+        v = order[idx]
+        bit = 1 << v
+        for i in range(k):
+            if occupied[i] & balls[seq[i]][v]:
+                continue
+            if not occupied[i] and i > 0 and seq[i] == seq[i - 1] and not occupied[i - 1]:
+                continue  # equal-radius classes are interchangeable
+            nodes += 1
+            if nodes > budget:
+                exceeded = True
+                return False
+            occupied[i] |= bit
+            assigned_class[v] = i
+            if dfs(idx + 1):
+                return True
+            occupied[i] &= ~bit
+            if exceeded:
+                return False
+        return False
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, g.n + 200))
+    try:
+        found = dfs(0)
+    finally:
+        sys.setrecursionlimit(limit)
+
+    if found:
+        members: list[set[int]] = [set() for _ in range(k)]
+        for v in range(g.n):
+            members[assigned_class[v]].add(v)
+        classes = tuple(
+            ColorClass(labels[i], seq[i], frozenset(members[i])) for i in range(k)
+        )
+        return DecisionOutcome(Status.SAT, PackingColoring(g.n, classes), nodes)
+    if exceeded:
+        return DecisionOutcome(Status.BUDGET, None, nodes)
+    return DecisionOutcome(Status.UNSAT, None, nodes)
+
+
+def reference_chi_rho(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> ChiRhoResult:
+    """``chi_rho`` as a loop of ``reference_decide`` calls, one per k."""
+    total = 0
+    for k in range(1, k_max + 1):
+        outcome = reference_decide(g, tuple(range(1, k + 1)), budget=budget)
+        total += outcome.nodes
+        if outcome.status is Status.SAT:
+            return ChiRhoResult(k, outcome.coloring, total, False)
+        if outcome.status is Status.BUDGET:
+            return ChiRhoResult(None, None, total, True)
+    return ChiRhoResult(None, None, total, False)

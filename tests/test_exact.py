@@ -1,8 +1,16 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import load_corpus, naive_chi_rho, naive_packing_colorable
+from oracles import (
+    load_corpus,
+    naive_chi_rho,
+    naive_packing_colorable,
+    reference_chi_rho,
+    reference_decide,
+)
 from spack.exact import (
     ChiRhoResult,
     InvalidSequenceError,
@@ -11,7 +19,7 @@ from spack.exact import (
     class_labels,
     decide,
 )
-from spack.gen import cycle, petersen
+from spack.gen import cycle, path, petersen, random_subcubic
 from spack.graph import build_graph
 from spack.verify import verify, verify_sequence_shape
 from strategies import loose_graphs
@@ -151,3 +159,84 @@ def test_chi_rho_matches_naive_on_small_corpus():
         expected = naive_chi_rho(g, k_max=6)
         result = chi_rho(g, 6)
         assert result.value == expected
+
+
+def _check_witness(g, coloring, seq):
+    assert verify(g, coloring).ok
+    verify_sequence_shape(coloring, seq)
+
+
+def test_decide_matches_reference_on_corpus(corpus_n8):
+    sequences = CROSS_CHECK_SEQUENCES + [tuple(range(1, k + 1)) for k in range(4, 7)]
+    for g in corpus_n8:
+        for seq in sequences:
+            outcome = decide(g, seq)
+            assert outcome.status is reference_decide(g, seq).status, (g.adj, seq)
+            if outcome.status is Status.SAT:
+                _check_witness(g, outcome.coloring, seq)
+
+
+@settings(max_examples=80)
+@given(loose_graphs(max_n=8, max_degree=4), st.lists(st.integers(1, 3), min_size=1, max_size=5))
+def test_decide_matches_reference_random(g, seq):
+    seq = tuple(seq)
+    outcome = decide(g, seq)
+    assert outcome.status is reference_decide(g, seq).status
+    if outcome.status is Status.SAT:
+        _check_witness(g, outcome.coloring, seq)
+
+
+def _chi_rho_graphs():
+    yield from load_corpus(max_n=8)
+    for seed in range(20):
+        n = 18 + seed % 5
+        yield random_subcubic(n, round(1.25 * (n - 1)), seed=seed)
+
+
+def test_chi_rho_matches_reference():
+    for g in _chi_rho_graphs():
+        result = chi_rho(g, 10)
+        assert result.value is not None
+        assert result.value == reference_chi_rho(g, 10).value, g.adj
+        _check_witness(g, result.coloring, tuple(range(1, result.value + 1)))
+
+
+def test_chi_rho_is_its_decide_loop():
+    # chi_rho shares its set-up across k, but each k must be searched
+    # exactly as decide would: same verdict, witness and node count.
+    for g in list(_chi_rho_graphs())[-20:] + [petersen()]:
+        result = chi_rho(g, 10)
+        total = 0
+        for k in range(1, result.value + 1):
+            outcome = decide(g, tuple(range(1, k + 1)))
+            total += outcome.nodes
+        assert outcome.status is Status.SAT
+        assert result == ChiRhoResult(result.value, outcome.coloring, total, False)
+
+
+def test_exact_leaves_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the exact oracle must not change the recursion limit")
+
+    before = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    g = path(2000)
+    outcome = decide(g, (1, 1))
+    assert outcome.status is Status.SAT
+    _check_witness(g, outcome.coloring, (1, 1))
+    result = chi_rho(g, 3)
+    assert result.value == 3
+    _check_witness(g, result.coloring, (1, 2, 3))
+    assert sys.getrecursionlimit() == before
+
+
+def test_decide_budget_counts_committed_assignments():
+    seq = (1, 1, 2, 2, 3)
+    unbounded = decide(petersen(), seq)
+    assert unbounded.status is Status.SAT
+    for b in range(unbounded.nodes):
+        outcome = decide(petersen(), seq, budget=b)
+        assert outcome.status is Status.BUDGET
+        assert outcome.nodes == b + 1
+    assert decide(petersen(), seq, budget=unbounded.nodes) == unbounded
+
