@@ -44,7 +44,6 @@ from .graph import (
     OddCycle,
     ball,
     bipartition_or_odd_cycle,
-    build_graph,
     min_degree,
     two_color_from,
 )
@@ -517,13 +516,16 @@ def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int,
     """
     outside = [v for v in range(g.n) if state.side[v] == OUTSIDE]
     index = {v: i for i, v in enumerate(outside)}
-    edges = []
+    adj = []
     for i, x in enumerate(outside):
+        row = []
         for y in ball(g, (x,), 2):
             j = index.get(y)
-            if j is not None and i < j:
-                edges.append((i, j))
-    return build_graph(len(outside), sorted(edges)), tuple(outside)
+            if j is not None and j != i:
+                row.append(j)
+        row.sort()
+        adj.append(tuple(row))
+    return Graph(len(outside), tuple(adj)), tuple(outside)
 
 
 _CANDIDATE_CAP = 4096

@@ -1,9 +1,14 @@
 """Immutable simple undirected graphs with dense 0-based vertex ids.
 
 Adjacency lists are kept sorted so that every traversal in the package is
-deterministic.  Every distance in the package comes from one breadth-first
-search, ``ball``, whose default radius ``INFINITY`` (a real ``math.inf``,
-never a large magic number) reaches the whole component.
+deterministic.  ``build_graph`` validates and sorts an edge list from
+outside the package.  A graph the package derives (an induced subgraph,
+a subdivision, a decoded graph6 line, an outside square) is built as
+``Graph(n, adj)`` straight from adjacency lists that are sorted,
+symmetric and loop-free by construction.  Every distance in the package
+comes from one breadth-first search, ``ball``, whose default radius
+``INFINITY`` (a real ``math.inf``, never a large magic number) reaches
+the whole component.
 """
 from __future__ import annotations
 
@@ -41,7 +46,12 @@ class EmptyGraphError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices ``0 .. n-1``."""
+    """Simple undirected graph on vertices ``0 .. n-1``.
+
+    ``adj[v]`` is the sorted tuple of v's neighbours.  Build one from
+    outside input with ``build_graph``; construct it directly only from
+    adjacency that is already sorted, symmetric and loop-free.
+    """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
@@ -158,13 +168,9 @@ def induced(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
         if not (0 <= v < g.n):
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
     to_sub = {v: i for i, v in enumerate(order)}
-    edges = [
-        (to_sub[u], to_sub[v])
-        for u in order
-        for v in g.adj[u]
-        if u < v and v in to_sub
-    ]
-    return InducedSubgraph(build_graph(len(order), edges), tuple(order))
+    # to_sub is monotone, so each filtered host list stays sorted
+    adj = tuple(tuple(to_sub[v] for v in g.adj[u] if v in to_sub) for u in order)
+    return InducedSubgraph(Graph(len(order), adj), tuple(order))
 
 
 @dataclass(frozen=True)
@@ -182,14 +188,18 @@ def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
     sorted order.  All pairwise distances exactly double.
     """
     edge_vertex: dict[tuple[int, int], int] = {}
-    edges = []
+    # Ids are handed out in edge rank order, so each original vertex
+    # collects its edge vertices already sorted: those of (w, u) for
+    # w < u, then those of (u, v) for v > u.
+    original: list[list[int]] = [[] for _ in range(g.n)]
     next_id = g.n
     for u, v in g.edges():
         edge_vertex[(u, v)] = next_id
-        edges.append((u, next_id))
-        edges.append((next_id, v))
+        original[u].append(next_id)
+        original[v].append(next_id)
         next_id += 1
-    return build_graph(next_id, edges), SubdivisionMap(edge_vertex)
+    adj = tuple(map(tuple, original)) + tuple(edge_vertex)
+    return Graph(next_id, adj), SubdivisionMap(edge_vertex)
 
 
 @dataclass(frozen=True)

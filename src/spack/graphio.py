@@ -110,7 +110,10 @@ def parse_graph6(data: str | bytes) -> Graph:
     if body and (min(body) < "?" or max(body) > "~"):
         for ch in body:
             _char_value(ch)  # raises on the first byte out of range
-    edges = []
+    # Bits arrive column by column, so appending both ends of each edge
+    # leaves every list sorted, duplicate-free and loop-free: v gains its
+    # smaller neighbours during column v, before any larger one.
+    adj: list[list[int]] = [[] for _ in range(n)]
     for match in _NONZERO_BYTE.finditer(body):
         base = 6 * match.start()
         for bit in _SET_BITS[ord(match.group()) - 63]:
@@ -120,8 +123,10 @@ def parse_graph6(data: str | bytes) -> Graph:
             # bit k of the upper triangle, column by column, is (u, v)
             # with k = v(v-1)/2 + u and 0 <= u < v
             v = (1 + math.isqrt(8 * k + 1)) // 2
-            edges.append((k - v * (v - 1) // 2, v))
-    return build_graph(n, edges)
+            u = k - v * (v - 1) // 2
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph(n, tuple(map(tuple, adj)))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -193,7 +198,7 @@ def coloring_from_dict(doc) -> PackingColoring:
     if not isinstance(doc, dict):
         raise ColoringDocumentError("coloring document must be an object")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ColoringDocumentError("'n' must be a non-negative integer")
     raw_classes = doc.get("classes")
     if not isinstance(raw_classes, list):
@@ -207,7 +212,7 @@ def coloring_from_dict(doc) -> PackingColoring:
         vertices = entry.get("vertices")
         if not isinstance(label, str):
             raise ColoringDocumentError(f"class {i}: 'label' must be a string")
-        if not isinstance(radius, int) or radius < 1:
+        if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
             raise ColoringDocumentError(f"class {i}: 'radius' must be a positive integer")
         if not isinstance(vertices, list) or any(
             not isinstance(v, int) or isinstance(v, bool) for v in vertices

@@ -4,12 +4,23 @@ A coloring is a list of classes, each carrying a label, a radius s and a
 vertex set; vertices sharing a class must be pairwise further than s
 apart.  ``verify`` enumerates every violating pair (it never stops at
 the first failure) so tests can assert exact witness sets.
+
+It searches only half the radius from each member.  Let k = s // 2.
+Two members x and y lie within distance d <= s exactly when their
+radius-k balls meet, at a vertex (d = dx + dy) or across an edge
+(d = dx + 1 + dy); every meeting is a walk from x to y, and the least
+one is the true distance.  An even d = 2j has j <= k, so the middle
+vertex of a shortest path is a meeting vertex.  An odd d = 2j + 1 <= s
+has j <= k too, so the middle edge of a shortest path is a meeting
+edge.  Edge meetings are needed only for odd s, and only between the
+two balls' outermost layers: any other edge meeting is matched or beaten
+by a vertex meeting one step along the edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexOutOfRangeError, ball, subdivide
+from .graph import Graph, VertexOutOfRangeError, ball
 
 
 class ColoringError(ValueError):
@@ -67,10 +78,12 @@ class VerifyResult:
 def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
     """Check the partition property and all pairwise distance constraints.
 
-    Distances are explored lazily: per class, a breadth-first search
-    truncated at the class radius runs from each member, so nothing
+    Per class of radius s, a breadth-first search truncated at s // 2
+    runs from each member, and a pair of members violates the class
+    exactly when their balls meet (see the module docstring), so nothing
     close to an all-pairs matrix is ever built.  Every violating pair is
-    reported, ordered by (class position, smaller id, larger id).
+    reported with its distance, ordered by (class position, smaller id,
+    larger id).
     """
     if coloring.n != g.n:
         raise ColoringError(f"coloring is for n={coloring.n}, graph has n={g.n}")
@@ -85,18 +98,66 @@ def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
     missing = [v for v in range(g.n) if counts[v] == 0]
     multiply_assigned = [v for v in range(g.n) if counts[v] > 1]
 
-    keyed: list[tuple[int, tuple[int, int], Violation]] = []
-    for pos, cls in enumerate(coloring.classes):
-        members = sorted(cls.vertices)
-        member_set = cls.vertices
-        for x in members:
-            for y, d in ball(g, (x,), cls.radius).items():
-                if y > x and y in member_set:
-                    keyed.append((pos, (x, y), Violation(cls.label, cls.radius, (x, y), d)))
-    keyed.sort(key=lambda item: item[:2])
-    violations = [vi for _, _, vi in keyed]
+    violations = []
+    for cls in coloring.classes:
+        close = _close_pairs(g, cls)
+        violations.extend(
+            Violation(cls.label, cls.radius, pair, close[pair]) for pair in sorted(close)
+        )
     ok = not violations and not missing and not multiply_assigned
     return VerifyResult(ok, violations, missing, multiply_assigned)
+
+
+def _close_pairs(g: Graph, cls: ColorClass) -> dict[tuple[int, int], int]:
+    """Distance of every member pair (x, y), x < y, at most the class radius apart.
+
+    Members are taken in ascending order, and each one's radius-k ball
+    is met against the balls of the members before it, which ``holders``
+    indexes by vertex.  In a valid class those balls are pairwise
+    disjoint, and for an odd radius no edge leaves one ball's outermost
+    layer into another ball, so each member costs one BFS and a few
+    set-disjointness tests; meetings are walked one by one only where
+    such a test fails.
+    """
+    members = cls.vertices
+    if len(members) < 2:
+        return {}
+    r = cls.radius
+    k = r // 2
+    if k == 0:
+        # the balls are the members themselves, and they meet only across edges
+        return {(x, y): 1 for y in sorted(members) for x in g.adj[y] if x < y and x in members}
+    balls: dict[int, dict[int, int]] = {}
+    holders: dict[int, tuple[int, ...]] = {}
+    held = holders.keys()
+    close: dict[tuple[int, int], int] = {}
+    for y in sorted(members):
+        reach = ball(g, (y,), k)
+        own = (y,)
+        if held.isdisjoint(reach):
+            mine = dict.fromkeys(reach, own)
+        else:
+            # reach is in BFS order, so a pair's first vertex meeting has
+            # the least dy, and there dx + dy is already the distance
+            mine = {}
+            for v, dy in reach.items():
+                xs = holders.get(v, ())
+                for x in xs:
+                    close.setdefault((x, y), balls[x][v] + dy)
+                mine[v] = xs + own
+        if r % 2:
+            # a pair still without a vertex meeting that meets across an
+            # edge from y's outermost layer is at distance 2k + 1 = r
+            for a, da in reversed(reach.items()):
+                if da < k:
+                    break
+                if not held.isdisjoint(g.adj[a]):
+                    for b in g.adj[a]:
+                        for x in holders.get(b, ()):
+                            close.setdefault((x, y), r)
+        holders.update(mine)
+        balls[y] = reach
+    return close
 
 
 def verify_sequence_shape(coloring: PackingColoring, seq: tuple[int, ...]) -> None:
@@ -130,12 +191,12 @@ def derive_subdivision_coloring(g: Graph, coloring: PackingColoring) -> PackingC
         raise InvalidInputColoringError(
             f"expected radii drawn from (1, 1, 2, 2), got {coloring.radii()}"
         )
-    sg, smap = subdivide(g)
-    classes = [
-        ColorClass("sub", 1, frozenset(smap.edge_vertex.values())),
-    ]
+    # By ``subdivide``'s id rule, S(G) has g.n + m vertices and the
+    # edge vertices are exactly g.n .. g.n + m - 1.
+    sub_n = g.n + g.edge_count
+    classes = [ColorClass("sub", 1, frozenset(range(g.n, sub_n)))]
     for new_radius, cls in zip((2, 3), ones):
         classes.append(ColorClass(cls.label, new_radius, cls.vertices))
     for new_radius, cls in zip((4, 5), twos):
         classes.append(ColorClass(cls.label, new_radius, cls.vertices))
-    return PackingColoring(sg.n, tuple(classes))
+    return PackingColoring(sub_n, tuple(classes))

@@ -20,9 +20,16 @@ n + 200 while it runs.  It shares the ball masks of ``spack.exact``, and
 ``reference_chi_rho`` loops it over k, so differential tests can show
 that the iterative search reaches the same verdicts and chi values.
 
+``reference_verify`` is the third: the verifier as it was before the
+half-radius search, one breadth-first search truncated at the full
+class radius from every member of a class.  It shares ``graph.ball``,
+so differential tests can show that meeting radius-(s // 2) balls
+finds the same violations with the same distances in the same order.
+
 The module also holds the helpers only tests need: the two weight
-predicates, a copy-on-write move application and a coloring
-constructor.
+predicates, a copy-on-write move application, a coloring constructor
+and a check that a graph built straight from adjacency lists is the
+graph ``build_graph`` makes from its edges.
 """
 from __future__ import annotations
 
@@ -60,7 +67,7 @@ from spack.exchange import (
     commit_move,
     evaluate_move,
 )
-from spack.graph import Graph, build_graph
+from spack.graph import Graph, VertexOutOfRangeError, ball, build_graph
 from spack.graphio import (
     GRAPH6_HEADER,
     BadCharError,
@@ -70,7 +77,13 @@ from spack.graphio import (
     _size_prefix,
     parse_graph6,
 )
-from spack.verify import ColorClass, PackingColoring
+from spack.verify import (
+    ColorClass,
+    ColoringError,
+    PackingColoring,
+    VerifyResult,
+    Violation,
+)
 from spack.weights import Potential
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -226,6 +239,50 @@ def reference_encode_graph6(g: Graph) -> str:
     if filled:
         out.append(chr((acc << (6 - filled)) + 63))
     return "".join(out)
+
+
+def assert_canonical(g: Graph) -> None:
+    """Assert that ``g`` is what ``build_graph`` makes of its own edges.
+
+    That holds exactly when every adjacency list is a tuple that is
+    sorted, duplicate-free and loop-free, and adjacency is symmetric.
+    """
+    assert g == build_graph(g.n, g.edges()), g
+
+
+def reference_verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
+    """Check the partition property and all pairwise distance constraints.
+
+    Distances are explored lazily: per class, a breadth-first search
+    truncated at the class radius runs from each member, so nothing
+    close to an all-pairs matrix is ever built.  Every violating pair is
+    reported, ordered by (class position, smaller id, larger id).
+    """
+    if coloring.n != g.n:
+        raise ColoringError(f"coloring is for n={coloring.n}, graph has n={g.n}")
+    counts = [0] * g.n
+    for cls in coloring.classes:
+        for v in cls.vertices:
+            if not (0 <= v < g.n):
+                raise VertexOutOfRangeError(
+                    f"class {cls.label!r} mentions vertex {v} outside 0..{g.n - 1}"
+                )
+            counts[v] += 1
+    missing = [v for v in range(g.n) if counts[v] == 0]
+    multiply_assigned = [v for v in range(g.n) if counts[v] > 1]
+
+    keyed: list[tuple[int, tuple[int, int], Violation]] = []
+    for pos, cls in enumerate(coloring.classes):
+        members = sorted(cls.vertices)
+        member_set = cls.vertices
+        for x in members:
+            for y, d in ball(g, (x,), cls.radius).items():
+                if y > x and y in member_set:
+                    keyed.append((pos, (x, y), Violation(cls.label, cls.radius, (x, y), d)))
+    keyed.sort(key=lambda item: item[:2])
+    violations = [vi for _, _, vi in keyed]
+    ok = not violations and not missing and not multiply_assigned
+    return VerifyResult(ok, violations, missing, multiply_assigned)
 
 
 def make_coloring(n: int, triples) -> PackingColoring:

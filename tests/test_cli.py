@@ -6,7 +6,7 @@ import pytest
 import spack.colorer
 from spack.cli import main
 from spack.exchange import StuckError, initial_state
-from spack.gen import cycle, petersen
+from spack.gen import cycle, path, petersen
 from spack.graph import subdivide
 from spack.graphio import coloring_from_json, encode_graph6, parse_graph6
 from spack.verify import verify, verify_sequence_shape
@@ -177,6 +177,23 @@ def test_verify_reports_partition_defects_on_stderr(monkeypatch, capsys):
     )
     assert code == 1
     assert "unassigned" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": True, "classes": [{"label": "a", "radius": 1, "vertices": [0]}]},
+        {"n": 1, "classes": [{"label": "a", "radius": True, "vertices": [0]}]},
+    ],
+)
+def test_verify_rejects_bool_integers_exit_two(monkeypatch, capsys, doc):
+    stdin = encode_graph6(path(1)) + "\n" + json.dumps(doc) + "\n"
+    code, out, err = run_cli(
+        monkeypatch, capsys, ["verify", "--graph", "-", "--coloring", "-"], stdin=stdin
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be" in err
 
 
 def test_chi_rho_values(monkeypatch, capsys):

@@ -37,7 +37,7 @@ from spack.exchange import (
 from spack.gen import cycle, path, random_subcubic
 from spack.graph import build_graph, induced
 from spack.weights import Potential, compute_weights, inside_potential, touched_potential
-from oracles import apply_move, distance_matrix, reference_run_to_fixpoint
+from oracles import apply_move, assert_canonical, distance_matrix, reference_run_to_fixpoint
 from strategies import subcubic_graphs
 
 C4, C5 = cycle(4), cycle(5)
@@ -544,3 +544,14 @@ def test_audit_catches_a_bad_replayed_commit(monkeypatch, corrupt, message):
     _patch_commit(monkeypatch, wrapper)
     with pytest.raises(AuditError, match=message):
         audit_core_run(sub, run)
+
+
+def test_square_outside_is_canonical_on_corpus_final_states(corpus_noncubic):
+    for g in corpus_noncubic:
+        for comp in color_graph(g).components:
+            if comp.core_run is None:
+                continue
+            core = induced(g, comp.core_vertices).graph
+            sq, order = square_outside(core, comp.core_run.final)
+            assert_canonical(sq)
+            assert order == tuple(sorted(comp.core_run.final.outside))

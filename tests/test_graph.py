@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_matrix
+from oracles import assert_canonical, distance_matrix
 from spack.exchange import make_state, square_outside
 from spack.gen import cycle, path, petersen
 from spack.graph import (
@@ -183,6 +183,31 @@ def test_induced_preserves_adjacency(g):
     for i in range(sub.graph.n):
         for j in range(i + 1, sub.graph.n):
             assert sub.graph.has_edge(i, j) == g.has_edge(sub.to_host[i], sub.to_host[j])
+
+
+@given(loose_graphs(max_n=14), st.data())
+def test_induced_is_canonical_on_random_subsets(g, data):
+    keep = data.draw(st.frozensets(st.integers(0, g.n - 1)) if g.n else st.just(frozenset()))
+    sub = induced(g, keep)
+    assert_canonical(sub.graph)
+    assert sub.to_host == tuple(sorted(keep))
+    assert set(sub.graph.edges()) == {
+        (i, j)
+        for i, u in enumerate(sub.to_host)
+        for j, v in enumerate(sub.to_host)
+        if i < j and g.has_edge(u, v)
+    }
+
+
+@given(loose_graphs(max_n=12))
+def test_subdivide_is_canonical_and_numbers_edges_by_rank(g):
+    s, mapping = subdivide(g)
+    assert_canonical(s)
+    edges = list(g.edges())
+    assert s.n == g.n + len(edges)
+    assert mapping.edge_vertex == {e: g.n + rank for rank, e in enumerate(edges)}
+    for rank, (u, v) in enumerate(edges):
+        assert s.adj[g.n + rank] == (u, v)
 
 
 def test_subdivide_triangle_gives_six_cycle():

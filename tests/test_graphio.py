@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import CORPUS_FILE, make_coloring, reference_encode_graph6, reference_parse_graph6
+from oracles import (
+    CORPUS_FILE,
+    assert_canonical,
+    make_coloring,
+    reference_encode_graph6,
+    reference_parse_graph6,
+)
 from spack.gen import path, petersen
 from spack.graph import DuplicateEdgeError, build_graph
 from spack.graphio import (
@@ -135,18 +141,22 @@ MALFORMED_GRAPH6 = [
 
 def test_graph6_decode_matches_per_bit_reference_on_corpus():
     for line in CORPUS_FILE.read_text().split():
-        assert parse_graph6(line) == reference_parse_graph6(line)
+        g = parse_graph6(line)
+        assert_canonical(g)
+        assert g == reference_parse_graph6(line)
 
 
 @given(loose_graphs(max_n=40, max_degree=40))
 def test_graph6_decode_matches_per_bit_reference_on_random_graphs(g):
     line = encode_graph6(g)
+    assert_canonical(parse_graph6(line))
     assert parse_graph6(line) == reference_parse_graph6(line) == g
 
 
 @given(subcubic_graphs(min_n=1, max_n=300))
 def test_graph6_decode_matches_per_bit_reference_on_subcubic_graphs(g):
     line = encode_graph6(g)
+    assert_canonical(parse_graph6(line))
     assert parse_graph6(line) == reference_parse_graph6(line) == g
 
 
@@ -281,6 +291,23 @@ def test_coloring_json_rejects_malformed_documents():
         coloring_from_dict({"n": 2, "classes": [{"label": "a", "radius": 0, "vertices": []}]})
     with pytest.raises(ColoringDocumentError):
         coloring_from_dict({"n": 2, "classes": [{"label": "a", "radius": 1, "vertices": [True]}]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": True, "classes": [{"label": "a", "radius": 1, "vertices": [0]}]},
+        {"n": False, "classes": []},
+        {"n": 1, "classes": [{"label": "a", "radius": True, "vertices": [0]}]},
+        {"n": 1, "classes": [{"label": "a", "radius": False, "vertices": [0]}]},
+    ],
+)
+def test_coloring_json_rejects_bools_as_integers(doc):
+    # bool is a subclass of int, so JSON true/false must be refused by name
+    with pytest.raises(ColoringDocumentError):
+        coloring_from_dict(doc)
+    with pytest.raises(ColoringDocumentError):
+        coloring_from_json(json.dumps(doc))
 
 
 def test_coloring_json_is_compact():

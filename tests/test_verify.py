@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import class_of, make_coloring, violating_pairs
+from oracles import class_of, make_coloring, reference_verify, violating_pairs
 from spack.colorer import color_graph
-from spack.gen import cycle, path
+from spack.gen import cycle, path, random_subcubic
 from spack.graph import VertexOutOfRangeError, build_graph, subdivide
 from spack.verify import (
     ColorClass,
@@ -168,3 +168,103 @@ def test_derive_subdivision_verifies_on_random_graphs(g):
 def test_empty_graph_verifies_trivially():
     result = verify(build_graph(0, []), make_coloring(0, []))
     assert result.ok
+
+
+def test_violation_order_and_distances_are_pinned():
+    g = cycle(10)
+    coloring = make_coloring(
+        10, [("c", 5, [0, 3, 5, 9]), ("b", 2, [2, 4, 7, 8]), ("d", 4, [1, 6])]
+    )
+    expected = [
+        Violation("c", 5, (0, 3), 3),
+        Violation("c", 5, (0, 5), 5),
+        Violation("c", 5, (0, 9), 1),
+        Violation("c", 5, (3, 5), 2),
+        Violation("c", 5, (3, 9), 4),
+        Violation("c", 5, (5, 9), 4),
+        Violation("b", 2, (2, 4), 2),
+        Violation("b", 2, (7, 8), 1),
+    ]
+    result = verify(g, coloring)
+    assert result.violations == expected
+    assert result == reference_verify(g, coloring)
+
+
+def test_verify_matches_reference_on_corpus_colorings_and_lifts(corpus_noncubic):
+    for g in corpus_noncubic:
+        coloring = color_graph(g).coloring
+        assert verify(g, coloring) == reference_verify(g, coloring)
+        lifted = derive_subdivision_coloring(g, coloring)
+        sg, _ = subdivide(g)
+        outcome = verify(sg, lifted)
+        assert outcome.ok
+        assert outcome == reference_verify(sg, lifted)
+
+
+def test_verify_matches_reference_on_perturbed_colorings(corpus_noncubic):
+    rng = random.Random(8)
+    flagged = 0
+    for g in corpus_noncubic[::3]:
+        coloring = color_graph(g).coloring
+        members = [set(cls.vertices) for cls in coloring.classes]
+        for _ in range(3):
+            v = rng.randrange(g.n)
+            for vs in members:
+                vs.discard(v)
+            rng.choice(members).add(v)
+        perturbed = PackingColoring(
+            g.n,
+            tuple(
+                ColorClass(cls.label, cls.radius, frozenset(vs))
+                for cls, vs in zip(coloring.classes, members)
+            ),
+        )
+        outcome = verify(g, perturbed)
+        flagged += bool(outcome.violations)
+        assert outcome == reference_verify(g, perturbed)
+    assert flagged >= 200
+
+
+def _graphs_up_to_60():
+    rng = random.Random(60)
+    out = []
+    for seed in range(40):
+        n = rng.randint(2, 60)
+        cap = 3 * n // 2 - (1 if n % 2 == 0 else 0)
+        m = rng.randint(n - 1, max(n - 1, min(cap, n * (n - 1) // 2)))
+        out.append(random_subcubic(n, m, seed=seed))
+    return out
+
+
+@pytest.mark.parametrize("radius", range(1, 8))
+def test_verify_matches_reference_on_one_all_vertex_class(corpus_all, radius):
+    for g in [*corpus_all[::4], *_graphs_up_to_60()]:
+        coloring = PackingColoring(g.n, (ColorClass("all", radius, frozenset(range(g.n))),))
+        assert verify(g, coloring) == reference_verify(g, coloring)
+
+
+@given(loose_graphs(max_n=12), st.data())
+def test_verify_matches_reference_on_random_classes(g, data):
+    vertex = st.integers(0, g.n - 1) if g.n else st.nothing()
+    classes = data.draw(
+        st.lists(
+            st.tuples(st.integers(1, 7), st.frozensets(vertex, max_size=g.n)),
+            max_size=4,
+        ),
+        label="classes",
+    )
+    coloring = PackingColoring(
+        g.n, tuple(ColorClass(str(i), r, vs) for i, (r, vs) in enumerate(classes))
+    )
+    assert verify(g, coloring) == reference_verify(g, coloring)
+
+
+@settings(max_examples=40)
+@given(subcubic_graphs(min_n=1, max_n=30))
+def test_lift_matches_the_built_subdivision(g):
+    coloring = color_graph(g).coloring
+    lifted = derive_subdivision_coloring(g, coloring)
+    sg, smap = subdivide(g)
+    assert lifted.n == sg.n
+    assert lifted.classes[0].label == "sub"
+    assert lifted.classes[0].vertices == set(smap.edge_vertex.values())
