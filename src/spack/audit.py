@@ -3,23 +3,31 @@
 Re-executes a recorded exchange run from a copy of its initial state,
 validating every move and committing it in place.  The potential is
 recounted from scratch at the start and at the end of the replay; in
-between, each move's potential change is checked against a count over
-the vertices whose side it changed (``weights.touched_potential``),
-which equals a recount by induction from the first anchor.  The audit
-then re-derives the fixpoint structure and the outside square
-bipartition.  Used by the test suite to certify that every committed
-move strictly increased the potential and that every terminal state
-satisfies the structural invariants.
+between, every move goes through the search's own checked commit
+(``exchange.checked_commit``), whose touched check always runs: the
+potential change must equal a count over the vertices whose side it
+changed (``weights.touched_potential``), which equals a recount by
+induction from the first anchor.  The audit then re-derives the
+fixpoint structure and the outside square bipartition.  Used by the
+test suite to certify that every committed move strictly increased the
+potential and that every terminal state satisfies the structural
+invariants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .colorer import ColorResult, CoreRun
-from .exchange import check_fixpoint_invariants, commit_move, evaluate_move, square_outside
+from .exchange import (
+    InvalidStateError,
+    check_fixpoint_invariants,
+    checked_commit,
+    evaluate_move,
+    square_outside,
+)
 from .graph import Graph, induced
 from .verify import verify
-from .weights import inside_potential, touched_potential
+from .weights import inside_potential
 
 
 class AuditError(ValueError):
@@ -49,17 +57,12 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
         if not record.after > record.before:
             raise AuditError(f"move {i}: potential did not strictly increase: {record}")
         found = evaluate_move(core, w, state, record.move)
-        changed = [v for v, s in found.plan if state.side[v] != s]
-        was = touched_potential(core, w, state.side, changed)
-        commit_move(core, state, found)
+        try:
+            checked_commit(core, w, state, found)
+        except InvalidStateError as err:
+            raise AuditError(f"move {i}: {err}") from err
         if state.potential != record.after:
             raise AuditError(f"move {i}: recorded after {record.after} != {state.potential}")
-        now = touched_potential(core, w, state.side, changed)
-        if record.after - record.before != now - was:
-            raise AuditError(
-                f"move {i}: potential {record.before} -> {record.after} disagrees with "
-                f"the touched count {was} -> {now}"
-            )
     scratch = inside_potential(core, w, state.side)
     if scratch != state.potential:
         raise AuditError(f"final potential {state.potential} != recount {scratch}")
@@ -74,15 +77,12 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     h1, h2 = run.square.h1, run.square.h2
     if h1 & h2 or (h1 | h2) != frozenset(order):
         raise AuditError("square bipartition does not partition the outside")
-    position = {v: i for i, v in enumerate(order)}
-    for part in (h1, h2):
-        ids = {position[v] for v in part}
-        for a, b in sq.edges():
-            if a in ids and b in ids:
-                raise AuditError(
-                    f"outside vertices {order[a]} and {order[b]} share a radius-2 part "
-                    "but are within distance 2"
-                )
+    for a, b in sq.edges():
+        if (order[a] in h1) == (order[b] in h1):
+            raise AuditError(
+                f"outside vertices {order[a]} and {order[b]} share a radius-2 part "
+                "but are within distance 2"
+            )
     return AuditReport(runs=1, moves=len(run.moves))
 
 

@@ -36,7 +36,7 @@ from .graph import (
     induced,
     is_cubic,
 )
-from .verify import ColorClass, ColoringError, InvalidInputColoringError, PackingColoring
+from .verify import ColorClass, InvalidInputColoringError, PackingColoring
 from .weights import compute_weights
 
 SEQUENCE_1122 = (1, 1, 2, 2)
@@ -69,11 +69,11 @@ class ColorOptions:
     overrides the exchange-step budget, which defaults to
     (m + 1)(sum of weights + 1) commits per run on a core with m edges;
     every commit strictly increases the potential, so exceeding the
-    default means the potential failed to increase.  ``validate``
-    toggles the exchange search's checks: each commit's potential change
-    against a count over the vertices it touched, a from-scratch recount
-    of the potential at the start and at every cheap-move fixpoint, and
-    the fixpoint structure checks.
+    default means the potential failed to increase.  Each commit's
+    potential change is always checked against a count over the vertices
+    it touched; ``validate`` adds the exchange search's O(n) checks: a
+    from-scratch recount of the potential at the start and at every
+    cheap-move fixpoint, and the fixpoint structure checks.
     ``restart_attempts`` bounds how many seeded greedy starts the
     exchange search may try when a run ends on an odd outside cycle
     that admits no strict-increase swap.
@@ -231,30 +231,17 @@ def color_core(
     raise last_stuck
 
 
-def _empty_class_sets() -> list[set[int]]:
-    return [set() for _ in CLASS_LABELS]
+def _oracle_component(g: Graph, options: ColorOptions, host: tuple[int, ...]) -> PackingColoring:
+    """Exact-oracle attempt on a whole component.
 
-
-def _sets_from_coloring(coloring: PackingColoring) -> list[set[int]]:
-    """Order the classes of a (1,1,2,2)-shaped coloring as 1_a,1_b,2_a,2_b."""
-    by_radius: dict[int, list[ColorClass]] = {1: [], 2: []}
-    for c in coloring.classes:
-        if c.radius not in by_radius:
-            raise ColoringError(f"unexpected radius {c.radius}")
-        by_radius[c.radius].append(c)
-    if len(by_radius[1]) != 2 or len(by_radius[2]) != 2:
-        raise ColoringError("expected exactly two radius-1 and two radius-2 classes")
-    ordered = by_radius[1] + by_radius[2]
-    return [set(c.vertices) for c in ordered]
-
-
-def _oracle_component(g: Graph, options: ColorOptions, host: tuple[int, ...]):
-    """Exact-oracle attempt on a whole component; returns class sets."""
+    ``decide`` labels the classes of SEQUENCE_1122 in order, which are
+    CLASS_LABELS, so its witness is returned as it is.
+    """
     if g.n > options.fallback_max_n:
         raise CubicComponentError(host, "oracle-timeout")
     outcome = decide(g, SEQUENCE_1122, budget=options.exact_budget)
     if outcome.status is Status.SAT:
-        return _sets_from_coloring(outcome.coloring)
+        return outcome.coloring
     if outcome.status is Status.UNSAT:
         raise CubicComponentError(host, "oracle-unsat")
     raise CubicComponentError(host, "oracle-timeout")
@@ -262,12 +249,13 @@ def _oracle_component(g: Graph, options: ColorOptions, host: tuple[int, ...]):
 
 def _color_component(
     g: Graph, options: ColorOptions, host: tuple[int, ...]
-) -> tuple[list[set[int]], ComponentRun]:
+) -> tuple[PackingColoring, ComponentRun]:
     """Color one connected component given in its own dense id space.
 
-    A 3-regular component goes to the exact oracle when
-    ``fallback_exact`` allows it; every other component goes to the
-    exchange search, whose StuckError (every restart exhausted)
+    The coloring is in the component's ids, with the classes of
+    CLASS_LABELS in order.  A 3-regular component goes to the exact
+    oracle when ``fallback_exact`` allows it; every other component goes
+    to the exchange search, whose StuckError (every restart exhausted)
     surfaces to the caller.
     """
     run = ComponentRun(vertices=host)
@@ -280,9 +268,8 @@ def _color_component(
     core_vertices, trace = peel(g)
     run.core_vertices = tuple(host[v] for v in core_vertices)
     run.peel_trace = tuple(PeelStep(host[s.vertex], None if s.neighbor is None else host[s.neighbor]) for s in trace)
-    if not core_vertices:
-        sets = _empty_class_sets()
-    else:
+    classes = tuple(ColorClass(label, r, frozenset()) for label, r in zip(CLASS_LABELS, CLASS_RADII))
+    if core_vertices:
         # peel keeps ascending ids, so a whole core is g itself
         core = g if len(core_vertices) == g.n else induced(g, core_vertices).graph
         w = compute_weights(core)
@@ -294,19 +281,11 @@ def _color_component(
             restart_attempts=options.restart_attempts,
         )
         run.core_run = core_run
-        sets = _empty_class_sets()
-        for idx, c in enumerate(core_run.coloring.classes):
-            sets[idx] = {core_vertices[v] for v in c.vertices}
-
-    partial = PackingColoring(
-        g.n,
-        tuple(
-            ColorClass(label, radius, frozenset(s))
-            for label, radius, s in zip(CLASS_LABELS, CLASS_RADII, sets)
-        ),
-    )
-    full = extend_coloring(partial, trace)
-    return [set(c.vertices) for c in full.classes], run
+        classes = tuple(
+            ColorClass(c.label, c.radius, frozenset(core_vertices[v] for v in c.vertices))
+            for c in core_run.coloring.classes
+        )
+    return extend_coloring(PackingColoring(g.n, classes), trace), run
 
 
 def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
@@ -321,16 +300,16 @@ def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
     """
     options = options or ColorOptions()
     assert_subcubic(g)
-    merged = _empty_class_sets()
+    merged = [set() for _ in CLASS_LABELS]
     runs: list[ComponentRun] = []
     for comp in components(g):
         if len(comp) == g.n:
             sub = InducedSubgraph(g, tuple(range(g.n)))
         else:
             sub = induced(g, comp)
-        sets, run = _color_component(sub.graph, options, sub.to_host)
-        for target, local in zip(merged, sets):
-            target.update(sub.to_host[v] for v in local)
+        coloring, run = _color_component(sub.graph, options, sub.to_host)
+        for target, c in zip(merged, coloring.classes):
+            target.update(sub.to_host[v] for v in c.vertices)
         runs.append(run)
     classes = tuple(
         ColorClass(label, radius, frozenset(s))

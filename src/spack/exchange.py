@@ -24,12 +24,12 @@ a strict potential increase are validated before any commit, so a proof
 edge case can only ever surface as a ``StuckError`` diagnostic, never as
 a corrupt state.  Each move is evaluated once; the search commits the
 evaluated plan in place.  ``evaluate_move`` and ``commit_move`` are
-that validation and that commit for a move given from outside; the
-audit replays a recorded run through them.  With validation on, each
-commit is checked on the vertices it touches
-(``weights.touched_potential``) rather than by an O(n) recount, and the
-from-scratch recount anchors that check at the start and at every
-cheap-move fixpoint.
+that validation and that commit for a move given from outside.  The
+search and the audit's replay both commit through ``checked_commit``,
+which checks every commit on the vertices it touches
+(``weights.touched_potential``) rather than by an O(n) recount; with
+validation on, the from-scratch recount anchors that check at the start
+and at every cheap-move fixpoint.
 """
 from __future__ import annotations
 
@@ -86,15 +86,15 @@ OUTSIDE = 0
 class BipartitionState:
     """Mutable partition of vertices into s1 / s2 / outside.
 
-    ``nbr1[v]`` / ``nbr2[v]`` cache how many neighbors of v currently
-    sit in each side; the cached potential always matches a recount.
-    The search commits moves into its own copy in place, so the
-    caller's state stays as it was.
+    ``nbr[s][v]`` caches how many neighbors of v currently sit on side s
+    (0 = outside, 1 or 2).  Every commit is checked against a count over
+    the vertices it touches, so the cached potential matches a recount.
+    The search commits moves into its own copy in place, so the caller's
+    state stays as it was.
     """
 
     side: list[int]  # 0 = outside, 1, 2
-    nbr1: list[int]
-    nbr2: list[int]
+    nbr: list[list[int]]  # nbr[s][v], indexed like side
     potential: Potential
 
     def _members(self, s: int) -> frozenset[int]:
@@ -114,12 +114,10 @@ class BipartitionState:
 
     def s_degree(self, v: int) -> int:
         """Number of neighbors of v inside s1 | s2."""
-        return self.nbr1[v] + self.nbr2[v]
+        return self.nbr[1][v] + self.nbr[2][v]
 
     def copy(self) -> "BipartitionState":
-        return BipartitionState(
-            list(self.side), list(self.nbr1), list(self.nbr2), self.potential
-        )
+        return BipartitionState(list(self.side), [list(c) for c in self.nbr], self.potential)
 
 
 @dataclass(frozen=True)
@@ -224,20 +222,13 @@ def make_state(g: Graph, w: list[int], s1, s2) -> BipartitionState:
         side[v] = 1
     for v in b:
         side[v] = 2
-    for part in (a, b):
-        for v in part:
-            for u in g.adj[v]:
-                if u in part:
-                    raise InvalidStateError(f"side containing {v} is not independent ({u}-{v})")
-    nbr1 = [0] * g.n
-    nbr2 = [0] * g.n
+    nbr = [[0] * g.n for _ in range(3)]
     for v in range(g.n):
         for u in g.adj[v]:
-            if side[u] == 1:
-                nbr1[v] += 1
-            elif side[u] == 2:
-                nbr2[v] += 1
-    return BipartitionState(side, nbr1, nbr2, inside_potential(g, w, side))
+            if side[u] == side[v] != OUTSIDE:
+                raise InvalidStateError(f"side containing {v} is not independent ({u}-{v})")
+            nbr[side[u]][v] += 1
+    return BipartitionState(side, nbr, inside_potential(g, w, side))
 
 
 def initial_state(g: Graph, w: list[int], seed: int | None = None) -> BipartitionState:
@@ -254,8 +245,7 @@ def initial_state(g: Graph, w: list[int], seed: int | None = None) -> Bipartitio
     if min_degree(g) < 2:
         raise MinDegreeError("initial_state needs minimum degree 2")
     side = [OUTSIDE] * g.n
-    placed1 = [0] * g.n  # per-vertex count of neighbors placed on side 1
-    placed2 = [0] * g.n
+    placed = [None, [0] * g.n, [0] * g.n]  # placed[s][v]: neighbors of v placed on side s
     rng = None if seed is None else random.Random(seed)
     if rng is None:
         order = sorted(range(g.n), key=lambda v: (-w[v], v))
@@ -263,8 +253,8 @@ def initial_state(g: Graph, w: list[int], seed: int | None = None) -> Bipartitio
         order = list(range(g.n))
         rng.shuffle(order)
     for v in order:
-        gain1 = placed2[v] if placed1[v] == 0 else -1
-        gain2 = placed1[v] if placed2[v] == 0 else -1
+        gain1 = placed[2][v] if placed[1][v] == 0 else -1
+        gain2 = placed[1][v] if placed[2][v] == 0 else -1
         if gain1 < 0 and gain2 < 0:
             continue
         if rng is None:
@@ -273,11 +263,9 @@ def initial_state(g: Graph, w: list[int], seed: int | None = None) -> Bipartitio
             options = [s for s, gain in ((1, gain1), (2, gain2)) if gain >= 0]
             choice = rng.choice(options)
         side[v] = choice
+        counts = placed[choice]
         for u in g.adj[v]:
-            if choice == 1:
-                placed1[u] += 1
-            else:
-                placed2[u] += 1
+            counts[u] += 1
     s1 = [v for v in range(g.n) if side[v] == 1]
     s2 = [v for v in range(g.n) if side[v] == 2]
     return make_state(g, w, s1, s2)
@@ -372,22 +360,40 @@ def evaluate_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -
 
 def commit_move(g: Graph, state: BipartitionState, found: Candidate) -> None:
     """Commit a validated move into ``state`` in place."""
-    side, nbr1, nbr2 = state.side, state.nbr1, state.nbr2
+    side, nbr = state.side, state.nbr
     for v, s in found.plan:
         old = side[v]
         if old == s:
             continue
         side[v] = s
+        leaving, entering = nbr[old], nbr[s]
         for u in g.adj[v]:
-            if old == 1:
-                nbr1[u] -= 1
-            elif old == 2:
-                nbr2[u] -= 1
-            if s == 1:
-                nbr1[u] += 1
-            elif s == 2:
-                nbr2[u] += 1
+            leaving[u] -= 1
+            entering[u] += 1
     state.potential = found.potential
+
+
+def checked_commit(g: Graph, w: list[int], state: BipartitionState, found: Candidate) -> list[int]:
+    """Commit ``found`` and check it on the vertices whose side it changes.
+
+    Only those vertices C can change the potential, so the cached
+    potential must move by exactly ``touched_potential(after, C) -
+    touched_potential(before, C)``, which reads the side list alone, not
+    the plan's delta arithmetic.  Raises InvalidStateError otherwise;
+    returns C.
+    """
+    side = state.side
+    changed = [v for v, s in found.plan if side[v] != s]
+    before = state.potential
+    was = touched_potential(g, w, side, changed)
+    commit_move(g, state, found)
+    now = touched_potential(g, w, side, changed)
+    if state.potential - before != now - was:
+        raise InvalidStateError(
+            f"potential {before} -> {state.potential} disagrees with the touched count "
+            f"{was} -> {now} after {found.move}"
+        )
+    return changed
 
 
 def _try_move(g, w, state, move) -> Candidate | None:
@@ -399,9 +405,9 @@ def _try_move(g, w, state, move) -> Candidate | None:
 def _absorb_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
     if state.side[x] != OUTSIDE:
         return None
-    if state.nbr1[x] == 0:
+    if state.nbr[1][x] == 0:
         return _try_move(g, w, state, Absorb(x, 1))
-    if state.nbr2[x] == 0:
+    if state.nbr[2][x] == 0:
         return _try_move(g, w, state, Absorb(x, 2))
     return None
 
@@ -409,12 +415,11 @@ def _absorb_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candi
 def _flip_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
     if state.side[x] != OUTSIDE:
         return None
-    nbr = (None, state.nbr1, state.nbr2)
     for side in (1, 2):
         displaced = tuple(u for u in g.adj[x] if state.side[u] == side)
         if not displaced:
             continue
-        other_counts = nbr[_other(side)]
+        other_counts = state.nbr[_other(side)]
         if all(other_counts[u] == 0 for u in displaced):
             found = _try_move(g, w, state, Flip(x, side, displaced))
             if found:
@@ -445,9 +450,9 @@ def _same_side_exchange_at(
 ) -> Candidate | None:
     if state.side[x] != OUTSIDE or state.s_degree(x) != 3:
         return None
-    if state.nbr1[x] == 3 or state.nbr2[x] == 3:
+    if state.nbr[1][x] == 3 or state.nbr[2][x] == 3:
         return None  # absorbable, not exchangeable
-    lone_side = 1 if state.nbr1[x] == 1 else 2
+    lone_side = 1 if state.nbr[1][x] == 1 else 2
     x3 = next(u for u in g.adj[x] if state.side[u] == lone_side)
     if state.s_degree(x3) <= 1 or w[x3] < w[x]:
         return _try_move(g, w, state, SameSideExchange(x, x3))
@@ -640,8 +645,7 @@ def check_fixpoint_invariants(g: Graph, w: list[int], state: BipartitionState) -
     outside vertices are heavy with two S-neighbors.
     """
     problems: list[str] = []
-    side = state.side
-    nbr = (None, state.nbr1, state.nbr2)
+    side, nbr = state.side, state.nbr
     for x in range(g.n):
         if side[x] != OUTSIDE:
             continue
@@ -649,22 +653,18 @@ def check_fixpoint_invariants(g: Graph, w: list[int], state: BipartitionState) -
             witnesses = [u for u in g.adj[x] if side[u] == s and nbr[_other(s)][u] > 0]
             if not witnesses:
                 problems.append(f"outside vertex {x} has no side-{s} neighbor linked across")
-        out_nbrs = [u for u in g.adj[x] if side[u] == OUTSIDE]
-        if len(out_nbrs) > 1:
-            problems.append(f"outside vertex {x} has {len(out_nbrs)} outside neighbors")
-        if state.s_degree(x) == 3 and 1 in (state.nbr1[x], state.nbr2[x]):
-            lone_side = 1 if state.nbr1[x] == 1 else 2
+        if nbr[OUTSIDE][x] > 1:
+            problems.append(f"outside vertex {x} has {nbr[OUTSIDE][x]} outside neighbors")
+        if state.s_degree(x) == 3 and 1 in (nbr[1][x], nbr[2][x]):
+            lone_side = 1 if nbr[1][x] == 1 else 2
             x3 = next(u for u in g.adj[x] if side[u] == lone_side)
             if state.s_degree(x3) != 2:
                 problems.append(f"lone neighbor {x3} of {x} has S-degree {state.s_degree(x3)}")
             elif w[x3] < w[x]:
                 problems.append(f"lone neighbor {x3} of {x} is lighter ({w[x3]} < {w[x]})")
     for z in range(g.n):
-        if side[z] == OUTSIDE:
-            continue
-        out_count = sum(1 for u in g.adj[z] if side[u] == OUTSIDE)
-        if out_count > 2:
-            problems.append(f"S-vertex {z} has {out_count} outside neighbors")
+        if side[z] != OUTSIDE and nbr[OUTSIDE][z] > 2:
+            problems.append(f"S-vertex {z} has {nbr[OUTSIDE][z]} outside neighbors")
     return problems
 
 
@@ -694,17 +694,15 @@ def run_to_fixpoint(
     is committed and its changed vertices are re-flagged the same way.
 
     The search commits into its own copy of ``state`` in place, so the
-    caller's start state stays as it was.  ``validate`` checks the
-    potential at every commit without an O(n) recount: only the
-    vertices C whose side the commit changes can change the count, so
-    the cached potential must move by exactly
-    ``touched_potential(after, C) - touched_potential(before, C)``,
-    which reads the side list alone, not the plan's delta arithmetic.
-    That local check equals a recount by induction from an anchor, and
-    the from-scratch ``inside_potential`` recount is that anchor: it
-    runs on the start state and at every cheap-move fixpoint, the last
-    of which is the state returned, next to the structural fixpoint
-    invariants.  A fault raises InvalidStateError within the run.
+    caller's start state stays as it was.  Every commit goes through
+    ``checked_commit``, whatever ``validate`` says: the potential change
+    is checked on the vertices whose side the commit changes, without an
+    O(n) recount.  That local check equals a recount by induction from an
+    anchor.  ``validate`` adds the anchors, the from-scratch
+    ``inside_potential`` recount on the start state and at every
+    cheap-move fixpoint (the last of which is the state returned), and
+    the structural fixpoint invariants next to each.  A fault raises
+    InvalidStateError within the run.
 
     ``max_moves`` defaults to (m + 1)(sum of w + 1) commits.  Every
     commit strictly increases the potential (inside edges, inside
@@ -729,21 +727,9 @@ def run_to_fixpoint(
             )
 
     def commit(found: Candidate) -> None:
-        side = state.side
-        changed = [v for v, s in found.plan if side[v] != s]
         before = state.potential
-        if validate:
-            was = touched_potential(g, w, side, changed)
-        commit_move(g, state, found)
-        after = state.potential
-        records.append(MoveRecord(found.move, before, after))
-        if validate:
-            now = touched_potential(g, w, side, changed)
-            if after - before != now - was:
-                raise InvalidStateError(
-                    f"potential {before} -> {after} disagrees with the touched count "
-                    f"{was} -> {now} after {found.move}"
-                )
+        changed = checked_commit(g, w, state, found)
+        records.append(MoveRecord(found.move, before, state.potential))
         if len(records) > budget:
             raise MoveBudgetExceededError(f"move budget {budget} exhausted")
         work.touch(g, changed)

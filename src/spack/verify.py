@@ -87,16 +87,20 @@ def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
     """
     if coloring.n != g.n:
         raise ColoringError(f"coloring is for n={coloring.n}, graph has n={g.n}")
-    counts = [0] * g.n
+    seen: set[int] = set()
+    repeated: set[int] = set()
     for cls in coloring.classes:
-        for v in cls.vertices:
-            if not (0 <= v < g.n):
-                raise VertexOutOfRangeError(
-                    f"class {cls.label!r} mentions vertex {v} outside 0..{g.n - 1}"
-                )
-            counts[v] += 1
-    missing = [v for v in range(g.n) if counts[v] == 0]
-    multiply_assigned = [v for v in range(g.n) if counts[v] > 1]
+        if not seen.isdisjoint(cls.vertices):
+            repeated.update(seen.intersection(cls.vertices))
+        seen.update(cls.vertices)
+    if seen and (min(seen) < 0 or max(seen) >= g.n):
+        cls, v = next((c, v) for c in coloring.classes for v in c.vertices if not 0 <= v < g.n)
+        raise VertexOutOfRangeError(
+            f"class {cls.label!r} mentions vertex {v} outside 0..{g.n - 1}"
+        )
+    # every vertex in seen is in range, so g.n of them means none is missing
+    missing = [] if len(seen) == g.n else sorted(set(range(g.n)).difference(seen))
+    multiply_assigned = sorted(repeated)
 
     violations = []
     for cls in coloring.classes:

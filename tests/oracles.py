@@ -335,15 +335,14 @@ def _find_absorb(g: Graph, state: BipartitionState) -> Absorb | None:
     for x in range(g.n):
         if state.side[x] != OUTSIDE:
             continue
-        if state.nbr1[x] == 0:
+        if state.nbr[1][x] == 0:
             return Absorb(x, 1)
-        if state.nbr2[x] == 0:
+        if state.nbr[2][x] == 0:
             return Absorb(x, 2)
     return None
 
 
 def _find_flip(g: Graph, w: list[int], state: BipartitionState) -> Flip | None:
-    nbr = (None, state.nbr1, state.nbr2)
     for x in range(g.n):
         if state.side[x] != OUTSIDE:
             continue
@@ -351,7 +350,7 @@ def _find_flip(g: Graph, w: list[int], state: BipartitionState) -> Flip | None:
             displaced = tuple(u for u in g.adj[x] if state.side[u] == side)
             if not displaced:
                 continue
-            other_counts = nbr[_other(side)]
+            other_counts = state.nbr[_other(side)]
             if all(other_counts[u] == 0 for u in displaced):
                 found = _try_move(g, w, state, Flip(x, side, displaced))
                 if found:
@@ -382,9 +381,9 @@ def _find_same_side_exchange(g: Graph, w: list[int], state: BipartitionState) ->
     for x in range(g.n):
         if state.side[x] != OUTSIDE or state.s_degree(x) != 3:
             continue
-        if state.nbr1[x] == 3 or state.nbr2[x] == 3:
+        if state.nbr[1][x] == 3 or state.nbr[2][x] == 3:
             continue  # absorbable, not exchangeable
-        lone_side = 1 if state.nbr1[x] == 1 else 2
+        lone_side = 1 if state.nbr[1][x] == 1 else 2
         x3 = next(u for u in g.adj[x] if state.side[u] == lone_side)
         if state.s_degree(x3) <= 1 or w[x3] < w[x]:
             found = _try_move(g, w, state, SameSideExchange(x, x3))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from spack.audit import AuditError, AuditReport, audit_color_result, audit_core_run
 from spack.colorer import color_graph
-from spack.exchange import MoveRecord, SquareBipartition
+from spack.exchange import MoveRecord, SquareBipartition, square_outside
 from spack.gen import path, random_subcubic
 from spack.graph import induced
 from spack.verify import ColorClass, PackingColoring
@@ -86,6 +86,21 @@ def test_audit_rejects_broken_square_bipartition():
     lopsided = SquareBipartition(frozenset(outside), frozenset(outside))
     tampered = dataclasses.replace(run, square=lopsided)
     with pytest.raises(AuditError):
+        audit_core_run(core, tampered)
+
+
+def test_audit_rejects_square_parts_within_distance_two():
+    g = random_subcubic(30, 40, seed=2, require_non_cubic=True)
+    comp = next(c for c in color_graph(g).components if c.core_run is not None)
+    core, run = induced(g, comp.core_vertices).graph, comp.core_run
+    sq, order = square_outside(core, run.final)
+    a, b = next(iter(sq.edges()))
+    x = order[a]
+    # x crosses to the part of order[b]; the parts still partition the outside
+    moved = SquareBipartition(run.square.h1 ^ {x}, run.square.h2 ^ {x})
+    assert not moved.h1 & moved.h2 and moved.h1 | moved.h2 == frozenset(order)
+    tampered = dataclasses.replace(run, square=moved)
+    with pytest.raises(AuditError, match=f"{min(x, order[b])}.* share a radius-2 part"):
         audit_core_run(core, tampered)
 
 

@@ -5,6 +5,9 @@ import spack.colorer
 
 from oracles import make_coloring, naive_packing_colorable
 from spack.colorer import (
+    CLASS_LABELS,
+    CLASS_RADII,
+    SEQUENCE_1122,
     ColorOptions,
     CubicComponentError,
     PeelStep,
@@ -13,6 +16,7 @@ from spack.colorer import (
     extend_coloring,
     peel,
 )
+from spack.exact import class_labels
 from spack.exchange import MoveBudgetExceededError, StuckError, initial_state
 from spack.gen import cycle, path, petersen, prism, random_subcubic
 from spack.graph import DegreeExceededError, build_graph
@@ -136,6 +140,20 @@ def test_cubic_component_oracle_fallback():
     assert result.components[0].used_exact
     assert verify(K4, result.coloring).ok
     verify_sequence_shape(result.coloring, (1, 1, 2, 2))
+
+
+def test_oracle_witness_keeps_the_class_order():
+    # The colorer maps the oracle's classes to CLASS_LABELS by position.
+    # The prism's radius-1 classes hold two vertices each, so a witness
+    # whose radius-2 classes came first would fail verify.
+    assert class_labels(SEQUENCE_1122) == CLASS_LABELS
+    g = prism(3)
+    result = color_graph(g, ColorOptions(fallback_exact=True))
+    assert result.components[0].used_exact
+    assert tuple(c.label for c in result.coloring.classes) == CLASS_LABELS
+    assert result.coloring.radii() == CLASS_RADII
+    assert [len(c.vertices) for c in result.coloring.classes[:2]] == [2, 2]
+    assert verify(g, result.coloring).ok
 
 
 def test_cubic_component_oracle_refutes_petersen():

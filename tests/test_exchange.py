@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spack.audit
 import spack.exchange
 from spack.audit import AuditError, audit_core_run
 from spack.colorer import color_core, color_graph, peel
@@ -34,7 +33,7 @@ from spack.exchange import (
     run_to_fixpoint,
     square_outside,
 )
-from spack.gen import cycle, path, random_subcubic
+from spack.gen import cycle, path, prism, random_subcubic
 from spack.graph import build_graph, induced
 from spack.weights import Potential, compute_weights, inside_potential, touched_potential
 from oracles import apply_move, assert_canonical, distance_matrix, reference_run_to_fixpoint
@@ -66,8 +65,9 @@ def test_make_state_counts_and_potential():
     assert state.s1 == {0, 2} and state.s2 == {1, 3}
     assert state.outside == frozenset()
     assert state.potential == Potential(4, 4)
-    assert state.nbr1 == [0, 2, 0, 2]
-    assert state.nbr2 == [2, 0, 2, 0]
+    assert state.nbr[OUTSIDE] == [0, 0, 0, 0]
+    assert state.nbr[1] == [0, 2, 0, 2]
+    assert state.nbr[2] == [2, 0, 2, 0]
 
 
 def test_make_state_rejects_overlap_and_dependence():
@@ -265,6 +265,12 @@ def test_fixpoint_invariants_flag_bad_states():
     assert any("side-2" in p for p in problems)
     clean = make_state(C5, w, {0, 2}, {1, 3})
     assert check_fixpoint_invariants(C5, w, clean) == []
+    # the outside-neighbor bounds read the cached outside counts
+    problems = check_fixpoint_invariants(C5, w, make_state(C5, w, {0}, set()))
+    assert "outside vertex 2 has 2 outside neighbors" in problems
+    g = prism(3)
+    problems = check_fixpoint_invariants(g, [1] * g.n, make_state(g, [1] * g.n, {0}, set()))
+    assert "S-vertex 0 has 3 outside neighbors" in problems
 
 
 def test_cross_path_swap_regression():
@@ -404,20 +410,25 @@ def _core(g):
 
 
 def _patch_commit(mp, wrapper):
-    """Route every commit, in the search and in the audit replay, through ``wrapper(real, ...)``."""
+    """Route every commit, in the search and in the audit replay, through ``wrapper(real, ...)``.
+
+    Both commit through ``checked_commit``, which looks ``commit_move``
+    up in ``spack.exchange``, so one patch reaches them both.
+    """
     real = spack.exchange.commit_move
 
     def patched(g, state, found):
         wrapper(real, g, state, found)
 
     mp.setattr(spack.exchange, "commit_move", patched)
-    mp.setattr(spack.audit, "commit_move", patched)
 
 
 def _assert_local_check_matches_recount(g):
     # At every commit the touched count and the from-scratch recount
-    # must move by the same amount, and the cached potential must be
-    # the recount, in the search and again in the audit replay.
+    # must move by the same amount, the cached potential must be the
+    # recount and the cached neighbor counts (outside ones included)
+    # must be those of a state built from scratch, in the search and
+    # again in the audit replay.
     if not peel(g)[0]:
         return
     sub, w = _core(g)
@@ -432,6 +443,7 @@ def _assert_local_check_matches_recount(g):
         local_now = touched_potential(graph, w, state.side, changed)
         assert state.potential == full_now
         assert full_now - full == local_now - local
+        assert state.nbr == make_state(graph, w, state.s1, state.s2).nbr
         commits.append(found.move)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -501,6 +513,18 @@ def test_validate_catches_a_bad_commit_at_that_commit(monkeypatch, corrupt, inde
     _patch_commit(monkeypatch, wrapper)
     with pytest.raises(InvalidStateError, match="touched count"):
         run_to_fixpoint(sub, w, initial_state(sub, w))
+    assert len(calls) == index + 1
+
+
+@pytest.mark.parametrize("index", [0, 5, 12])
+def test_touched_check_runs_without_validate(monkeypatch, index):
+    # validate=False drops only the O(n) recounts and fixpoint checks;
+    # the touched check still stops a bad commit at that commit.
+    sub, w = _core(FAULT_GRAPH)
+    wrapper, calls = _corrupt_at(index, _drop_last_assignment)
+    _patch_commit(monkeypatch, wrapper)
+    with pytest.raises(InvalidStateError, match="touched count"):
+        run_to_fixpoint(sub, w, initial_state(sub, w), validate=False)
     assert len(calls) == index + 1
 
 

@@ -70,6 +70,8 @@ def test_verify_reports_partition_defects():
 def test_verify_rejects_vertex_out_of_range():
     with pytest.raises(VertexOutOfRangeError):
         verify(path(3), make_coloring(3, [("a", 1, [0, 3]), ("b", 1, [1, 2])]))
+    with pytest.raises(VertexOutOfRangeError, match=r"class 'b' mentions vertex -1 outside 0\.\.2"):
+        verify(path(3), make_coloring(3, [("a", 1, [0, 2]), ("b", 1, [1, -1])]))
 
 
 def test_verify_rejects_size_mismatch():
