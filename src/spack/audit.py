@@ -87,7 +87,10 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
 
 
 def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
-    """Audit every core run inside a coloring result and verify its coloring."""
+    """Audit every core run inside a coloring result and verify its coloring.
+
+    Each core is re-derived from ``g`` and its recorded vertices alone.
+    """
     report = AuditReport()
     for comp in result.components:
         if comp.core_run is None:

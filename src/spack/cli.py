@@ -93,7 +93,10 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.graph == "-" and args.coloring == "-":
-        lines = sys.stdin.read().splitlines()
+        if args.format == "edges":
+            raise FormatError("an edge list cannot share stdin with the coloring; pass --graph a file")
+        # the first non-blank line is the graph, the rest the coloring
+        lines = sys.stdin.read().lstrip().splitlines()
         if not lines:
             raise FormatError("expected a graph6 line and a coloring document on stdin")
         g = parse_graph6(lines[0])
@@ -121,6 +124,13 @@ def _cmd_verify(args) -> int:
     if result.multiply_assigned:
         print(f"multiply assigned: {sorted(result.multiply_assigned)}", file=sys.stderr)
     return 0 if result.ok else 1
+
+
+def _count(text: str) -> int:
+    """An argparse type for budgets and move caps: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:
@@ -189,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(sp)
     sp.add_argument("--fallback-exact", action="store_true",
                     help="hand 3-regular components to the exact oracle")
-    sp.add_argument("--exact-budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--max-moves", type=int, default=None)
+    sp.add_argument("--exact-budget", type=_count, default=DEFAULT_BUDGET)
+    sp.add_argument("--max-moves", type=_count, default=None)
     sp.add_argument("--trace", action="store_true", help="log moves to stderr")
     sp.add_argument("--json", action="store_true",
                     help="prefix output with the input graph6 line")
@@ -205,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exact", help="decide colorability by backtracking")
     _add_input_options(sp)
     sp.add_argument("--seq", required=True, help="radii, e.g. 1,1,2,2")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     sp.set_defaults(func=_cmd_exact)
 
     sp = sub.add_parser("chi-rho", help="packing chromatic number")
     _add_input_options(sp)
     sp.add_argument("--max-k", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     sp.set_defaults(func=_cmd_chi_rho)
 
     sp = sub.add_parser("subdivide", help="emit the edge subdivision")

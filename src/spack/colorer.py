@@ -8,7 +8,9 @@ the peeled vertices are re-attached greedily into the radius-1 classes.
 No other component reaches the oracle: when the exchange search stays
 stuck through every restart, its StuckError surfaces.
 
-Class labels are always ``1_a``/``1_b`` (radius 1) and ``2_a``/``2_b``
+``_layout`` builds every coloring here: the classes of
+``SEQUENCE_1122`` in order, labelled by ``exact.class_labels`` as
+``decide`` labels them, ``1_a``/``1_b`` (radius 1) and ``2_a``/``2_b``
 (radius 2); classes may be empty.  Components are colored independently
 and merged label-wise, which is safe because vertices in different
 components are at infinite distance.
@@ -16,9 +18,9 @@ components are at infinite distance.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .exact import Status, decide
+from .exact import DEFAULT_BUDGET, Status, class_labels, decide
 from .exchange import (
     BipartitionState,
     MoveRecord,
@@ -30,7 +32,6 @@ from .exchange import (
 from .graph import (
     Graph,
     GraphError,
-    InducedSubgraph,
     assert_subcubic,
     components,
     induced,
@@ -40,8 +41,8 @@ from .verify import ColorClass, InvalidInputColoringError, PackingColoring
 from .weights import compute_weights
 
 SEQUENCE_1122 = (1, 1, 2, 2)
-CLASS_LABELS = ("1_a", "1_b", "2_a", "2_b")
-CLASS_RADII = (1, 1, 2, 2)
+CLASS_LABELS = class_labels(SEQUENCE_1122)
+CLASS_RADII = SEQUENCE_1122
 
 
 class CubicComponentError(GraphError):
@@ -80,7 +81,7 @@ class ColorOptions:
     """
 
     fallback_exact: bool = False
-    exact_budget: int = 10_000_000
+    exact_budget: int = DEFAULT_BUDGET
     fallback_max_n: int = 30
     max_moves: int | None = None
     validate: bool = True
@@ -127,6 +128,14 @@ class ComponentRun:
 class ColorResult:
     coloring: PackingColoring
     components: tuple[ComponentRun, ...] = field(default_factory=tuple)
+
+
+def _layout(n: int, sets) -> PackingColoring:
+    """The classes of CLASS_LABELS and CLASS_RADII, in order, on ``sets``."""
+    return PackingColoring(
+        n,
+        tuple(ColorClass(label, r, frozenset(s)) for label, r, s in zip(CLASS_LABELS, CLASS_RADII, sets)),
+    )
 
 
 def peel(g: Graph) -> tuple[tuple[int, ...], tuple[PeelStep, ...]]:
@@ -178,10 +187,7 @@ def extend_coloring(
             sets[second].add(step.vertex)
         else:
             sets[first].add(step.vertex)
-    classes = tuple(
-        ColorClass(c.label, c.radius, frozenset(s))
-        for c, s in zip(coloring.classes, sets)
-    )
+    classes = tuple(replace(c, vertices=frozenset(s)) for c, s in zip(coloring.classes, sets))
     return PackingColoring(coloring.n, classes)
 
 
@@ -211,31 +217,18 @@ def color_core(
         except StuckError as stuck:
             last_stuck = stuck
             continue
-        s = fixed.state
-        classes = (
-            ColorClass("1_a", 1, s.s1),
-            ColorClass("1_b", 1, s.s2),
-            ColorClass("2_a", 2, fixed.square_bipartition.h1),
-            ColorClass("2_b", 2, fixed.square_bipartition.h2),
-        )
-        coloring = PackingColoring(g.n, classes)
-        return CoreRun(
-            coloring,
-            tuple(w),
-            start,
-            s,
-            fixed.square_bipartition,
-            tuple(fixed.moves),
-            attempts=attempt + 1,
-        )
+        s, sq = fixed.state, fixed.square_bipartition
+        coloring = _layout(g.n, (s.s1, s.s2, sq.h1, sq.h2))
+        return CoreRun(coloring, tuple(w), start, s, sq, tuple(fixed.moves), attempts=attempt + 1)
     raise last_stuck
 
 
 def _oracle_component(g: Graph, options: ColorOptions, host: tuple[int, ...]) -> PackingColoring:
     """Exact-oracle attempt on a whole component.
 
-    ``decide`` labels the classes of SEQUENCE_1122 in order, which are
-    CLASS_LABELS, so its witness is returned as it is.
+    ``decide`` labels the classes of SEQUENCE_1122 in order with
+    ``class_labels``, which defines CLASS_LABELS, so its witness is
+    returned as it is.
     """
     if g.n > options.fallback_max_n:
         raise CubicComponentError(host, "oracle-timeout")
@@ -268,10 +261,9 @@ def _color_component(
     core_vertices, trace = peel(g)
     run.core_vertices = tuple(host[v] for v in core_vertices)
     run.peel_trace = tuple(PeelStep(host[s.vertex], None if s.neighbor is None else host[s.neighbor]) for s in trace)
-    classes = tuple(ColorClass(label, r, frozenset()) for label, r in zip(CLASS_LABELS, CLASS_RADII))
+    sets = [()] * len(CLASS_LABELS)
     if core_vertices:
-        # peel keeps ascending ids, so a whole core is g itself
-        core = g if len(core_vertices) == g.n else induced(g, core_vertices).graph
+        core = induced(g, core_vertices).graph
         w = compute_weights(core)
         core_run = color_core(
             core,
@@ -281,11 +273,8 @@ def _color_component(
             restart_attempts=options.restart_attempts,
         )
         run.core_run = core_run
-        classes = tuple(
-            ColorClass(c.label, c.radius, frozenset(core_vertices[v] for v in c.vertices))
-            for c in core_run.coloring.classes
-        )
-    return extend_coloring(PackingColoring(g.n, classes), trace), run
+        sets = [(core_vertices[v] for v in c.vertices) for c in core_run.coloring.classes]
+    return extend_coloring(_layout(g.n, sets), trace), run
 
 
 def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
@@ -303,16 +292,9 @@ def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
     merged = [set() for _ in CLASS_LABELS]
     runs: list[ComponentRun] = []
     for comp in components(g):
-        if len(comp) == g.n:
-            sub = InducedSubgraph(g, tuple(range(g.n)))
-        else:
-            sub = induced(g, comp)
+        sub = induced(g, comp)
         coloring, run = _color_component(sub.graph, options, sub.to_host)
         for target, c in zip(merged, coloring.classes):
             target.update(sub.to_host[v] for v in c.vertices)
         runs.append(run)
-    classes = tuple(
-        ColorClass(label, radius, frozenset(s))
-        for label, radius, s in zip(CLASS_LABELS, CLASS_RADII, merged)
-    )
-    return ColorResult(PackingColoring(g.n, classes), tuple(runs))
+    return ColorResult(_layout(g.n, merged), tuple(runs))

@@ -96,7 +96,7 @@ def _validate_sequence(seq) -> tuple[int, ...]:
     if not seq:
         raise InvalidSequenceError("empty radius sequence")
     for r in seq:
-        if not isinstance(r, int) or r < 1:
+        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
             raise InvalidSequenceError(f"radius {r!r} is not a positive integer")
     if max(Counter(seq).values()) > 26:
         raise InvalidSequenceError("more than 26 classes share a radius")

@@ -41,7 +41,6 @@ from typing import Iterator, NamedTuple, Union
 from .graph import (
     Bipartition,
     Graph,
-    OddCycle,
     ball,
     bipartition_or_odd_cycle,
     min_degree,
@@ -587,17 +586,15 @@ def _swap_candidates_for_cycle(
                         yield PathSwap(arc, displaced, side, cross)
 
 
-def _odd_cycles(sq: Graph, first: OddCycle | None) -> Iterator[tuple[int, ...]]:
+def _odd_cycles(sq: Graph) -> Iterator[tuple[int, ...]]:
     """Chordless odd cycles of the outside square graph, deduplicated.
 
-    The certificate from the bipartiteness check comes first; BFS from
-    every other root may surface alternatives worth trying before
-    giving up.
+    One fresh BFS per root in ascending order, so the first cycle is
+    ``bipartition_or_odd_cycle``'s certificate (both search the first
+    non-bipartite component from its lowest vertex); later roots may
+    surface alternatives worth trying before giving up.
     """
     seen: set[frozenset[int]] = set()
-    if first is not None:
-        seen.add(frozenset(first.vertices))
-        yield first.vertices
     for root in range(sq.n):
         found = two_color_from(sq, root, [0] * sq.n, [-1] * sq.n)
         if found is None:
@@ -610,29 +607,30 @@ def _odd_cycles(sq: Graph, first: OddCycle | None) -> Iterator[tuple[int, ...]]:
 
 def _find_square_swap(
     g: Graph, w: list[int], state: BipartitionState
-) -> tuple[Candidate | None, SquareBipartition | None, list[tuple[int, ...]]]:
+) -> SquareBipartition | Candidate:
     """Stage 5: bipartition the outside square or find a validated swap.
 
-    Returns (swap, bipartition, tried_cycles); exactly one of the
-    evaluated swap and the bipartition is set unless the search is
-    stuck (both None).
+    Returns the square bipartition when the outside square is
+    bipartite, and otherwise the first validated swap for one of its
+    odd cycles.  Raises StuckError, carrying ``state`` and the cycles
+    tried, when no cycle admits one.
     """
     sq, order = square_outside(g, state)
     result = bipartition_or_odd_cycle(sq)
     if isinstance(result, Bipartition):
         h1 = frozenset(order[i] for i in result.part1)
         h2 = frozenset(order[i] for i in result.part2)
-        return None, SquareBipartition(h1, h2), []
+        return SquareBipartition(h1, h2)
     tried: list[tuple[int, ...]] = []
-    for cycle_ids in _odd_cycles(sq, result):
+    for cycle_ids in _odd_cycles(sq):
         cycle = tuple(order[i] for i in cycle_ids)
         tried.append(cycle)
         candidates = _swap_candidates_for_cycle(g, state, cycle)
         for candidate in itertools.islice(candidates, _CANDIDATE_CAP):
             found = _try_move(g, w, state, candidate)
             if found:
-                return found, None, tried
-    return None, None, tried
+                return found
+    raise StuckError(f"no validated swap for odd outside cycles {tried}", state, tried)
 
 
 def check_fixpoint_invariants(g: Graph, w: list[int], state: BipartitionState) -> list[str]:
@@ -746,11 +744,7 @@ def run_to_fixpoint(
             problems = check_fixpoint_invariants(g, w, state)
             if problems:
                 raise InvalidStateError("fixpoint invariants violated: " + "; ".join(problems))
-        swap, bipartition, tried = _find_square_swap(g, w, state)
-        if bipartition is not None:
-            return FixpointResult(state, bipartition, records)
-        if swap is None:
-            raise StuckError(
-                f"no validated swap for odd outside cycles {tried}", state, tried
-            )
-        commit(swap)
+        found = _find_square_swap(g, w, state)
+        if isinstance(found, SquareBipartition):
+            return FixpointResult(state, found, records)
+        commit(found)

@@ -162,11 +162,18 @@ class InducedSubgraph:
 
 
 def induced(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
-    """Induce on a vertex subset; ids are re-densified in ascending order."""
+    """Induce on a vertex subset; ids are re-densified in ascending order.
+
+    Every vertex of ``g`` induces ``g`` itself, not a copy, with the
+    identity map.
+    """
     order = sorted(set(vertices))
-    for v in order:
+    # sorted, so only the two ends can fall outside the range
+    for v in order[:1] + order[-1:]:
         if not (0 <= v < g.n):
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
+    if len(order) == g.n:
+        return InducedSubgraph(g, tuple(order))
     to_sub = {v: i for i, v in enumerate(order)}
     # to_sub is monotone, so each filtered host list stays sorted
     adj = tuple(tuple(to_sub[v] for v in g.adj[u] if v in to_sub) for u in order)

@@ -59,7 +59,7 @@ from spack.exchange import (
     MoveBudgetExceededError,
     MoveRecord,
     SameSideExchange,
-    StuckError,
+    SquareBipartition,
     _find_square_swap,
     _other,
     _try_move,
@@ -443,14 +443,10 @@ def reference_run_to_fixpoint(
             problems = check_fixpoint_invariants(g, w, state)
             if problems:
                 raise InvalidStateError("fixpoint invariants violated: " + "; ".join(problems))
-        swap, bipartition, tried = _find_square_swap(g, w, state)
-        if bipartition is not None:
-            return FixpointResult(state, bipartition, records)
-        if swap is None:
-            raise StuckError(
-                f"no validated swap for odd outside cycles {tried}", state, tried
-            )
-        commit(swap.move)
+        found = _find_square_swap(g, w, state)
+        if isinstance(found, SquareBipartition):
+            return FixpointResult(state, found, records)
+        commit(found.move)
 
 
 def reference_decide(g: Graph, seq, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:

@@ -297,6 +297,57 @@ def test_malformed_inputs_exit_two(monkeypatch, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--seq", "1,1,2,2", "--budget", "-1"],
+        ["chi-rho", "--max-k", "4", "--budget", "-5"],
+        ["color", "--max-moves", "-1"],
+        ["color", "--exact-budget", "-1"],
+    ],
+)
+def test_negative_counts_exit_two(monkeypatch, capsys, argv):
+    stdin = encode_graph6(cycle(5)) + "\n"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_zero_counts_stay_valid(monkeypatch, capsys):
+    stdin = encode_graph6(cycle(5)) + "\n"
+    code, _, _ = run_cli(monkeypatch, capsys, ["color", "--exact-budget", "0"], stdin=stdin)
+    assert code == 0
+    code, out, _ = run_cli(monkeypatch, capsys, ["exact", "--seq", "1,1,2,2", "--budget", "0"], stdin=stdin)
+    assert (code, out.strip()) == (3, "BUDGET")
+
+
+def _color_json(monkeypatch, capsys, g):
+    code, out, _ = run_cli(monkeypatch, capsys, ["color", "--json"], stdin=encode_graph6(g) + "\n")
+    assert code == 0
+    return out
+
+
+def test_verify_stdin_skips_leading_blank_lines(monkeypatch, capsys):
+    stdin = "\n  \n" + _color_json(monkeypatch, capsys, cycle(5))
+    code, out, _ = run_cli(monkeypatch, capsys, ["verify", "--graph", "-", "--coloring", "-"], stdin=stdin)
+    assert code == 0
+    assert json.loads(out.strip()) == []
+
+
+def test_verify_stdin_rejects_edge_list_format(monkeypatch, capsys):
+    stdin = _color_json(monkeypatch, capsys, cycle(5))
+    code, out, err = run_cli(
+        monkeypatch,
+        capsys,
+        ["verify", "--graph", "-", "--coloring", "-", "--format", "edges"],
+        stdin=stdin,
+    )
+    assert code == 2
+    assert out == ""
+    assert "edge list" in err
+
+
 def test_gen_unknown_family_is_a_parser_error(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--family", "hypercube"])

@@ -16,7 +16,7 @@ from spack.colorer import (
     extend_coloring,
     peel,
 )
-from spack.exact import class_labels
+from spack.exact import DEFAULT_BUDGET, class_labels
 from spack.exchange import MoveBudgetExceededError, StuckError, initial_state
 from spack.gen import cycle, path, petersen, prism, random_subcubic
 from spack.graph import DegreeExceededError, build_graph
@@ -147,6 +147,8 @@ def test_oracle_witness_keeps_the_class_order():
     # The prism's radius-1 classes hold two vertices each, so a witness
     # whose radius-2 classes came first would fail verify.
     assert class_labels(SEQUENCE_1122) == CLASS_LABELS
+    assert CLASS_LABELS == ("1_a", "1_b", "2_a", "2_b")
+    assert CLASS_RADII == SEQUENCE_1122 == (1, 1, 2, 2)
     g = prism(3)
     result = color_graph(g, ColorOptions(fallback_exact=True))
     assert result.components[0].used_exact
@@ -154,6 +156,10 @@ def test_oracle_witness_keeps_the_class_order():
     assert result.coloring.radii() == CLASS_RADII
     assert [len(c.vertices) for c in result.coloring.classes[:2]] == [2, 2]
     assert verify(g, result.coloring).ok
+
+
+def test_exact_budget_defaults_to_the_oracle_budget():
+    assert ColorOptions().exact_budget is DEFAULT_BUDGET
 
 
 def test_cubic_component_oracle_refutes_petersen():

@@ -111,6 +111,8 @@ def test_decide_rejects_bad_sequences():
     with pytest.raises(InvalidSequenceError):
         decide(K4, (2.0,))
     with pytest.raises(InvalidSequenceError):
+        decide(K4, (True, 2, 2))
+    with pytest.raises(InvalidSequenceError):
         decide(K4, (1,) * 27)
 
 

@@ -20,6 +20,7 @@ from spack.exchange import (
     MoveBudgetExceededError,
     PathSwap,
     SameSideExchange,
+    SquareBipartition,
     StuckError,
     _CHEAP_KINDS,
     _Worklist,
@@ -56,8 +57,8 @@ def _first_move(evaluate, g, w, state):
 
 def find_move(g, w, state):
     """The move the search would commit first from ``state``; None at a fixpoint."""
-    found = _Worklist(g.n).next_move(g, w, state) or _find_square_swap(g, w, state)[0]
-    return found.move if found else None
+    found = _Worklist(g.n).next_move(g, w, state) or _find_square_swap(g, w, state)
+    return None if isinstance(found, SquareBipartition) else found.move
 
 
 def test_make_state_counts_and_potential():
@@ -304,6 +305,29 @@ def test_restart_rescues_stuck_canonical_start():
     assert exc.value.cycles
     run = color_core(sub.graph, w)
     assert run.attempts == 2
+
+
+def test_square_stage_raises_stuck_itself():
+    # The square stage raises StuckError on the state where the canonical
+    # run of the instance above stops, with the same cycles tried.
+    g = random_subcubic(105, 157, seed=9000345)
+    sub, w = _core(g)
+    with pytest.raises(StuckError) as exc:
+        run_to_fixpoint(sub, w, initial_state(sub, w))
+    stuck = exc.value
+    with pytest.raises(StuckError) as again:
+        _find_square_swap(sub, w, stuck.state)
+    assert again.value.cycles == stuck.cycles
+    assert again.value.state is stuck.state
+
+
+def test_square_stage_returns_bipartition_at_clean_fixpoint():
+    g = random_subcubic(53, 73, seed=178)
+    sub, w = _core(g)
+    result = run_to_fixpoint(sub, w, initial_state(sub, w))
+    found = _find_square_swap(sub, w, result.state)
+    assert found == result.square_bipartition
+    assert isinstance(found, SquareBipartition)
 
 
 @settings(max_examples=50, deadline=None)

@@ -174,6 +174,17 @@ def test_induced_redensifies_ascending():
 def test_induced_rejects_out_of_range():
     with pytest.raises(VertexOutOfRangeError):
         induced(cycle(3), [0, 3])
+    # g.n members each, so only the range check tells them from the whole graph
+    for vertices in ([0, 1, 3], [-1, 0, 1]):
+        with pytest.raises(VertexOutOfRangeError):
+            induced(path(3), vertices)
+
+
+def test_induced_on_every_vertex_is_the_graph_itself():
+    g = cycle(5)
+    sub = induced(g, reversed(range(g.n)))
+    assert sub.graph is g
+    assert sub.to_host == tuple(range(g.n))
 
 
 @given(subcubic_graphs(max_n=12))

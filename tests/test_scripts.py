@@ -1,0 +1,43 @@
+"""Smoke tests for ``scripts/``: each script runs end to end on a small input."""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from spack.graphio import parse_graph6
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+
+
+def test_scale_benchmark_one_size():
+    done = _run("scale_benchmark.py", "--sizes", "100")
+    assert done.returncode == 0, done.stderr
+    _, *rows = done.stdout.splitlines()
+    assert [row.split()[0] for row in rows] == ["100"] * 3
+    assert [row.split()[-1] for row in rows] == ["1"] * 3  # attempts
+
+
+def test_build_corpus_matches_committed_corpus(tmp_path):
+    pytest.importorskip("networkx")
+    out = tmp_path / "corpus.g6"
+    done = _run("build_corpus.py", "--max-n", "7", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    committed = (ROOT / "tests" / "data" / "connected_subcubic.g6").read_text().split()
+    written = out.read_text().split()
+    assert len(written) == 113
+    assert sorted(written) == sorted(line for line in committed if parse_graph6(line).n <= 7)
