@@ -34,9 +34,12 @@ SEED_ENV = "SPACK_SEED"
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{'stdin' if path == '-' else path} is not text: {exc}") from None
 
 
 def _graph_from_text(text: str, fmt: str):
@@ -96,7 +99,7 @@ def _cmd_verify(args) -> int:
         if args.format == "edges":
             raise FormatError("an edge list cannot share stdin with the coloring; pass --graph a file")
         # the first non-blank line is the graph, the rest the coloring
-        lines = sys.stdin.read().lstrip().splitlines()
+        lines = _read_text("-").lstrip().splitlines()
         if not lines:
             raise FormatError("expected a graph6 line and a coloring document on stdin")
         g = parse_graph6(lines[0])
@@ -166,11 +169,14 @@ def _cmd_chi_rho(args) -> int:
 
 def _cmd_subdivide(args) -> int:
     g = _read_graph(args)
-    sub, _ = subdivide(g)
-    print(encode_graph6(sub))
+    lift = None
     if args.with_coloring is not None:
         coloring = coloring_from_json(_read_text(args.with_coloring))
-        print(coloring_to_json(derive_subdivision_coloring(g, coloring)))
+        lift = derive_subdivision_coloring(g, coloring)
+    sub, _ = subdivide(g)
+    print(encode_graph6(sub))
+    if lift is not None:
+        print(coloring_to_json(lift))
     return 0
 
 

@@ -231,11 +231,12 @@ def chi_rho(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> ChiRhoResult:
     Returns value=None either when every attempt up to k_max is UNSAT or
     when some attempt hits the node budget (``limited`` tells which).
     Each k is searched exactly as ``decide(g, (1, ..., k), budget)``
-    would; the masks and the order are built once for all of them.
+    would; the masks and the order are built once for all of them.  No k
+    past g.n is planned: k = n always admits one vertex per class.
     """
     if k_max < 1:
         raise InvalidSequenceError("k_max must be at least 1")
-    radii = tuple(range(1, k_max + 1))
+    radii = tuple(range(1, max(1, min(k_max, g.n)) + 1))
     order, masks = _plan(g, radii)
     total = 0
     for k in radii:

@@ -44,7 +44,6 @@ from .graph import (
     ball,
     bipartition_or_odd_cycle,
     min_degree,
-    two_color_from,
 )
 from .weights import Potential, inside_potential, touched_potential
 
@@ -70,7 +69,12 @@ class MoveBudgetExceededError(ExchangeError):
 
 
 class StuckError(ExchangeError):
-    """An odd outside-square cycle exists but no validated swap was found."""
+    """The outside square is not bipartite and no swap on its odd cycle validates.
+
+    ``cycles`` holds the one cycle tried, the square 2-coloring's
+    certificate, in the searched graph's ids; ``color_core`` restarts
+    from a new start.
+    """
 
     def __init__(self, message: str, state: "BipartitionState", cycles: list[tuple[int, ...]]):
         super().__init__(message)
@@ -532,9 +536,6 @@ def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int,
     return Graph(len(outside), tuple(adj)), tuple(outside)
 
 
-_CANDIDATE_CAP = 4096
-
-
 def _swap_candidates_for_cycle(
     g: Graph, state: BipartitionState, cycle: tuple[int, ...]
 ) -> Iterator[Move]:
@@ -545,7 +546,9 @@ def _swap_candidates_for_cycle(
     every S-neighbor the entrants would otherwise conflict with, so
     independence holds by construction.  Long arcs come first; the
     caller validates each candidate against the potential and applies
-    the first strict increase.
+    the first strict increase.  A k-cycle yields at most 6k(k - 1)
+    candidates (k - 1 arc lengths, k starts, two sides, three crossing
+    choices), so trying them all needs no cap.
     """
     k = len(cycle)
 
@@ -586,34 +589,17 @@ def _swap_candidates_for_cycle(
                         yield PathSwap(arc, displaced, side, cross)
 
 
-def _odd_cycles(sq: Graph) -> Iterator[tuple[int, ...]]:
-    """Chordless odd cycles of the outside square graph, deduplicated.
-
-    One fresh BFS per root in ascending order, so the first cycle is
-    ``bipartition_or_odd_cycle``'s certificate (both search the first
-    non-bipartite component from its lowest vertex); later roots may
-    surface alternatives worth trying before giving up.
-    """
-    seen: set[frozenset[int]] = set()
-    for root in range(sq.n):
-        found = two_color_from(sq, root, [0] * sq.n, [-1] * sq.n)
-        if found is None:
-            continue
-        key = frozenset(found.vertices)
-        if key not in seen:
-            seen.add(key)
-            yield found.vertices
-
-
 def _find_square_swap(
     g: Graph, w: list[int], state: BipartitionState
 ) -> SquareBipartition | Candidate:
     """Stage 5: bipartition the outside square or find a validated swap.
 
     Returns the square bipartition when the outside square is
-    bipartite, and otherwise the first validated swap for one of its
-    odd cycles.  Raises StuckError, carrying ``state`` and the cycles
-    tried, when no cycle admits one.
+    bipartite.  Otherwise the 2-coloring's certificate, one chordless
+    odd cycle, is the only cycle tried: its swap candidates are
+    validated in order and the first strict increase is returned.
+    Raises StuckError, carrying ``state`` and that one cycle, when no
+    candidate validates; the caller then restarts from a new start.
     """
     sq, order = square_outside(g, state)
     result = bipartition_or_odd_cycle(sq)
@@ -621,16 +607,12 @@ def _find_square_swap(
         h1 = frozenset(order[i] for i in result.part1)
         h2 = frozenset(order[i] for i in result.part2)
         return SquareBipartition(h1, h2)
-    tried: list[tuple[int, ...]] = []
-    for cycle_ids in _odd_cycles(sq):
-        cycle = tuple(order[i] for i in cycle_ids)
-        tried.append(cycle)
-        candidates = _swap_candidates_for_cycle(g, state, cycle)
-        for candidate in itertools.islice(candidates, _CANDIDATE_CAP):
-            found = _try_move(g, w, state, candidate)
-            if found:
-                return found
-    raise StuckError(f"no validated swap for odd outside cycles {tried}", state, tried)
+    cycle = tuple(order[i] for i in result.vertices)
+    for candidate in _swap_candidates_for_cycle(g, state, cycle):
+        found = _try_move(g, w, state, candidate)
+        if found:
+            return found
+    raise StuckError(f"no validated swap for the odd outside cycle {cycle}", state, [cycle])
 
 
 def check_fixpoint_invariants(g: Graph, w: list[int], state: BipartitionState) -> list[str]:
@@ -708,9 +690,10 @@ def run_to_fixpoint(
     [0, m] and [0, sum of w], so a run that exceeds the default means
     the potential failed to increase.
 
-    Raises StuckError when an odd cycle resists every candidate swap and
-    MoveBudgetExceededError when the step budget runs out; both indicate
-    a bug or an unhandled configuration, never a corrupted state.
+    Raises StuckError when the square's odd-cycle certificate resists
+    every candidate swap and MoveBudgetExceededError when the step
+    budget runs out; both indicate a bug or an unhandled configuration,
+    never a corrupted state.
     """
     budget = (g.edge_count + 1) * (sum(w) + 1) if max_moves is None else max_moves
     records: list[MoveRecord] = []

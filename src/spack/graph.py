@@ -226,65 +226,46 @@ def bipartition_or_odd_cycle(g: Graph) -> Bipartition | OddCycle:
     """2-color by BFS, or return a chordless odd cycle certificate.
 
     Components are processed by ascending root id and each root lands in
-    part 1, so the bipartition is deterministic.
+    part 1, so the bipartition is deterministic.  The certificate is
+    closed at the first edge whose ends share a part, in the first
+    non-bipartite component, and shortened across chords; it is the one
+    odd cycle the exchange search's square stage tries.
     """
     color: list[int] = [0] * g.n
     parent: list[int] = [-1] * g.n
     for root in range(g.n):
-        if not color[root]:
-            cycle = two_color_from(g, root, color, parent)
-            if cycle is not None:
-                return cycle
+        if color[root]:
+            continue
+        color[root] = 1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in g.adj[u]:
+                if not color[v]:
+                    color[v] = 3 - color[u]
+                    parent[v] = u
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    cycle = _cycle_through(parent, u, v)
+                    return OddCycle(tuple(_shorten_to_chordless(g, cycle)))
     part1 = frozenset(v for v in range(g.n) if color[v] == 1)
     part2 = frozenset(v for v in range(g.n) if color[v] == 2)
     return Bipartition(part1, part2)
 
 
-def two_color_from(
-    g: Graph, root: int, color: list[int], parent: list[int]
-) -> OddCycle | None:
-    """2-color the component of ``root`` by BFS, or find an odd cycle.
-
-    ``color`` holds 0 for an unvisited vertex and 1 or 2 for its part;
-    ``root`` lands in part 1 and ``parent`` records the BFS tree, with -1
-    at every root.  Both lists are filled in place.  Returns a chordless
-    odd cycle at the first edge whose ends share a part, or None when
-    the component is bipartite.  Different roots can surface different
-    cycles of the same non-bipartite component.
-    """
-    color[root] = 1
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if not color[v]:
-                color[v] = 3 - color[u]
-                parent[v] = u
-                queue.append(v)
-            elif color[v] == color[u]:
-                cycle = _cycle_through(parent, u, v)
-                return OddCycle(tuple(_shorten_to_chordless(g, cycle)))
-    return None
-
-
 def _cycle_through(parent: list[int], u: int, v: int) -> list[int]:
-    """Close the cycle formed by BFS-tree paths to u and v plus edge (u, v)."""
-    ancestors_u = [u]
-    seen = {u}
-    x = u
-    while parent[x] != -1:
-        x = parent[x]
-        ancestors_u.append(x)
-        seen.add(x)
-    path_v = [v]
-    y = v
-    while y not in seen:
-        y = parent[y]
-        path_v.append(y)
-    lca = y
-    cycle = ancestors_u[: ancestors_u.index(lca) + 1]  # u .. lca
-    cycle.extend(reversed(path_v[:-1]))  # back down to v, excluding lca
-    return cycle
+    """Close the cycle formed by BFS-tree paths to u and v plus edge (u, v).
+
+    The parts alternate with BFS depth, so a same-part edge joins two
+    vertices of one layer, and walking both up in lockstep meets at
+    their lowest common ancestor.
+    """
+    up, down = [u], [v]
+    while u != v:
+        u, v = parent[u], parent[v]
+        up.append(u)
+        down.append(v)
+    return up + down[-2::-1]  # u .. lca, then back down to v
 
 
 def _shorten_to_chordless(g: Graph, cycle: list[int]) -> list[int]:

@@ -84,7 +84,7 @@ def _parse_size(text: str) -> tuple[int, str]:
 def _char_value(ch: str) -> int:
     value = ord(ch) - 63
     if value < 0 or value > 63:
-        raise BadCharError(f"byte {ord(ch)} out of graph6 range")
+        raise BadCharError(f"character {ch!r} out of graph6 range")
     return value
 
 
@@ -109,7 +109,7 @@ def parse_graph6(data: str | bytes) -> Graph:
         )
     if body and (min(body) < "?" or max(body) > "~"):
         for ch in body:
-            _char_value(ch)  # raises on the first byte out of range
+            _char_value(ch)  # raises on the first character out of range
     # Bits arrive column by column, so appending both ends of each edge
     # leaves every list sorted, duplicate-free and loop-free: v gains its
     # smaller neighbours during column v, before any larger one.

@@ -13,7 +13,11 @@ from spack.verify import verify, verify_sequence_shape
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    if isinstance(stdin, bytes):  # raw bytes, decoded as strict UTF-8
+        stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    else:
+        stdin = io.StringIO(stdin)
+    monkeypatch.setattr("sys.stdin", stdin)
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -179,6 +183,26 @@ def test_verify_reports_partition_defects_on_stderr(monkeypatch, capsys):
     assert "unassigned" in err
 
 
+def test_undecodable_input_exits_two(monkeypatch, capsys, tmp_path):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"\xff")
+    good = tmp_path / "c3.g6"
+    good.write_text(encode_graph6(cycle(3)) + "\n")
+    for argv, stdin in [
+        (["color", "--input", str(bad)], ""),
+        (["verify", "--graph", str(bad), "--coloring", str(good)], ""),
+        (["verify", "--graph", str(good), "--coloring", str(bad)], ""),
+        (["color"], b"\xff\n"),
+        (["verify", "--graph", "-", "--coloring", "-"], b"\xff\n"),
+        # A POSIX-locale stdin decodes byte 0xff to the lone surrogate U+DCFF.
+        (["color"], "\udcff\n"),
+    ]:
+        code, out, err = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
+    assert err == "error: character '\\udcff' out of graph6 range\n"
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -236,6 +260,28 @@ def test_subdivide_with_lifted_coloring(monkeypatch, capsys, tmp_path):
     lifted = coloring_from_json(lifted_line)
     verify_sequence_shape(lifted, (1, 2, 3, 4, 5))
     assert verify(expected, lifted).ok
+
+
+def test_subdivide_invalid_coloring_prints_nothing(monkeypatch, capsys, tmp_path):
+    # The triangle's two radius-1 classes hold adjacent vertices 0 and 1.
+    bad = {
+        "n": 3,
+        "classes": [
+            {"label": "1_a", "radius": 1, "vertices": [0, 1]},
+            {"label": "1_b", "radius": 1, "vertices": [2]},
+        ],
+    }
+    coloring_path = tmp_path / "bad.json"
+    coloring_path.write_text(json.dumps(bad))
+    code, out, err = run_cli(
+        monkeypatch,
+        capsys,
+        ["subdivide", "--with-coloring", str(coloring_path)],
+        stdin=encode_graph6(cycle(3)) + "\n",
+    )
+    assert code == 2
+    assert out == ""
+    assert "does not verify" in err
 
 
 def test_subdivide_plain(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spack.exact
 from oracles import (
     load_corpus,
     naive_chi_rho,
@@ -149,6 +150,25 @@ def test_chi_rho_budget_limited():
     result = chi_rho(petersen(), 8, budget=1)
     assert result.value is None
     assert result.limited
+
+
+def test_chi_rho_plans_no_radius_past_n(monkeypatch):
+    # k = n is always SAT (one vertex per class), so a huge k_max costs
+    # what k_max = n costs and gives the same result.
+    planned = []
+    real_plan = spack.exact._plan
+
+    def recording_plan(g, radii):
+        planned.append(radii)
+        return real_plan(g, radii)
+
+    monkeypatch.setattr(spack.exact, "_plan", recording_plan)
+    assert chi_rho(cycle(5), 10**6) == chi_rho(cycle(5), 5)
+    assert planned and all(len(radii) <= 5 for radii in planned)
+    for g in (build_graph(1, []), K4, path(3)):
+        result = chi_rho(g, 10**6)
+        assert result == chi_rho(g, g.n)
+        assert result.value == reference_chi_rho(g, g.n).value
 
 
 def test_chi_rho_rejects_bad_limit():

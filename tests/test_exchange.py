@@ -35,7 +35,7 @@ from spack.exchange import (
     square_outside,
 )
 from spack.gen import cycle, path, prism, random_subcubic
-from spack.graph import build_graph, induced
+from spack.graph import bipartition_or_odd_cycle, build_graph, induced
 from spack.weights import Potential, compute_weights, inside_potential, touched_potential
 from oracles import apply_move, assert_canonical, distance_matrix, reference_run_to_fixpoint
 from strategies import subcubic_graphs
@@ -209,6 +209,21 @@ def test_swap_candidates_are_deduplicated():
     assert len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_swap_candidates_bounded_by_cycle_length(k):
+    # k - 1 arc lengths, k starts, two sides and three crossing choices
+    # bound the candidates of a k-cycle by 6k(k - 1), so the square stage
+    # tries them all.  The even vertices of C_2k form a k-cycle of its
+    # square with no genuine edge (every crossing choice survives); C_k
+    # itself has a genuine edge between every consecutive pair.
+    sparse = cycle(2 * k)
+    dense = cycle(k)
+    for g, cyc in ((sparse, tuple(range(0, 2 * k, 2))), (dense, tuple(range(k)))):
+        state = make_state(g, [1] * g.n, set(), set())
+        candidates = list(_swap_candidates_for_cycle(g, state, cyc))
+        assert 0 < len(candidates) <= 6 * k * (k - 1)
+
+
 def test_run_to_fixpoint_c4_from_empty():
     state = make_state(C4, W4, set(), set())
     result = run_to_fixpoint(C4, W4, state)
@@ -309,7 +324,7 @@ def test_restart_rescues_stuck_canonical_start():
 
 def test_square_stage_raises_stuck_itself():
     # The square stage raises StuckError on the state where the canonical
-    # run of the instance above stops, with the same cycles tried.
+    # run of the instance above stops, with the same cycle tried.
     g = random_subcubic(105, 157, seed=9000345)
     sub, w = _core(g)
     with pytest.raises(StuckError) as exc:
@@ -319,6 +334,10 @@ def test_square_stage_raises_stuck_itself():
         _find_square_swap(sub, w, stuck.state)
     assert again.value.cycles == stuck.cycles
     assert again.value.state is stuck.state
+    # The one cycle tried is the square 2-coloring's certificate.
+    sq, order = square_outside(sub, stuck.state)
+    certificate = bipartition_or_odd_cycle(sq)
+    assert stuck.cycles == [tuple(order[i] for i in certificate.vertices)]
 
 
 def test_square_stage_returns_bipartition_at_clean_fixpoint():

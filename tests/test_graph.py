@@ -26,7 +26,6 @@ from spack.graph import (
     is_cubic,
     min_degree,
     subdivide,
-    two_color_from,
 )
 from strategies import loose_graphs, subcubic_graphs
 
@@ -292,25 +291,3 @@ def test_bipartition_or_certificate_properties(g):
             assert (u in result.part1) != (v in result.part1)
     else:
         _assert_chordless_odd_cycle(g, result.vertices)
-
-
-@given(loose_graphs(max_n=9, max_degree=8))
-def test_odd_cycle_from_root(g):
-    bipartite = isinstance(bipartition_or_odd_cycle(g), Bipartition)
-    for root in range(g.n):
-        found = two_color_from(g, root, [0] * g.n, [-1] * g.n)
-        in_odd_component = not isinstance(
-            bipartition_or_odd_cycle(induced(g, components(g)[_component_index(g, root)]).graph),
-            Bipartition,
-        )
-        if bipartite or not in_odd_component:
-            assert found is None
-        else:
-            _assert_chordless_odd_cycle(g, found.vertices)
-
-
-def _component_index(g, v):
-    for i, comp in enumerate(components(g)):
-        if v in comp:
-            return i
-    raise AssertionError(f"vertex {v} in no component")

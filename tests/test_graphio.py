@@ -73,6 +73,8 @@ def test_graph6_rejects_bad_bytes():
         parse_graph6("B" + chr(127))
     with pytest.raises(BadCharError):
         parse_graph6("été".encode("utf-8"))
+    with pytest.raises(BadCharError, match=r"character '\\udcff' out of graph6 range"):
+        parse_graph6("B\udcff")
 
 
 def test_graph6_rejects_wrong_length():
