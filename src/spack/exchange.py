@@ -14,10 +14,14 @@ a dirty-flag worklist per kind instead of rescanning every vertex after
 each commit.  A commit changes the sides of a few vertices; an
 evaluator at v reads sides only within a fixed radius of v (1 for
 Absorb, 2 for Flip and SameSideExchange, 3 for Deg3Exchange), so only
-vertices that close to a changed vertex are flagged again.  That
-locality is the invariant that keeps the worklist exact: it returns the
-same move, in the same order, as a full scan of the kinds in priority
-order and the vertices in ascending id.
+vertices that close to a changed vertex are flagged again.  A flag is
+set only where its kind can fire at all: Absorb, Flip and
+SameSideExchange at outside vertices, Deg3Exchange at degree-3 vertices
+of S with no neighbor in S.  That side precondition reads sides within
+distance 1 of v, inside every kind's radius, so a commit that makes it
+true re-flags v.  Locality and the precondition together keep the
+worklist exact: it returns the same move, in the same order, as a full
+scan of the kinds in priority order and the vertices in ascending id.
 
 Every candidate move goes through checked application: independence and
 a strict potential increase are validated before any commit, so a proof
@@ -36,7 +40,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .graph import (
     Bipartition,
@@ -431,10 +435,8 @@ def _flip_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candida
 
 
 def _deg3_exchange_at(g: Graph, w: list[int], state: BipartitionState, z: int) -> Candidate | None:
-    if state.side[z] == OUTSIDE or g.degree(z) != 3 or state.s_degree(z) != 0:
-        return None
-    # all three neighbors of z are outside and z is isolated in S
-    if any(state.side[u] != OUTSIDE for u in g.adj[z]):
+    # z is isolated in S, so all three of its neighbors are outside
+    if state.side[z] == OUTSIDE or len(g.adj[z]) != 3 or state.s_degree(z) != 0:
         return None
     for x in g.adj[z]:
         if w[x] >= w[z]:
@@ -462,17 +464,20 @@ def _same_side_exchange_at(
     return None
 
 
-# The cheap move kinds in priority order, each with its locality radius:
-# the evaluator at v reads sides (and neighbor counts derived from
-# them) only within this distance of v, so a commit can change its
-# answer only for vertices that close to a vertex whose side changed.
+# The cheap move kinds in priority order, each with its locality radius
+# and the side its vertex must be on.  The evaluator at v reads sides
+# (and neighbor counts derived from them) only within the radius of v,
+# so a commit can change its answer only for vertices that close to a
+# vertex whose side changed.  Absorb, Flip and SameSideExchange fire
+# only at outside vertices (``at_outside``); Deg3Exchange fires only at
+# a hub, a degree-3 vertex of S with no neighbor in S.
 _CHEAP_KINDS = (
-    (_absorb_at, 1),
-    (_flip_at, 2),
-    (_deg3_exchange_at, 3),
-    (_same_side_exchange_at, 2),
+    (_absorb_at, 1, True),
+    (_flip_at, 2, True),
+    (_deg3_exchange_at, 3, False),
+    (_same_side_exchange_at, 2, True),
 )
-_REACH = max(radius for _, radius in _CHEAP_KINDS)
+_REACH = max(radius for _, radius, _ in _CHEAP_KINDS)
 
 
 class _Worklist:
@@ -482,18 +487,30 @@ class _Worklist:
     at v returns None in the current state.  The first flagged vertex
     that yields a move is therefore the first move of the full scan
     (kinds in priority order, vertices in ascending id).
+
+    A flag is set only where its kind's side precondition holds: at
+    outside vertices for Absorb, Flip and SameSideExchange, at hubs for
+    Deg3Exchange.  Elsewhere the evaluator returns None at once, so
+    leaving the flag clear keeps the invariant.  The precondition reads
+    sides within distance 1 of v, and every kind's radius is at least
+    1, so a commit that makes it true also re-flags v in ``touch``.
     """
 
-    def __init__(self, n: int):
-        self.flags = [bytearray(b"\x01") * n for _ in _CHEAP_KINDS]
-        # within[d]: the flags of the kinds whose radius is at least d
+    def __init__(self, g: Graph, state: BipartitionState):
+        self.flags = [bytearray(g.n) for _ in _CHEAP_KINDS]
+        # within[d]: (flags, at_outside) of the kinds whose radius is at least d
         self.within = [
-            [flags for (_, radius), flags in zip(_CHEAP_KINDS, self.flags) if d <= radius]
+            [
+                (flags, at_outside)
+                for (_, radius, at_outside), flags in zip(_CHEAP_KINDS, self.flags)
+                if d <= radius
+            ]
             for d in range(_REACH + 1)
         ]
+        self._reflag(g, state, zip(range(g.n), itertools.repeat(0)))
 
     def next_move(self, g: Graph, w: list[int], state: BipartitionState) -> Candidate | None:
-        for (evaluate, _), flags in zip(_CHEAP_KINDS, self.flags):
+        for (evaluate, _, _), flags in zip(_CHEAP_KINDS, self.flags):
             v = flags.find(1)
             while v >= 0:
                 found = evaluate(g, w, state, v)
@@ -503,16 +520,25 @@ class _Worklist:
                 v = flags.find(1, v + 1)
         return None
 
-    def touch(self, g: Graph, changed: list[int]) -> None:
+    def touch(self, g: Graph, state: BipartitionState, changed: list[int]) -> None:
         """Re-flag each kind within its radius of the vertices in ``changed``.
 
-        One ball of radius ``_REACH`` around all of ``changed`` gives each
-        vertex its distance d to the nearest changed vertex; the vertex is
-        flagged for every kind whose radius is at least d.
+        Call it after the commit that changed their sides.  One ball of
+        radius ``_REACH`` around all of ``changed`` gives each vertex its
+        distance d to the nearest changed vertex; for every kind whose
+        radius is at least d, the vertex's flag becomes that kind's side
+        precondition in the committed state.
         """
-        for v, d in ball(g, changed, _REACH).items():
-            for flags in self.within[d]:
-                flags[v] = 1
+        self._reflag(g, state, ball(g, changed, _REACH).items())
+
+    def _reflag(self, g: Graph, state: BipartitionState, at: Iterable[tuple[int, int]]) -> None:
+        """Set the flags of each (vertex, distance) pair in ``at`` to the side preconditions."""
+        adj, side, in1, in2 = g.adj, state.side, state.nbr[1], state.nbr[2]
+        for v, d in at:
+            outside = side[v] == OUTSIDE
+            hub = not outside and len(adj[v]) == 3 and in1[v] + in2[v] == 0
+            for flags, at_outside in self.within[d]:
+                flags[v] = outside if at_outside else hub
 
 
 def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int, ...]]:
@@ -659,15 +685,20 @@ def run_to_fixpoint(
     """Drive the state to a fixpoint whose outside square is bipartite.
 
     Cheap moves come from a dirty-flag worklist (``_Worklist``), one
-    flag array per kind.  Each search takes the lowest flagged vertex of
-    the highest-priority kind and clears the flag of every vertex that
-    yields no move; each commit re-flags only the vertices within the
-    kind's locality radius of a vertex whose side changed: 1 for Absorb,
-    2 for Flip and SameSideExchange, 3 for Deg3Exchange.  Every side and
-    neighbor count an evaluator (and the plan validation behind it)
-    reads lies inside that radius, so a vertex left unflagged still has
-    no move, and the search returns exactly the move a rescan of every
-    vertex from Absorb would find.
+    flag array per kind, built from the start state.  Each search takes
+    the lowest flagged vertex of the highest-priority kind and clears
+    the flag of every vertex that yields no move; each commit re-flags
+    only the vertices within the kind's locality radius of a vertex
+    whose side changed: 1 for Absorb, 2 for Flip and SameSideExchange, 3
+    for Deg3Exchange.  At the start and on each re-flag, a flag is set
+    only where the kind's side precondition holds (v outside for
+    Absorb, Flip and SameSideExchange; v in S with degree 3 and no
+    S-neighbor for Deg3Exchange), since elsewhere the evaluator returns
+    None at once.  Every side and neighbor count an evaluator (and the
+    plan validation behind it) reads lies inside its radius, and the
+    precondition reads within distance 1, so a vertex left unflagged
+    still has no move, and the search returns exactly the move a rescan
+    of every vertex from Absorb would find.
 
     Once no cheap move is left the outside square graph is built; if it
     is bipartite we are done, otherwise a validated cycle or path swap
@@ -697,8 +728,8 @@ def run_to_fixpoint(
     """
     budget = (g.edge_count + 1) * (sum(w) + 1) if max_moves is None else max_moves
     records: list[MoveRecord] = []
-    work = _Worklist(g.n)
     state = state.copy()
+    work = _Worklist(g, state)
 
     def recount(where: str) -> None:
         scratch = inside_potential(g, w, state.side)
@@ -713,7 +744,7 @@ def run_to_fixpoint(
         records.append(MoveRecord(found.move, before, state.potential))
         if len(records) > budget:
             raise MoveBudgetExceededError(f"move budget {budget} exhausted")
-        work.touch(g, changed)
+        work.touch(g, state, changed)
 
     if validate:
         recount("at the start")

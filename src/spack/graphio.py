@@ -43,6 +43,7 @@ class ColoringDocumentError(FormatError):
 
 GRAPH6_HEADER = ">>graph6<<"
 _NONZERO_BYTE = re.compile("[^?]")  # "?" encodes six zero bits
+_BAD_CHAR = re.compile("[^?-~]")  # graph6 characters run from "?" (0) to "~" (63)
 # Offsets of the set bits of a 6-bit value, most significant first.
 _SET_BITS = tuple(tuple(b for b in range(6) if value & (32 >> b)) for value in range(64))
 _MAX_GRAPH6_N = (1 << 36) - 1
@@ -107,9 +108,9 @@ def parse_graph6(data: str | bytes) -> Graph:
         raise TrailingBitsError(
             f"n={n} needs {need} body bytes, got {len(body)}"
         )
-    if body and (min(body) < "?" or max(body) > "~"):
-        for ch in body:
-            _char_value(ch)  # raises on the first character out of range
+    bad = _BAD_CHAR.search(body)
+    if bad:
+        _char_value(bad.group())  # raises, naming the first character out of range
     # Bits arrive column by column, so appending both ends of each edge
     # leaves every list sorted, duplicate-free and loop-free: v gains its
     # smaller neighbours during column v, before any larger one.

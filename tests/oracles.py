@@ -11,7 +11,12 @@ as it was before the dirty-flag worklist, which rescans Absorb, Flip,
 Deg3Exchange and SameSideExchange over every vertex after each commit.
 It shares the move primitives of ``spack.exchange`` and keeps only the
 scan loop, so a differential test can show that the worklist commits
-the same moves in the same order.
+the same moves in the same order.  Its square stage builds the outside
+square from the distance matrix and 2-colours it by its own BFS.  On an
+odd square it takes the library's certificate, the one cycle the
+search tries, only after checking that it is a chordless odd cycle of
+that square, and validates the library's swap candidates for it with
+``apply_move``.
 
 ``reference_decide`` is the second exception: the exact oracle as it
 was before the iterative search, a recursive backtracking over the
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from functools import lru_cache
 from pathlib import Path
 
@@ -54,20 +60,29 @@ from spack.exchange import (
     Deg3Exchange,
     FixpointResult,
     Flip,
+    InvalidMoveError,
     InvalidStateError,
     Move,
     MoveBudgetExceededError,
     MoveRecord,
     SameSideExchange,
     SquareBipartition,
-    _find_square_swap,
+    StuckError,
     _other,
+    _swap_candidates_for_cycle,
     _try_move,
     check_fixpoint_invariants,
     commit_move,
     evaluate_move,
 )
-from spack.graph import Graph, VertexOutOfRangeError, ball, build_graph
+from spack.graph import (
+    Graph,
+    OddCycle,
+    VertexOutOfRangeError,
+    ball,
+    bipartition_or_odd_cycle,
+    build_graph,
+)
 from spack.graphio import (
     GRAPH6_HEADER,
     BadCharError,
@@ -392,6 +407,58 @@ def _find_same_side_exchange(g: Graph, w: list[int], state: BipartitionState) ->
     return None
 
 
+def _reference_square_stage(
+    g: Graph, w: list[int], state: BipartitionState, dist: list[list[float]]
+) -> SquareBipartition | Move:
+    """Bipartition the outside square, or the first validated swap on its odd cycle.
+
+    Two outside vertices are adjacent in the square when ``dist`` puts
+    them within distance 2.  A BFS from each uncoloured outside vertex,
+    in ascending id, puts its root in part 1.  Raises StuckError, as the
+    library does, when no candidate swap validates.
+    """
+    outside = [v for v in range(g.n) if state.side[v] == OUTSIDE]
+    near = {x: [y for y in outside if y != x and dist[x][y] <= 2] for x in outside}
+    color: dict[int, int] = {}
+    odd = False
+    for root in outside:
+        if root in color:
+            continue
+        color[root] = 1
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in near[x]:
+                if y not in color:
+                    color[y] = 3 - color[x]
+                    queue.append(y)
+                elif color[y] == color[x]:
+                    odd = True
+    if not odd:
+        return SquareBipartition(
+            frozenset(x for x in outside if color[x] == 1),
+            frozenset(x for x in outside if color[x] == 2),
+        )
+    index = {x: i for i, x in enumerate(outside)}
+    square = build_graph(len(outside), [(index[x], index[y]) for x in outside for y in near[x] if x < y])
+    certificate = bipartition_or_odd_cycle(square)
+    assert isinstance(certificate, OddCycle), "the library 2-colours an odd outside square"
+    cycle = tuple(outside[i] for i in certificate.vertices)
+    k = len(cycle)
+    assert k % 2 == 1 and k >= 3 and len(set(cycle)) == k, cycle
+    for i in range(k):
+        for j in range(i + 1, k):
+            consecutive = j == i + 1 or (i == 0 and j == k - 1)
+            assert (dist[cycle[i]][cycle[j]] <= 2) == consecutive, (cycle, i, j)
+    for move in _swap_candidates_for_cycle(g, state, cycle):
+        try:
+            apply_move(g, w, state, move)
+        except InvalidMoveError:
+            continue
+        return move
+    raise StuckError(f"no validated swap for the odd outside cycle {cycle}", state, [cycle])
+
+
 def reference_run_to_fixpoint(
     g: Graph,
     w: list[int],
@@ -414,6 +481,7 @@ def reference_run_to_fixpoint(
     """
     budget = (g.edge_count + 1) * (sum(w) + 1) if max_moves is None else max_moves
     records: list[MoveRecord] = []
+    dist = distance_matrix(g)
 
     def commit(move: Move) -> None:
         nonlocal state
@@ -443,10 +511,10 @@ def reference_run_to_fixpoint(
             problems = check_fixpoint_invariants(g, w, state)
             if problems:
                 raise InvalidStateError("fixpoint invariants violated: " + "; ".join(problems))
-        found = _find_square_swap(g, w, state)
+        found = _reference_square_stage(g, w, state, dist)
         if isinstance(found, SquareBipartition):
             return FixpointResult(state, found, records)
-        commit(found.move)
+        commit(found)
 
 
 def reference_decide(g: Graph, seq, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:

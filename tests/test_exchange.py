@@ -57,7 +57,7 @@ def _first_move(evaluate, g, w, state):
 
 def find_move(g, w, state):
     """The move the search would commit first from ``state``; None at a fixpoint."""
-    found = _Worklist(g.n).next_move(g, w, state) or _find_square_swap(g, w, state)
+    found = _Worklist(g, state).next_move(g, w, state) or _find_square_swap(g, w, state)
     return None if isinstance(found, SquareBipartition) else found.move
 
 
@@ -406,6 +406,63 @@ def test_worklist_matches_full_rescan_through_swaps_and_restarts():
     _assert_same_as_reference(random_subcubic(105, 157, seed=9000345), seeds=(None, 1, 2))
 
 
+def _worklist_checks(g, seeds=(None,)):
+    """Search g's core from each seeded start, checking the worklist invariant.
+
+    The search's worklist is replaced by one that, when built and after
+    every commit, asserts that each clear flag of kind k sits at a
+    vertex where the kind-k evaluator returns None.  Returns how many
+    times it checked.
+    """
+    if not peel(g)[0]:
+        return 0
+    sub, w = _core(g)
+    checks = 0
+
+    class CheckedWorklist(_Worklist):
+        def __init__(self, graph, state):
+            super().__init__(graph, state)
+            self.check(graph, state)
+
+        def touch(self, graph, state, changed):
+            super().touch(graph, state, changed)
+            self.check(graph, state)
+
+        def check(self, graph, state):
+            nonlocal checks
+            for (evaluate, _, _), flags in zip(_CHEAP_KINDS, self.flags):
+                for v in range(graph.n):
+                    if not flags[v]:
+                        assert evaluate(graph, w, state, v) is None, (evaluate.__name__, v)
+            checks += 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spack.exchange, "_Worklist", CheckedWorklist)
+        for seed in seeds:
+            try:
+                run_to_fixpoint(sub, w, initial_state(sub, w, seed=seed))
+            except StuckError:
+                pass
+    return checks
+
+
+def test_worklist_clear_flag_means_no_move_on_corpus(corpus_noncubic):
+    assert sum(_worklist_checks(g, seeds=(None, 1)) for g in corpus_noncubic) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(subcubic_graphs(min_n=3, max_n=80), st.integers(1, 50))
+def test_worklist_clear_flag_means_no_move_on_random_graphs(g, seed):
+    _worklist_checks(g, seeds=(None, seed))
+
+
+def test_worklist_clear_flag_means_no_move_through_swaps_and_restarts():
+    # As in the differential test above: a crossed path swap, then a
+    # canonical start that gets stuck and two seeded restarts.
+    assert _worklist_checks(random_subcubic(53, 73, seed=178)) > 1
+    assert _worklist_checks(random_subcubic(105, 157, seed=9000345), seeds=(None, 1, 2)) > 3
+
+
 def test_cheap_move_radii_are_exact():
     # The worklist re-flags kind k within radius r_k of a changed vertex.
     # Change one vertex of a random valid state: no evaluator answer may
@@ -438,12 +495,12 @@ def test_cheap_move_radii_are_exact():
             for x in (side, changed)
         )
         dist = distance_matrix(g)[c]
-        for k, (evaluate, radius) in enumerate(_CHEAP_KINDS):
+        for k, (evaluate, radius, _) in enumerate(_CHEAP_KINDS):
             for v in range(n):
                 if _move_at(evaluate, g, w, before, v) != _move_at(evaluate, g, w, after, v):
                     assert dist[v] <= radius, (trial, evaluate.__name__, v)
                     reached[k] = max(reached[k], int(dist[v]))
-    assert reached == [radius for _, radius in _CHEAP_KINDS]
+    assert reached == [radius for _, radius, _ in _CHEAP_KINDS]
 
 
 def _core(g):

@@ -75,6 +75,10 @@ def test_graph6_rejects_bad_bytes():
         parse_graph6("été".encode("utf-8"))
     with pytest.raises(BadCharError, match=r"character '\\udcff' out of graph6 range"):
         parse_graph6("B\udcff")
+    # In a long body the first character out of range is the one named.
+    line = encode_graph6(path(1000))
+    with pytest.raises(BadCharError, match=r"character ' ' out of graph6 range"):
+        parse_graph6(line[:-3] + " " + line[-2] + chr(127))
 
 
 def test_graph6_rejects_wrong_length():
