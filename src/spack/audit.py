@@ -1,17 +1,19 @@
 """Independent replay audits of coloring runs.
 
-Re-executes a recorded exchange run from a copy of its initial state,
-validating every move and committing it in place.  The potential is
+Re-executes a recorded exchange run from its initial sides alone,
+validating every move and committing it in place.  The neighbour counts
+are rebuilt from those sides, not read from the record, so a forged
+count can neither fail a sound run nor hide a fault.  The potential is
 recounted from scratch at the start and at the end of the replay; in
 between, every move goes through the search's own checked commit
 (``exchange.checked_commit``), whose touched check always runs: the
 potential change must equal a count over the vertices whose side it
 changed (``weights.touched_potential``), which equals a recount by
 induction from the first anchor.  The audit then re-derives the
-fixpoint structure and the outside square bipartition.  Used by the
-test suite to certify that every committed move strictly increased the
-potential and that every terminal state satisfies the structural
-invariants.
+fixpoint structure and the outside square bipartition on the replayed
+state.  Used by the test suite to certify that every committed move
+strictly increased the potential and that every terminal state
+satisfies the structural invariants.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from .exchange import (
     check_fixpoint_invariants,
     checked_commit,
     evaluate_move,
+    make_state,
     square_outside,
 )
 from .graph import Graph, induced
@@ -47,10 +50,12 @@ class AuditReport:
 def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     """Replay one core run; raises AuditError on any discrepancy."""
     w = list(run.weights)
-    state = run.initial.copy()
-    scratch = inside_potential(core, w, state.side)
-    if scratch != state.potential:
-        raise AuditError(f"initial potential {state.potential} != recount {scratch}")
+    try:
+        state = make_state(core, w, run.initial.s1, run.initial.s2)
+    except InvalidStateError as err:
+        raise AuditError(f"initial state: {err}") from err
+    if state.potential != run.initial.potential:
+        raise AuditError(f"initial potential {run.initial.potential} != recount {state.potential}")
     for i, record in enumerate(run.moves):
         if record.before != state.potential:
             raise AuditError(f"move {i}: recorded before {record.before} != {state.potential}")
@@ -69,11 +74,11 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     if state.side != run.final.side:
         raise AuditError("replayed final state differs from recorded final state")
 
-    problems = check_fixpoint_invariants(core, w, run.final)
+    problems = check_fixpoint_invariants(core, w, state)
     if problems:
         raise AuditError("fixpoint structure violated: " + "; ".join(problems))
 
-    sq, order = square_outside(core, run.final)
+    sq, order = square_outside(core, state)
     h1, h2 = run.square.h1, run.square.h2
     if h1 & h2 or (h1 | h2) != frozenset(order):
         raise AuditError("square bipartition does not partition the outside")

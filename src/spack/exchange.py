@@ -546,20 +546,26 @@ def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int,
 
     Returns the re-densified graph plus the outside vertices in the
     ascending order matching its ids.  Two outside vertices are adjacent
-    when their distance in the *full* graph is at most 2.
+    when their distance in the *full* graph is at most 2.  ``pos[v]`` is
+    v's outside index, or -1, so each row is read off the one- and
+    two-step neighbours of its vertex.
     """
-    outside = [v for v in range(g.n) if state.side[v] == OUTSIDE]
-    index = {v: i for i, v in enumerate(outside)}
-    adj = []
+    side = state.side
+    outside = [v for v in range(g.n) if side[v] == OUTSIDE]
+    pos = [-1] * g.n
+    for i, v in enumerate(outside):
+        pos[v] = i
+    adj = g.adj
+    rows = []
     for i, x in enumerate(outside):
-        row = []
-        for y in ball(g, (x,), 2):
-            j = index.get(y)
-            if j is not None and j != i:
-                row.append(j)
-        row.sort()
-        adj.append(tuple(row))
-    return Graph(len(outside), tuple(adj)), tuple(outside)
+        near = set()
+        for u in adj[x]:
+            near.add(pos[u])
+            for v in adj[u]:
+                near.add(pos[v])
+        near -= {-1, i}
+        rows.append(tuple(sorted(near)))
+    return Graph(len(outside), tuple(rows)), tuple(outside)
 
 
 def _swap_candidates_for_cycle(

@@ -5,10 +5,13 @@ deterministic.  ``build_graph`` validates and sorts an edge list from
 outside the package.  A graph the package derives (an induced subgraph,
 a subdivision, a decoded graph6 line, an outside square) is built as
 ``Graph(n, adj)`` straight from adjacency lists that are sorted,
-symmetric and loop-free by construction.  Every distance in the package
-comes from one breadth-first search, ``ball``, whose default radius
-``INFINITY`` (a real ``math.inf``, never a large magic number) reaches
-the whole component.
+symmetric and loop-free by construction.  Every distance the solvers
+need beyond two steps comes from one breadth-first search, ``ball``,
+whose default radius ``INFINITY`` (a real ``math.inf``, never a large
+magic number) reaches the whole component.  The verifier is the
+exception: ``spack.verify`` walks its own half-radius balls, so that a
+fault in ``ball`` cannot hide in the check of the colorings built on
+it.
 """
 from __future__ import annotations
 
@@ -174,9 +177,11 @@ def induced(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
     if len(order) == g.n:
         return InducedSubgraph(g, tuple(order))
-    to_sub = {v: i for i, v in enumerate(order)}
-    # to_sub is monotone, so each filtered host list stays sorted
-    adj = tuple(tuple(to_sub[v] for v in g.adj[u] if v in to_sub) for u in order)
+    pos = [-1] * g.n  # pos[v]: v's id in the subgraph, or -1 when v is left out
+    for i, v in enumerate(order):
+        pos[v] = i
+    # pos is monotone on the kept vertices, so each filtered host list stays sorted
+    adj = tuple(tuple([pos[v] for v in g.adj[u] if pos[v] >= 0]) for u in order)
     return InducedSubgraph(Graph(len(order), adj), tuple(order))
 
 

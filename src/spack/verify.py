@@ -15,12 +15,19 @@ has j <= k too, so the middle edge of a shortest path is a meeting
 edge.  Edge meetings are needed only for odd s, and only between the
 two balls' outermost layers: any other edge meeting is matched or beaten
 by a vertex meeting one step along the edge.
+
+The balls are walked over ``g.adj`` with two flat lists per class, one
+slot per vertex, rather than a dict per member; ``_close_pairs`` says
+why a pair's first meeting on that walk gives its distance.  The lists
+are indexed by vertex id, so ``verify`` range-checks every class before
+it walks any ball.  The verifier runs its own breadth-first search and
+shares none with the solvers it checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexOutOfRangeError, ball
+from .graph import Graph, VertexOutOfRangeError
 
 
 class ColoringError(ValueError):
@@ -93,6 +100,7 @@ def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
         if not seen.isdisjoint(cls.vertices):
             repeated.update(seen.intersection(cls.vertices))
         seen.update(cls.vertices)
+    # before any ball is walked: _close_pairs indexes flat lists by vertex id
     if seen and (min(seen) < 0 or max(seen) >= g.n):
         cls, v = next((c, v) for c in coloring.classes for v in c.vertices if not 0 <= v < g.n)
         raise VertexOutOfRangeError(
@@ -115,52 +123,63 @@ def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
 def _close_pairs(g: Graph, cls: ColorClass) -> dict[tuple[int, int], int]:
     """Distance of every member pair (x, y), x < y, at most the class radius apart.
 
-    Members are taken in ascending order, and each one's radius-k ball
-    is met against the balls of the members before it, which ``holders``
-    indexes by vertex.  In a valid class those balls are pairwise
-    disjoint, and for an odd radius no edge leaves one ball's outermost
-    layer into another ball, so each member costs one BFS and a few
-    set-disjointness tests; meetings are walked one by one only where
-    such a test fails.
+    Every member must lie in ``0 .. g.n - 1``: the lists below are
+    indexed by vertex, and a negative id would silently index from the
+    end, so ``verify`` range-checks the classes first.
+
+    Members are walked in ascending order, each one's radius-k ball a
+    layer at a time.  ``holders[v]`` lists the ``(member, distance)``
+    entries of the balls walked so far that contain v, ``()`` when none
+    does, and ``stamp[v]`` is the member whose walk last reached v.
+    When y's walk first reaches v at distance dy, every entry (x, dx)
+    already there is a vertex meeting.  The first meeting of a pair has
+    the least dy, and there dx + dy is already the distance: a shortest
+    path of length d has its vertex at distance max(0, d - k) from y
+    inside x's ball, and no vertex nearer to y is.  For an odd radius, a pair
+    still without a vertex meeting that meets across an edge from y's
+    outermost layer is at distance 2k + 1 = r.  In a valid class the
+    balls are disjoint, so each member costs one walk over its ball and
+    every ``holders`` read is empty.
     """
     members = cls.vertices
     if len(members) < 2:
         return {}
     r = cls.radius
     k = r // 2
+    adj = g.adj
     if k == 0:
         # the balls are the members themselves, and they meet only across edges
-        return {(x, y): 1 for y in sorted(members) for x in g.adj[y] if x < y and x in members}
-    balls: dict[int, dict[int, int]] = {}
-    holders: dict[int, tuple[int, ...]] = {}
-    held = holders.keys()
+        return {(x, y): 1 for y in sorted(members) for x in adj[y] if x < y and x in members}
+    holders: list[tuple[tuple[int, int], ...]] = [()] * g.n
+    stamp = [-1] * g.n
     close: dict[tuple[int, int], int] = {}
     for y in sorted(members):
-        reach = ball(g, (y,), k)
-        own = (y,)
-        if held.isdisjoint(reach):
-            mine = dict.fromkeys(reach, own)
-        else:
-            # reach is in BFS order, so a pair's first vertex meeting has
-            # the least dy, and there dx + dy is already the distance
-            mine = {}
-            for v, dy in reach.items():
-                xs = holders.get(v, ())
-                for x in xs:
-                    close.setdefault((x, y), balls[x][v] + dy)
-                mine[v] = xs + own
+        stamp[y] = y
+        held = holders[y]
+        for x, dx in held:
+            close.setdefault((x, y), dx)
+        holders[y] = held + ((y, 0),)
+        layer = [y]
+        for d in range(1, k + 1):
+            entry = ((y, d),)
+            reached = []
+            for u in layer:
+                for v in adj[u]:
+                    if stamp[v] != y:
+                        stamp[v] = y
+                        reached.append(v)
+                        held = holders[v]
+                        for x, dx in held:
+                            close.setdefault((x, y), dx + d)
+                        holders[v] = held + entry
+            layer = reached
         if r % 2:
-            # a pair still without a vertex meeting that meets across an
-            # edge from y's outermost layer is at distance 2k + 1 = r
-            for a, da in reversed(reach.items()):
-                if da < k:
-                    break
-                if not held.isdisjoint(g.adj[a]):
-                    for b in g.adj[a]:
-                        for x in holders.get(b, ()):
+            # layer is y's outermost one at distance k, empty if the ball stops short
+            for a in layer:
+                for b in adj[a]:
+                    for x, _ in holders[b]:
+                        if x != y:
                             close.setdefault((x, y), r)
-        holders.update(mine)
-        balls[y] = reach
     return close
 
 

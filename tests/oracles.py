@@ -28,8 +28,11 @@ that the iterative search reaches the same verdicts and chi values.
 ``reference_verify`` is the third: the verifier as it was before the
 half-radius search, one breadth-first search truncated at the full
 class radius from every member of a class.  It shares ``graph.ball``,
-so differential tests can show that meeting radius-(s // 2) balls
-finds the same violations with the same distances in the same order.
+and is now the only verifier that does: ``spack.verify`` walks its
+half-radius balls over flat lists of its own.  So differential tests
+can show that meeting radius-(s // 2) balls finds the same violations
+with the same distances in the same order, by a search that shares no
+code with the one it is checked against.
 
 The module also holds the helpers only tests need: the two weight
 predicates, a copy-on-write move application, a coloring constructor

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from spack.audit import AuditError, AuditReport, audit_color_result, audit_core_run
 from spack.colorer import color_graph
-from spack.exchange import MoveRecord, SquareBipartition, square_outside
+from spack.exchange import OUTSIDE, MoveRecord, SquareBipartition, square_outside
 from spack.gen import path, random_subcubic
 from spack.graph import induced
 from spack.verify import ColorClass, PackingColoring
@@ -75,6 +75,34 @@ def test_audit_rejects_wrong_initial_potential():
     broken.potential = Potential(broken.potential.edges + 1, broken.potential.weight)
     tampered = dataclasses.replace(run, initial=broken)
     with pytest.raises(AuditError):
+        audit_core_run(core, tampered)
+
+
+def test_audit_rebuilds_neighbour_counts_from_sides():
+    g = random_subcubic(60, 89, seed=5, require_non_cubic=True)
+    runs = 0
+    for comp in color_graph(g).components:
+        if comp.core_run is None:
+            continue
+        core, run = induced(g, comp.core_vertices).graph, comp.core_run
+        zeroed = [[0] * core.n for _ in range(3)]
+        tampered = dataclasses.replace(
+            run,
+            initial=dataclasses.replace(run.initial, nbr=zeroed),
+            final=dataclasses.replace(run.final, nbr=zeroed),
+        )
+        assert audit_core_run(core, tampered) == audit_core_run(core, run)
+        runs += 1
+    assert runs
+
+
+def test_audit_rejects_dependent_initial_side():
+    _, _, core, run = _busy_instance()
+    broken = run.initial.copy()
+    u = next(v for v in range(core.n) if broken.side[v] != OUTSIDE)
+    broken.side[core.adj[u][0]] = broken.side[u]
+    tampered = dataclasses.replace(run, initial=broken)
+    with pytest.raises(AuditError, match="initial state: .* not independent"):
         audit_core_run(core, tampered)
 
 

@@ -679,3 +679,10 @@ def test_square_outside_is_canonical_on_corpus_final_states(corpus_noncubic):
             sq, order = square_outside(core, comp.core_run.final)
             assert_canonical(sq)
             assert order == tuple(sorted(comp.core_run.final.outside))
+            dist = distance_matrix(core)
+            assert set(sq.edges()) == {
+                (a, b)
+                for b in range(len(order))
+                for a in range(b)
+                if dist[order[a]][order[b]] <= 2
+            }

@@ -227,6 +227,43 @@ def test_verify_matches_reference_on_perturbed_colorings(corpus_noncubic):
     assert flagged >= 200
 
 
+def _moved(coloring, rng, moves):
+    """The coloring with ``moves`` random vertices sent to random classes."""
+    members = [set(cls.vertices) for cls in coloring.classes]
+    for _ in range(moves):
+        v = rng.randrange(coloring.n)
+        for vs in members:
+            vs.discard(v)
+        rng.choice(members).add(v)
+    return PackingColoring(
+        coloring.n,
+        tuple(
+            ColorClass(cls.label, cls.radius, frozenset(vs))
+            for cls, vs in zip(coloring.classes, members)
+        ),
+    )
+
+
+def test_verify_matches_reference_on_perturbed_subdivision_lifts(corpus_noncubic):
+    # the lifts carry radii 4 and 5, so these reach half-radius 2 and,
+    # once an edge vertex joins an odd-radius class, edge meetings
+    rng = random.Random(13)
+    flagged = wide = odd = 0
+    for g in corpus_noncubic[::2]:
+        lifted = derive_subdivision_coloring(g, color_graph(g).coloring)
+        sg, _ = subdivide(g)
+        perturbed = _moved(lifted, rng, 4)
+        outcome = verify(sg, perturbed)
+        assert outcome == reference_verify(sg, perturbed)
+        flagged += bool(outcome.violations)
+        wide += any(v.radius >= 4 for v in outcome.violations)
+        odd += any(v.radius % 2 and v.distance == v.radius > 1 for v in outcome.violations)
+    # 415 lifts: 385 flagged, 187 at radius 4 or 5, 106 with an edge meeting
+    assert flagged >= 350
+    assert wide >= 160
+    assert odd >= 90
+
+
 def _graphs_up_to_60():
     rng = random.Random(60)
     out = []
