@@ -7,20 +7,34 @@ up to a limit.
 
 The search is iterative: an explicit array holds the class committed at
 each depth, and backtracking resumes at the next class, so no depth
-limit or recursion limit applies.  Conflicts are tested on bitmasks:
-one ``graph.ball`` per vertex at the largest radius needed yields its
-distance ball at every radius, and the search reads, per depth, a tuple
-with the placed vertex's mask for each class.  Symmetric branches are
-skipped by only opening an empty class when every earlier class of the
-same radius is already used.
+limit or recursion limit applies.  Conflicts are tested on bitmasks.
+Each vertex's distance ball at every radius comes from one recurrence
+over the adjacency lists: the closed ball at radius r is the one at
+r - 1 joined with its neighbours' balls at r - 1.  So the oracle shares
+no search code with ``graph.ball``, the solvers' breadth-first search,
+and the tests check the two against each other.  For each class the
+search keeps the vertices it bars: its members and every vertex within
+its radius of one.  Symmetric branches are skipped by only opening an
+empty class when every earlier class of the same radius is already
+used.
+
+After each commit a dead-vertex check ANDs every class's barred set
+into the vertices still to be placed.  A vertex left over can join no
+class, now or deeper down, since barred sets only grow along a branch;
+the commit is undone at once (it still counts as a node) and the next
+class is tried.  The check cuts only subtrees that hold no coloring,
+so the search meets the same first coloring, in the same order, as
+one without it: verdicts and witnesses do not change, node counts only
+fall.
 
 Vertices are placed in a static constrained-first order: next comes the
 unplaced vertex with the most already-placed vertices within distance
 2, ties going to the higher degree and then to the lower id, so the
-first vertex is the lowest-id one of highest degree.  The order depends on the graph
-alone.  `decide` builds the masks and the order for its one sequence;
-`chi_rho` builds them once for radii 1..k_max and searches every k on
-them, each k exactly as ``decide(g, (1, ..., k))`` would.
+first vertex is the lowest-id one of highest degree.  The order depends
+on the graph alone.  `decide` builds the masks and the order for its
+one sequence; `chi_rho` builds them once for radii 1..k_max and
+searches every k on them, each k exactly as ``decide(g, (1, ..., k))``
+would.
 
 Intended for small instances; the node budget turns runaway searches
 into an explicit inconclusive outcome instead of a hang.
@@ -33,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, ball
+from .graph import Graph
 from .verify import ColorClass, PackingColoring
 
 DEFAULT_BUDGET = 10_000_000
@@ -54,7 +68,8 @@ class DecisionOutcome:
     """Result of one decision; ``coloring`` is set only when SAT.
 
     ``nodes`` counts committed vertex-to-class assignments, the unit the
-    budget is measured in.
+    budget is measured in.  A commit the dead-vertex check undoes at once
+    counts too, and the budget trips on it like on any other.
     """
 
     status: Status
@@ -106,22 +121,32 @@ def _validate_sequence(seq) -> tuple[int, ...]:
 def _balls(g: Graph, radii: set[int]) -> dict[int, list[int]]:
     """balls[r][v] = bitmask of vertices u != v with dist(u, v) <= r.
 
-    One ball per vertex, at the largest radius, gives the mask of every
-    radius in ``radii``: it lists the vertices by distance, so the mask
-    grows one layer at a time, and a radius beyond the last layer gets
-    the whole ball.
+    The closed balls grow one step per round: v's ball at radius r is its
+    ball at r - 1 joined with those of its neighbours.  Once a round
+    changes no ball, every ball holds its whole component, and each
+    larger radius gets the same masks.
     """
     top = max(radii)
-    balls: dict[int, list[int]] = {r: [] for r in radii}
-    for v in range(g.n):
-        within: dict[int, int] = {}  # within[d]: mask of the vertices at distance 1..d
-        mask = 0
-        for u, d in ball(g, (v,), top).items():
-            if d:
-                mask |= 1 << u
-            within[d] = mask
-        for r, masks in balls.items():  # d is now the last layer's distance
-            masks.append(within[min(r, d)])
+    closed = [1 << v for v in range(g.n)]
+    balls: dict[int, list[int]] = {}
+    r = 0
+    while r < top:
+        grown = []
+        for v, nbrs in enumerate(g.adj):
+            mask = closed[v]
+            for u in nbrs:
+                mask |= closed[u]
+            grown.append(mask)
+        if grown == closed:
+            break
+        closed = grown
+        r += 1
+        if r in radii:
+            balls[r] = [mask ^ (1 << v) for v, mask in enumerate(closed)]
+    if len(balls) < len(radii):
+        whole = [mask ^ (1 << v) for v, mask in enumerate(closed)]
+        for r in radii:
+            balls.setdefault(r, whole)
     return balls
 
 
@@ -174,7 +199,9 @@ def _search(
 
     ``masks[d][i]`` is the radius-``seq[i]`` mask of the vertex placed at
     depth d; a longer tuple is fine, only its first len(seq) entries are
-    read.
+    read.  ``nodes`` counts every commit, a commit the dead-vertex check
+    undoes at once included, and the budget trips on the commit that
+    passes it.
     """
     n, k = len(order), len(seq)
     labels = class_labels(seq)
@@ -182,27 +209,44 @@ def _search(
     # once class i - 1 is, since equal-radius classes are interchangeable.
     twin = [i > 0 and seq[i] == seq[i - 1] for i in range(k)]
     bits = [1 << v for v in order]
-    occupied = [0] * k
+    rest = [0] * (n + 1)  # rest[d]: the vertices placed at depths d, d + 1, ...
+    for d in range(n - 1, -1, -1):
+        rest[d] = rest[d + 1] | bits[d]
+    # barred[i]: the members of class i and every vertex within seq[i] of
+    # one; it is 0 exactly when class i is empty.
+    barred = [0] * k
+    saved = [0] * n  # saved[d]: barred[chosen[d]] before the commit at depth d
     chosen = [0] * n  # chosen[d]: class committed at depth d; d's next try is chosen[d] + 1
     nodes = 0
     depth = 0
     i = 0  # next class to try at this depth
     while depth < n:
-        m = masks[depth]
-        while i < k and (occupied[i] & m[i] or (twin[i] and not occupied[i] and not occupied[i - 1])):
+        bit = bits[depth]
+        while i < k and (barred[i] & bit or (twin[i] and not barred[i] and not barred[i - 1])):
             i += 1
         if i < k:
             nodes += 1
             if nodes > budget:
                 return DecisionOutcome(Status.BUDGET, None, nodes)
-            occupied[i] |= bits[depth]
+            old = barred[i]
+            barred[i] = old | bit | masks[depth][i]
+            dead = rest[depth + 1]  # the later vertices every class bars
+            for mask in barred:
+                dead &= mask
+                if not dead:
+                    break
+            if dead:
+                barred[i] = old
+                i += 1
+                continue
+            saved[depth] = old
             chosen[depth] = i
             depth += 1
             i = 0
         elif depth:
             depth -= 1
             i = chosen[depth]
-            occupied[i] ^= bits[depth]
+            barred[i] = saved[depth]
             i += 1
         else:
             return DecisionOutcome(Status.UNSAT, None, nodes)

@@ -8,10 +8,11 @@ a subdivision, a decoded graph6 line, an outside square) is built as
 symmetric and loop-free by construction.  Every distance the solvers
 need beyond two steps comes from one breadth-first search, ``ball``,
 whose default radius ``INFINITY`` (a real ``math.inf``, never a large
-magic number) reaches the whole component.  The verifier is the
-exception: ``spack.verify`` walks its own half-radius balls, so that a
-fault in ``ball`` cannot hide in the check of the colorings built on
-it.
+magic number) reaches the whole component.  The two checkers are the
+exceptions: ``spack.verify`` walks its own half-radius balls, and
+``spack.exact`` grows its distance masks by a bitmask recurrence, so
+that a fault in ``ball`` cannot hide in the checks of the colorings
+built on it.
 """
 from __future__ import annotations
 

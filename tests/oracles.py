@@ -24,6 +24,9 @@ vertices in descending-degree order that raises the recursion limit to
 n + 200 while it runs.  It shares the ball masks of ``spack.exact``, and
 ``reference_chi_rho`` loops it over k, so differential tests can show
 that the iterative search reaches the same verdicts and chi values.
+``reference_search`` is the iterative search as it was before the
+dead-vertex check, kept verbatim: on the same plan the library's search
+must return the same verdict and the same witness, in no more nodes.
 
 ``reference_verify`` is the third: the verifier as it was before the
 half-radius search, one breadth-first search truncated at the full
@@ -583,6 +586,52 @@ def reference_decide(g: Graph, seq, budget: int = DEFAULT_BUDGET) -> DecisionOut
     if exceeded:
         return DecisionOutcome(Status.BUDGET, None, nodes)
     return DecisionOutcome(Status.UNSAT, None, nodes)
+
+
+def reference_search(
+    order: list[int], masks: list[tuple[int, ...]], seq: tuple[int, ...], budget: int
+) -> DecisionOutcome:
+    """Backtrack over the classes of ``seq`` with an explicit stack.
+
+    ``masks[d][i]`` is the radius-``seq[i]`` mask of the vertex placed at
+    depth d; a longer tuple is fine, only its first len(seq) entries are
+    read.
+    """
+    n, k = len(order), len(seq)
+    labels = class_labels(seq)
+    # twin[i]: class i has the radius of class i - 1; it is opened only
+    # once class i - 1 is, since equal-radius classes are interchangeable.
+    twin = [i > 0 and seq[i] == seq[i - 1] for i in range(k)]
+    bits = [1 << v for v in order]
+    occupied = [0] * k
+    chosen = [0] * n  # chosen[d]: class committed at depth d; d's next try is chosen[d] + 1
+    nodes = 0
+    depth = 0
+    i = 0  # next class to try at this depth
+    while depth < n:
+        m = masks[depth]
+        while i < k and (occupied[i] & m[i] or (twin[i] and not occupied[i] and not occupied[i - 1])):
+            i += 1
+        if i < k:
+            nodes += 1
+            if nodes > budget:
+                return DecisionOutcome(Status.BUDGET, None, nodes)
+            occupied[i] |= bits[depth]
+            chosen[depth] = i
+            depth += 1
+            i = 0
+        elif depth:
+            depth -= 1
+            i = chosen[depth]
+            occupied[i] ^= bits[depth]
+            i += 1
+        else:
+            return DecisionOutcome(Status.UNSAT, None, nodes)
+    members: list[set[int]] = [set() for _ in range(k)]
+    for v, c in zip(order, chosen):
+        members[c].add(v)
+    classes = tuple(ColorClass(labels[i], seq[i], frozenset(members[i])) for i in range(k))
+    return DecisionOutcome(Status.SAT, PackingColoring(n, classes), nodes)
 
 
 def reference_chi_rho(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> ChiRhoResult:

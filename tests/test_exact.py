@@ -11,17 +11,22 @@ from oracles import (
     naive_packing_colorable,
     reference_chi_rho,
     reference_decide,
+    reference_search,
 )
 from spack.exact import (
+    DEFAULT_BUDGET,
     ChiRhoResult,
     InvalidSequenceError,
     Status,
+    _balls,
+    _plan,
+    _search,
     chi_rho,
     class_labels,
     decide,
 )
 from spack.gen import cycle, path, petersen, random_subcubic
-from spack.graph import build_graph
+from spack.graph import ball, build_graph
 from spack.verify import verify, verify_sequence_shape
 from strategies import loose_graphs
 
@@ -262,3 +267,69 @@ def test_decide_budget_counts_committed_assignments():
         assert outcome.nodes == b + 1
     assert decide(petersen(), seq, budget=unbounded.nodes) == unbounded
 
+    # On an UNSAT search the dead-vertex check undoes some commits at once;
+    # each still counts as a node, and the budget trips on it.
+    seq = (1, 1, 2, 2)
+    unbounded = decide(petersen(), seq)
+    assert unbounded.status is Status.UNSAT
+    order, masks = _plan(petersen(), seq)
+    assert unbounded.nodes < reference_search(order, masks, seq, DEFAULT_BUDGET).nodes
+    for b in range(unbounded.nodes):
+        outcome = decide(petersen(), seq, budget=b)
+        assert outcome.status is Status.BUDGET
+        assert outcome.nodes == b + 1
+    assert decide(petersen(), seq, budget=unbounded.nodes) == unbounded
+
+
+def _assert_same_search(g, seq):
+    """The dead-vertex check only prunes: same verdict and witness as the
+    search without it, in no more nodes."""
+    order, masks = _plan(g, seq)
+    outcome = _search(order, masks, seq, DEFAULT_BUDGET)
+    expected = reference_search(order, masks, seq, DEFAULT_BUDGET)
+    assert outcome.status is expected.status, (g.adj, seq)
+    assert outcome.coloring == expected.coloring, (g.adj, seq)
+    assert outcome.nodes <= expected.nodes, (g.adj, seq)
+    return outcome
+
+
+def test_search_keeps_the_reference_witness_on_corpus(corpus_n8):
+    sequences = CROSS_CHECK_SEQUENCES + [tuple(range(1, k + 1)) for k in range(4, 7)]
+    for g in corpus_n8:
+        for seq in sequences:
+            _assert_same_search(g, seq)
+
+
+def test_search_keeps_the_reference_witness_on_chi_rho_graphs():
+    for g in list(_chi_rho_graphs())[-20:]:
+        for seq in CROSS_CHECK_SEQUENCES:
+            _assert_same_search(g, seq)
+        k = 1
+        while _assert_same_search(g, tuple(range(1, k + 1))).status is Status.UNSAT:
+            k += 1
+
+
+@settings(max_examples=80)
+@given(loose_graphs(max_n=8, max_degree=4), st.lists(st.integers(1, 3), min_size=1, max_size=5))
+def test_search_keeps_the_reference_witness_random(g, seq):
+    _assert_same_search(g, tuple(seq))
+
+
+def _masks_from_ball(g, radii):
+    """balls[r][v] from one ``graph.ball`` per vertex and radius."""
+    return {
+        r: [sum(1 << u for u, d in ball(g, (v,), r).items() if d) for v in range(g.n)]
+        for r in radii
+    }
+
+
+def test_oracle_distances_match_the_solvers_bfs(corpus_n8):
+    radii = set(range(1, 8))
+    graphs = list(corpus_n8)
+    graphs += [random_subcubic(n, n + n // 4, seed=n) for n in range(10, 40, 3)]
+    graphs.append(build_graph(8, [(0, 1), (1, 2), (3, 4), (5, 6)]))  # radius 7 passes every component
+    graphs.append(build_graph(0, []))
+    for g in graphs:
+        assert _balls(g, radii) == _masks_from_ball(g, radii), g.adj
+    g = path(2000)
+    assert _balls(g, {1, 2, 3}) == _masks_from_ball(g, {1, 2, 3})
