@@ -11,9 +11,18 @@ stuck through every restart, its StuckError surfaces.
 ``_layout`` builds every coloring here: the classes of
 ``SEQUENCE_1122`` in order, labelled by ``exact.class_labels`` as
 ``decide`` labels them, ``1_a``/``1_b`` (radius 1) and ``2_a``/``2_b``
-(radius 2); classes may be empty.  Components are colored independently
-and merged label-wise, which is safe because vertices in different
-components are at infinite distance.
+(radius 2); classes may be empty.  It runs once per core run and once
+per result.  Components are colored independently and merged
+label-wise, which is safe because vertices in different components are
+at infinite distance.
+
+A component is colored as four plain vertex sets in its own ids.  When
+the component is the whole graph, ``induced`` hands back the graph
+itself and its ids are the host's, so neither the run's peel trace and
+core vertices nor the classes are mapped again; likewise, when nothing
+is peeled, the core is the component and its classes stand as they
+are.  Peeled vertices rejoin the radius-1 sets in place by one rule,
+``_reattach``, which ``extend_coloring`` applies to a finished coloring.
 """
 from __future__ import annotations
 
@@ -145,10 +154,11 @@ def peel(g: Graph) -> tuple[tuple[int, ...], tuple[PeelStep, ...]]:
     removal trace; each step records the removed vertex's unique
     neighbor among the vertices still present, or None.
     """
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = list(map(len, g.adj))
+    ready = [v for v, d in enumerate(deg) if d <= 1]  # ascending, so already a heap
+    if not ready:
+        return tuple(range(g.n)), ()
     removed = [False] * g.n
-    ready = [v for v in range(g.n) if deg[v] <= 1]
-    heapq.heapify(ready)
     trace: list[PeelStep] = []
     while ready:
         v = heapq.heappop(ready)
@@ -167,28 +177,34 @@ def peel(g: Graph) -> tuple[tuple[int, ...], tuple[PeelStep, ...]]:
     return core, tuple(trace)
 
 
+def _reattach(first: set[int], second: set[int], trace: tuple[PeelStep, ...]) -> None:
+    """Replay a peel trace in reverse into two radius-1 classes, in place.
+
+    Each re-attached vertex joins ``first`` unless its recorded neighbor
+    already sits there, in which case it joins ``second``.
+    """
+    for step in reversed(trace):
+        (second if step.neighbor in first else first).add(step.vertex)
+
+
 def extend_coloring(
     coloring: PackingColoring, trace: tuple[PeelStep, ...]
 ) -> PackingColoring:
     """Replay a peel trace in reverse, growing the radius-1 classes.
 
-    Each re-attached vertex joins the first radius-1 class unless its
-    recorded neighbor already sits there, in which case it joins the
-    second.  Re-attachment adds leaves only, so distances between
-    already-colored vertices are unchanged and every class stays valid.
+    The first two radius-1 classes grow by ``_reattach``'s rule.
+    Re-attachment adds leaves only, so distances between already-colored
+    vertices are unchanged and every class stays valid.
     """
     ones = [i for i, c in enumerate(coloring.classes) if c.radius == 1]
     if len(ones) < 2:
         raise InvalidInputColoringError("need two radius-1 classes to extend")
-    first, second = ones[0], ones[1]
-    sets = [set(c.vertices) for c in coloring.classes]
-    for step in reversed(trace):
-        if step.neighbor is not None and step.neighbor in sets[first]:
-            sets[second].add(step.vertex)
-        else:
-            sets[first].add(step.vertex)
-    classes = tuple(replace(c, vertices=frozenset(s)) for c, s in zip(coloring.classes, sets))
-    return PackingColoring(coloring.n, classes)
+    classes = list(coloring.classes)
+    first, second = (set(classes[i].vertices) for i in ones[:2])
+    _reattach(first, second, trace)
+    for i, grown in zip(ones, (first, second)):
+        classes[i] = replace(classes[i], vertices=frozenset(grown))
+    return PackingColoring(coloring.n, tuple(classes))
 
 
 def color_core(
@@ -242,27 +258,31 @@ def _oracle_component(g: Graph, options: ColorOptions, host: tuple[int, ...]) ->
 
 def _color_component(
     g: Graph, options: ColorOptions, host: tuple[int, ...]
-) -> tuple[PackingColoring, ComponentRun]:
+) -> tuple[list, ComponentRun]:
     """Color one connected component given in its own dense id space.
 
-    The coloring is in the component's ids, with the classes of
-    CLASS_LABELS in order.  A 3-regular component goes to the exact
-    oracle when ``fallback_exact`` allows it; every other component goes
-    to the exchange search, whose StuckError (every restart exhausted)
-    surfaces to the caller.
+    Returns the vertex sets of the classes of CLASS_LABELS, in order and
+    in the component's ids, and the run in host ids.  A 3-regular
+    component goes to the exact oracle when ``fallback_exact`` allows
+    it; every other component goes to the exchange search, whose
+    StuckError (every restart exhausted) surfaces to the caller.
     """
     run = ComponentRun(vertices=host)
     if is_cubic(g):
         if not options.fallback_exact:
             raise CubicComponentError(host, "fallback-disabled")
         run.used_exact = True
-        return _oracle_component(g, options, host), run
+        return [c.vertices for c in _oracle_component(g, options, host).classes], run
 
     core_vertices, trace = peel(g)
-    run.core_vertices = tuple(host[v] for v in core_vertices)
-    run.peel_trace = tuple(PeelStep(host[s.vertex], None if s.neighbor is None else host[s.neighbor]) for s in trace)
-    sets = [()] * len(CLASS_LABELS)
-    if core_vertices:
+    if host[-1] == g.n - 1:  # ascending ids, so host is 0 .. n-1: already host ids
+        run.core_vertices, run.peel_trace = core_vertices, trace
+    else:
+        run.core_vertices = tuple(host[v] for v in core_vertices)
+        run.peel_trace = tuple(PeelStep(host[s.vertex], None if s.neighbor is None else host[s.neighbor]) for s in trace)
+    if not core_vertices:  # a tree peels to nothing
+        sets = [set() for _ in CLASS_LABELS]
+    else:
         core = induced(g, core_vertices).graph
         w = compute_weights(core)
         core_run = color_core(
@@ -273,8 +293,12 @@ def _color_component(
             restart_attempts=options.restart_attempts,
         )
         run.core_run = core_run
-        sets = [(core_vertices[v] for v in c.vertices) for c in core_run.coloring.classes]
-    return extend_coloring(_layout(g.n, sets), trace), run
+        classes = core_run.coloring.classes
+        if core is g:  # nothing was peeled, so the core's classes stand as they are
+            return [c.vertices for c in classes], run
+        sets = [set(map(core_vertices.__getitem__, c.vertices)) for c in classes]
+    _reattach(sets[0], sets[1], trace)
+    return sets, run
 
 
 def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
@@ -293,8 +317,11 @@ def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
     runs: list[ComponentRun] = []
     for comp in components(g):
         sub = induced(g, comp)
-        coloring, run = _color_component(sub.graph, options, sub.to_host)
-        for target, c in zip(merged, coloring.classes):
-            target.update(sub.to_host[v] for v in c.vertices)
+        sets, run = _color_component(sub.graph, options, sub.to_host)
         runs.append(run)
+        if sub.graph is g:  # the only component, already in host ids
+            merged = sets
+            continue
+        for target, local in zip(merged, sets):
+            target.update(map(sub.to_host.__getitem__, local))
     return ColorResult(_layout(g.n, merged), tuple(runs))

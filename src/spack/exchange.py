@@ -34,6 +34,12 @@ which checks every commit on the vertices it touches
 (``weights.touched_potential``) rather than by an O(n) recount; with
 validation on, the from-scratch recount anchors that check at the start
 and at every cheap-move fixpoint.
+
+``initial_state`` builds its greedy side list once and hands it to the
+same from-scratch count that ``make_state`` runs after building sides
+from two sets: every neighbor count, the independence of both sides and
+the potential are counted again from the side list, so the start state
+is validated as any state from outside is.
 """
 from __future__ import annotations
 
@@ -229,12 +235,22 @@ def make_state(g: Graph, w: list[int], s1, s2) -> BipartitionState:
         side[v] = 1
     for v in b:
         side[v] = 2
+    return _state_from_sides(g, w, side)
+
+
+def _state_from_sides(g: Graph, w: list[int], side: list[int]) -> BipartitionState:
+    """The state on ``side``, its neighbor counts and potential counted from scratch.
+
+    Raises InvalidStateError unless both sides are independent.
+    """
     nbr = [[0] * g.n for _ in range(3)]
-    for v in range(g.n):
-        for u in g.adj[v]:
-            if side[u] == side[v] != OUTSIDE:
+    adj = g.adj
+    for v, s in enumerate(side):
+        for u in adj[v]:
+            t = side[u]
+            if t == s != OUTSIDE:
                 raise InvalidStateError(f"side containing {v} is not independent ({u}-{v})")
-            nbr[side[u]][v] += 1
+            nbr[t][v] += 1
     return BipartitionState(side, nbr, inside_potential(g, w, side))
 
 
@@ -248,20 +264,27 @@ def initial_state(g: Graph, w: list[int], seed: int | None = None) -> Bipartitio
     the side choice instead, giving a different deterministic start for
     restarting out of the rare fixpoint whose leftover odd cycle admits
     no strict-increase swap.
+
+    The side list built here is the state's own; its neighbor counts,
+    independence and potential are still counted from scratch, as
+    ``make_state`` counts them.
     """
     if min_degree(g) < 2:
         raise MinDegreeError("initial_state needs minimum degree 2")
     side = [OUTSIDE] * g.n
     placed = [None, [0] * g.n, [0] * g.n]  # placed[s][v]: neighbors of v placed on side s
+    on1, on2 = placed[1], placed[2]
+    adj = g.adj
     rng = None if seed is None else random.Random(seed)
     if rng is None:
-        order = sorted(range(g.n), key=lambda v: (-w[v], v))
+        # a stable sort keeps ascending ids among equal weights, reversed or not
+        order = sorted(range(g.n), key=w.__getitem__, reverse=True)
     else:
         order = list(range(g.n))
         rng.shuffle(order)
     for v in order:
-        gain1 = placed[2][v] if placed[1][v] == 0 else -1
-        gain2 = placed[1][v] if placed[2][v] == 0 else -1
+        gain1 = on2[v] if on1[v] == 0 else -1
+        gain2 = on1[v] if on2[v] == 0 else -1
         if gain1 < 0 and gain2 < 0:
             continue
         if rng is None:
@@ -271,11 +294,9 @@ def initial_state(g: Graph, w: list[int], seed: int | None = None) -> Bipartitio
             choice = rng.choice(options)
         side[v] = choice
         counts = placed[choice]
-        for u in g.adj[v]:
+        for u in adj[v]:
             counts[u] += 1
-    s1 = [v for v in range(g.n) if side[v] == 1]
-    s2 = [v for v in range(g.n) if side[v] == 2]
-    return make_state(g, w, s1, s2)
+    return _state_from_sides(g, w, side)
 
 
 def _other(side: int) -> int:
@@ -420,17 +441,16 @@ def _absorb_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candi
 
 
 def _flip_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
-    if state.side[x] != OUTSIDE:
+    sides = state.side
+    if sides[x] != OUTSIDE:
         return None
     for side in (1, 2):
-        displaced = tuple(u for u in g.adj[x] if state.side[u] == side)
-        if not displaced:
+        displaced = [u for u in g.adj[x] if sides[u] == side]
+        if not displaced or any(map(state.nbr[_other(side)].__getitem__, displaced)):
             continue
-        other_counts = state.nbr[_other(side)]
-        if all(other_counts[u] == 0 for u in displaced):
-            found = _try_move(g, w, state, Flip(x, side, displaced))
-            if found:
-                return found
+        found = _try_move(g, w, state, Flip(x, side, tuple(displaced)))
+        if found:
+            return found
     return None
 
 
@@ -497,7 +517,15 @@ class _Worklist:
     """
 
     def __init__(self, g: Graph, state: BipartitionState):
-        self.flags = [bytearray(g.n) for _ in _CHEAP_KINDS]
+        # Every vertex starts at distance 0 from a change, so each kind's
+        # first flags are its side precondition at every vertex.
+        side = state.side
+        outside = bytes(map(OUTSIDE.__eq__, side))
+        hub = bytearray(g.n)
+        # a hub is a vertex of S with degree 3 and all three neighbors outside
+        for v in itertools.compress(range(g.n), map((3).__eq__, state.nbr[OUTSIDE])):
+            hub[v] = side[v] != OUTSIDE and len(g.adj[v]) == 3
+        self.flags = [bytearray(outside if at_outside else hub) for _, _, at_outside in _CHEAP_KINDS]
         # within[d]: (flags, at_outside) of the kinds whose radius is at least d
         self.within = [
             [
@@ -507,7 +535,6 @@ class _Worklist:
             ]
             for d in range(_REACH + 1)
         ]
-        self._reflag(g, state, zip(range(g.n), itertools.repeat(0)))
 
     def next_move(self, g: Graph, w: list[int], state: BipartitionState) -> Candidate | None:
         for (evaluate, _, _), flags in zip(_CHEAP_KINDS, self.flags):

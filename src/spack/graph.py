@@ -68,7 +68,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -102,22 +102,25 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def assert_subcubic(g: Graph) -> None:
-    """Raise DegreeExceededError unless every degree is at most 3."""
-    for v in range(g.n):
-        d = g.degree(v)
-        if d > 3:
-            raise DegreeExceededError(f"vertex {v} has degree {d} > 3")
+    """Raise DegreeExceededError unless every degree is at most 3.
+
+    The error names the lowest-id vertex of degree above 3.
+    """
+    degrees = list(map(len, g.adj))
+    if degrees and max(degrees) > 3:
+        v = next(v for v, d in enumerate(degrees) if d > 3)
+        raise DegreeExceededError(f"vertex {v} has degree {degrees[v]} > 3")
 
 
 def is_cubic(g: Graph) -> bool:
     """True when the graph is 3-regular (vacuously false when empty)."""
-    return g.n > 0 and all(g.degree(v) == 3 for v in range(g.n))
+    return g.n > 0 and min(map(len, g.adj)) == 3 == max(map(len, g.adj))
 
 
 def min_degree(g: Graph) -> int:
     if g.n == 0:
         raise EmptyGraphError("minimum degree of the empty graph is undefined")
-    return min(g.degree(v) for v in range(g.n))
+    return min(map(len, g.adj))
 
 
 def ball(

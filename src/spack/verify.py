@@ -94,28 +94,26 @@ def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
     """
     if coloring.n != g.n:
         raise ColoringError(f"coloring is for n={coloring.n}, graph has n={g.n}")
-    seen: set[int] = set()
-    repeated: set[int] = set()
+    n = g.n
+    hits = [0] * n  # hits[v]: how many classes hold v
     for cls in coloring.classes:
-        if not seen.isdisjoint(cls.vertices):
-            repeated.update(seen.intersection(cls.vertices))
-        seen.update(cls.vertices)
-    # before any ball is walked: _close_pairs indexes flat lists by vertex id
-    if seen and (min(seen) < 0 or max(seen) >= g.n):
-        cls, v = next((c, v) for c in coloring.classes for v in c.vertices if not 0 <= v < g.n)
-        raise VertexOutOfRangeError(
-            f"class {cls.label!r} mentions vertex {v} outside 0..{g.n - 1}"
-        )
-    # every vertex in seen is in range, so g.n of them means none is missing
-    missing = [] if len(seen) == g.n else sorted(set(range(g.n)).difference(seen))
-    multiply_assigned = sorted(repeated)
+        for v in cls.vertices:
+            # before any ball is walked: _close_pairs indexes flat lists by vertex id
+            if not 0 <= v < n:
+                raise VertexOutOfRangeError(
+                    f"class {cls.label!r} mentions vertex {v} outside 0..{n - 1}"
+                )
+            hits[v] += 1
+    missing = [v for v, k in enumerate(hits) if k == 0] if 0 in hits else []
+    multiply_assigned = [v for v, k in enumerate(hits) if k > 1] if max(hits, default=0) > 1 else []
 
     violations = []
     for cls in coloring.classes:
         close = _close_pairs(g, cls)
-        violations.extend(
-            Violation(cls.label, cls.radius, pair, close[pair]) for pair in sorted(close)
-        )
+        if close:
+            violations.extend(
+                Violation(cls.label, cls.radius, pair, close[pair]) for pair in sorted(close)
+            )
     ok = not violations and not missing and not multiply_assigned
     return VerifyResult(ok, violations, missing, multiply_assigned)
 

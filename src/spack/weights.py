@@ -47,7 +47,7 @@ def compute_weights(g: Graph) -> list[int]:
     """
     if g.n == 0:
         raise EmptyGraphError("weights are undefined on the empty graph")
-    sources = [v for v in range(g.n) if g.degree(v) <= 2]
+    sources = [v for v, d in enumerate(map(len, g.adj)) if d <= 2]
     if not sources:
         raise CubicGraphError("graph is 3-regular; no light vertex to anchor weights")
     dist = ball(g, sources)

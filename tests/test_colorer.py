@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,8 +21,8 @@ from spack.colorer import (
 from spack.exact import DEFAULT_BUDGET, class_labels
 from spack.exchange import MoveBudgetExceededError, StuckError, initial_state
 from spack.gen import cycle, path, petersen, prism, random_subcubic
-from spack.graph import DegreeExceededError, build_graph
-from spack.verify import InvalidInputColoringError, verify, verify_sequence_shape
+from spack.graph import DegreeExceededError, build_graph, induced
+from spack.verify import ColorClass, InvalidInputColoringError, PackingColoring, verify, verify_sequence_shape
 from spack.weights import compute_weights
 from strategies import subcubic_graphs
 
@@ -235,3 +237,63 @@ def test_core_run_records_weights_used():
     run = color_core(g, compute_weights(g))
     assert run.weights == (1, 1, 1, 1, 1)
     assert run.initial.potential <= run.final.potential
+
+
+def _host_trace(trace, to_host):
+    return tuple(
+        PeelStep(to_host[s.vertex], None if s.neighbor is None else to_host[s.neighbor]) for s in trace
+    )
+
+
+def test_component_runs_stay_in_host_ids():
+    # Three components: a 4-cycle on 0..3, whose own ids are its host ids;
+    # a triangle 4-6-7 with the tail 7-9-11; and the path 5-8-10.  The
+    # last two interleave, so their own ids differ from their host ids.
+    edges = list(cycle(4).edges()) + [(4, 6), (6, 7), (4, 7), (7, 9), (9, 11), (5, 8), (8, 10)]
+    g = build_graph(12, edges)
+    result = color_graph(g)
+    assert [run.vertices for run in result.components] == [
+        (0, 1, 2, 3), (4, 6, 7, 9, 11), (5, 8, 10)
+    ]
+    for run in result.components:
+        sub = induced(g, run.vertices)
+        core, trace = peel(sub.graph)
+        assert run.core_vertices == tuple(sub.to_host[v] for v in core)
+        assert run.peel_trace == _host_trace(trace, sub.to_host)
+    tail = result.components[1]
+    assert tail.core_vertices == (4, 6, 7)
+    assert tail.peel_trace == (PeelStep(11, 9), PeelStep(9, 7))
+    assert verify(g, result.coloring).ok
+
+
+def test_connected_graph_runs_keep_the_graphs_own_ids():
+    graphs = [LOLLIPOP, path(5)] + [random_subcubic(n, n + 1, seed=n) for n in range(10, 60, 7)]
+    for g in graphs:
+        core, trace = peel(g)
+        assert trace  # every graph here has pendants
+        (run,) = color_graph(g).components
+        assert run.vertices == tuple(range(g.n))
+        assert run.core_vertices == core
+        assert run.peel_trace == trace
+
+
+def test_extend_coloring_equals_the_colour_paths_reattachment():
+    """``extend_coloring`` and ``color_graph``'s in-place reattachment agree."""
+    rng = random.Random(7)
+    peeled = 0
+    for seed in range(30):
+        n = rng.randint(4, 90)
+        g = random_subcubic(n, n - 1 + rng.randint(0, n // 5), seed=seed)
+        result = color_graph(g)
+        core, trace = peel(g)
+        core_run = result.components[0].core_run
+        sets = [()] * len(CLASS_LABELS)
+        if core_run is not None:
+            sets = [[core[v] for v in c.vertices] for c in core_run.coloring.classes]
+        partial = PackingColoring(
+            g.n,
+            tuple(ColorClass(label, r, frozenset(s)) for label, r, s in zip(CLASS_LABELS, CLASS_RADII, sets)),
+        )
+        assert extend_coloring(partial, trace) == result.coloring, f"seed={seed}"
+        peeled += bool(trace)
+    assert peeled >= 25

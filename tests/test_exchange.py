@@ -108,6 +108,31 @@ def test_initial_state_seeded_is_deterministic_and_valid():
     assert initial_state(g, w, seed=1).side != initial_state(g, w, seed=2).side
 
 
+def _assert_start_state_is_made_from_its_sides(g):
+    core, _ = peel(g)
+    if not core:
+        return
+    sub = induced(g, core).graph
+    w = compute_weights(sub)
+    for seed in (None, 1, 2):
+        start = initial_state(sub, w, seed=seed)
+        ref = make_state(sub, w, start.s1, start.s2)
+        assert (start.side, start.nbr, start.potential) == (ref.side, ref.nbr, ref.potential), f"seed={seed}"
+
+
+def test_initial_state_equals_make_state_on_corpus(corpus_noncubic):
+    for g in corpus_noncubic:
+        _assert_start_state_is_made_from_its_sides(g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_initial_state_equals_make_state_on_random_cores(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 150)
+    m = rng.randint(n - 1, 3 * n // 2 - 1)
+    _assert_start_state_is_made_from_its_sides(random_subcubic(n, m, seed=seed))
+
+
 def test_apply_move_absorb():
     state = make_state(C4, W4, {0}, set())
     after = apply_move(C4, W4, state, Absorb(1, 2))

@@ -80,17 +80,38 @@ def test_assert_subcubic():
         assert_subcubic(star5)
 
 
+def test_assert_subcubic_names_the_lowest_offender():
+    # vertex 2 has degree 4 and vertex 7 degree 5; vertex 0 only degree 1
+    edges = [(0, 2), (1, 2), (2, 3), (2, 4)] + [(7, v) for v in (1, 3, 4, 5, 6)]
+    with pytest.raises(DegreeExceededError, match=r"^vertex 2 has degree 4 > 3$"):
+        assert_subcubic(build_graph(8, edges))
+    with pytest.raises(DegreeExceededError, match=r"^vertex 7 has degree 5 > 3$"):
+        assert_subcubic(build_graph(8, edges[1:]))
+    assert_subcubic(build_graph(0, []))
+    assert_subcubic(build_graph(1, []))
+
+
 def test_is_cubic():
     assert is_cubic(petersen())
     assert not is_cubic(cycle(4))
     assert not is_cubic(build_graph(0, []))
+    assert not is_cubic(build_graph(1, []))
+    # a 3-regular part does not make the graph 3-regular
+    assert not is_cubic(build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
 
 
 def test_min_degree():
     assert min_degree(cycle(4)) == 2
     assert min_degree(path(3)) == 1
+    assert min_degree(build_graph(1, [])) == 0
     with pytest.raises(EmptyGraphError):
         min_degree(build_graph(0, []))
+
+
+def test_edge_count():
+    assert build_graph(0, []).edge_count == 0
+    assert build_graph(1, []).edge_count == 0
+    assert petersen().edge_count == 15
 
 
 def test_distances_c5():

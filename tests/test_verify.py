@@ -74,6 +74,14 @@ def test_verify_rejects_vertex_out_of_range():
         verify(path(3), make_coloring(3, [("a", 1, [0, 2]), ("b", 1, [1, -1])]))
 
 
+def test_verify_names_the_first_class_out_of_range():
+    # classes in order: 'b' is the first to hold an out-of-range vertex,
+    # though 'a' and 'b' also overlap and 'c' is out of range too
+    coloring = make_coloring(3, [("a", 1, [0, 1]), ("b", 1, [1, 5]), ("c", 2, [2, -4])])
+    with pytest.raises(VertexOutOfRangeError, match=r"^class 'b' mentions vertex 5 outside 0\.\.2$"):
+        verify(path(3), coloring)
+
+
 def test_verify_rejects_size_mismatch():
     with pytest.raises(ColoringError):
         verify(path(3), make_coloring(4, [("a", 1, [0, 2]), ("b", 1, [1, 3])]))
