@@ -1,28 +1,30 @@
 """End-to-end (1,1,2,2)-packing coloring of subcubic graphs.
 
-Pipeline per connected component: 3-regular components are handed to the
-exact oracle (when enabled); otherwise degree-<=1 vertices are peeled
-off, the remaining core is split by the potential-increasing exchange
-search, the outside of the split is 2-colored in the square graph, and
-the peeled vertices are re-attached greedily into the radius-1 classes.
-No other component reaches the oracle: when the exchange search stays
-stuck through every restart, its StuckError surfaces.
+``color_graph`` works in the host graph's ids throughout.  It peels the
+whole graph once: vertices of current degree <= 1 are stripped, lowest
+id first, down to the min-degree-2 core.  A vertex's degree drops only
+through peels in its own component, so each component's share of the
+trace, in order, is the trace of peeling that component alone, and its
+share of the core is its own core.  A 3-regular component peels nothing
+and goes to the exact oracle (when enabled).  Every other component's
+core, when not empty, is induced from the host graph and split by the
+potential-increasing exchange search, and the outside of the split is
+2-colored in the square graph.  No other component reaches the oracle:
+when the exchange search stays stuck through every restart, its
+StuckError surfaces.
+
+Each core run keeps its classes in the core's own dense ids; they, and
+each oracle witness, are mapped to host ids once and merged label-wise,
+which is safe because vertices in different components are at infinite
+distance.  Last, ``_reattach`` replays the whole trace in reverse into
+the radius-1 classes, the rule that ``extend_coloring`` applies to a
+finished coloring.
 
 ``_layout`` builds every coloring here: the classes of
 ``SEQUENCE_1122`` in order, labelled by ``exact.class_labels`` as
 ``decide`` labels them, ``1_a``/``1_b`` (radius 1) and ``2_a``/``2_b``
 (radius 2); classes may be empty.  It runs once per core run and once
-per result.  Components are colored independently and merged
-label-wise, which is safe because vertices in different components are
-at infinite distance.
-
-A component is colored as four plain vertex sets in its own ids.  When
-the component is the whole graph, ``induced`` hands back the graph
-itself and its ids are the host's, so neither the run's peel trace and
-core vertices nor the classes are mapped again; likewise, when nothing
-is peeled, the core is the component and its classes stand as they
-are.  Peeled vertices rejoin the radius-1 sets in place by one rule,
-``_reattach``, which ``extend_coloring`` applies to a finished coloring.
+per result.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ from .graph import (
     assert_subcubic,
     components,
     induced,
-    is_cubic,
 )
 from .verify import ColorClass, InvalidInputColoringError, PackingColoring
 from .weights import compute_weights
@@ -256,55 +257,27 @@ def _oracle_component(g: Graph, options: ColorOptions, host: tuple[int, ...]) ->
     raise CubicComponentError(host, "oracle-timeout")
 
 
-def _color_component(
-    g: Graph, options: ColorOptions, host: tuple[int, ...]
-) -> tuple[list, ComponentRun]:
-    """Color one connected component given in its own dense id space.
-
-    Returns the vertex sets of the classes of CLASS_LABELS, in order and
-    in the component's ids, and the run in host ids.  A 3-regular
-    component goes to the exact oracle when ``fallback_exact`` allows
-    it; every other component goes to the exchange search, whose
-    StuckError (every restart exhausted) surfaces to the caller.
-    """
-    run = ComponentRun(vertices=host)
-    if is_cubic(g):
-        if not options.fallback_exact:
-            raise CubicComponentError(host, "fallback-disabled")
-        run.used_exact = True
-        return [c.vertices for c in _oracle_component(g, options, host).classes], run
-
-    core_vertices, trace = peel(g)
-    if host[-1] == g.n - 1:  # ascending ids, so host is 0 .. n-1: already host ids
-        run.core_vertices, run.peel_trace = core_vertices, trace
-    else:
-        run.core_vertices = tuple(host[v] for v in core_vertices)
-        run.peel_trace = tuple(PeelStep(host[s.vertex], None if s.neighbor is None else host[s.neighbor]) for s in trace)
-    if not core_vertices:  # a tree peels to nothing
-        sets = [set() for _ in CLASS_LABELS]
-    else:
-        core = induced(g, core_vertices).graph
-        w = compute_weights(core)
-        core_run = color_core(
-            core,
-            w,
-            max_moves=options.max_moves,
-            validate=options.validate,
-            restart_attempts=options.restart_attempts,
-        )
-        run.core_run = core_run
-        classes = core_run.coloring.classes
-        if core is g:  # nothing was peeled, so the core's classes stand as they are
-            return [c.vertices for c in classes], run
-        sets = [set(map(core_vertices.__getitem__, c.vertices)) for c in classes]
-    _reattach(sets[0], sets[1], trace)
-    return sets, run
+def _split_by_component(
+    n: int, comps: list[frozenset[int]], core: tuple[int, ...], trace: tuple[PeelStep, ...]
+) -> list[tuple[tuple[int, ...], tuple[PeelStep, ...]]]:
+    """Each component's share of the whole graph's core and peel trace, in order."""
+    label = [0] * n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            label[v] = i
+    shares: list[tuple[list[int], list[PeelStep]]] = [([], []) for _ in comps]
+    for v in core:
+        shares[label[v]][0].append(v)
+    for step in trace:
+        shares[label[step.vertex]][1].append(step)
+    return [(tuple(c), tuple(t)) for c, t in shares]
 
 
 def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
     """Produce a (1,1,2,2)-packing coloring of a subcubic graph.
 
-    Works component by component; 3-regular components need the oracle
+    Peels the whole graph once and colors each component's core in
+    turn, in component order; 3-regular components need the oracle
     fallback enabled (CubicComponentError otherwise, also raised for
     oracle-refuting components such as the Petersen graph).  The oracle
     sees no other component: a StuckError from the exchange search
@@ -313,15 +286,36 @@ def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
     """
     options = options or ColorOptions()
     assert_subcubic(g)
-    merged = [set() for _ in CLASS_LABELS]
+    comps = components(g)
+    core, trace = peel(g)
+    shares = [(core, trace)] if len(comps) == 1 else _split_by_component(g.n, comps, core, trace)
+    sets = [set() for _ in CLASS_LABELS]
     runs: list[ComponentRun] = []
-    for comp in components(g):
-        sub = induced(g, comp)
-        sets, run = _color_component(sub.graph, options, sub.to_host)
+    for comp, (comp_core, comp_trace) in zip(comps, shares):
+        host = tuple(sorted(comp))
+        run = ComponentRun(vertices=host)
         runs.append(run)
-        if sub.graph is g:  # the only component, already in host ids
-            merged = sets
-            continue
-        for target, local in zip(merged, sets):
-            target.update(map(sub.to_host.__getitem__, local))
-    return ColorResult(_layout(g.n, merged), tuple(runs))
+        if not comp_trace and all(len(g.adj[v]) == 3 for v in host):
+            if not options.fallback_exact:
+                raise CubicComponentError(host, "fallback-disabled")
+            run.used_exact = True
+            sub = induced(g, host)
+            classes = _oracle_component(sub.graph, options, host).classes
+        else:
+            run.core_vertices, run.peel_trace = comp_core, comp_trace
+            if not comp_core:  # a tree peels to nothing
+                continue
+            sub = induced(g, comp_core)
+            run.core_run = color_core(
+                sub.graph,
+                compute_weights(sub.graph),
+                max_moves=options.max_moves,
+                validate=options.validate,
+                restart_attempts=options.restart_attempts,
+            )
+            classes = run.core_run.coloring.classes
+        for target, c in zip(sets, classes):
+            # sub is g only for a lone component that peels nothing: host ids already
+            target.update(c.vertices if sub.graph is g else map(sub.to_host.__getitem__, c.vertices))
+    _reattach(sets[0], sets[1], trace)
+    return ColorResult(_layout(g.n, sets), tuple(runs))

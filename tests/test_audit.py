@@ -59,6 +59,24 @@ def test_audit_rejects_tampered_potential():
         audit_core_run(core, tampered)
 
 
+def test_audit_rejects_a_wrong_recorded_before():
+    _, _, core, run = _busy_instance()
+    first = run.moves[0]
+    bumped = Potential(first.before.edges, first.before.weight + 1)
+    tampered = dataclasses.replace(run, moves=(MoveRecord(first.move, bumped, first.after),) + run.moves[1:])
+    with pytest.raises(AuditError, match="move 0: recorded before"):
+        audit_core_run(core, tampered)
+
+
+def test_audit_rejects_a_start_that_is_no_fixpoint():
+    # No moves and the start as the final state: the replay agrees with
+    # the record, but the start still has cheap moves.
+    _, _, core, run = _busy_instance()
+    tampered = dataclasses.replace(run, moves=(), final=run.initial)
+    with pytest.raises(AuditError, match="fixpoint structure violated: lone neighbor"):
+        audit_core_run(core, tampered)
+
+
 def test_audit_rejects_non_increasing_record():
     _, _, core, run = _busy_instance()
     first = run.moves[0]

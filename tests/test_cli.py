@@ -6,8 +6,8 @@ import pytest
 import spack.colorer
 from spack.cli import main
 from spack.exchange import StuckError, initial_state
-from spack.gen import cycle, path, petersen
-from spack.graph import subdivide
+from spack.gen import cycle, path, petersen, random_subcubic
+from spack.graph import build_graph, subdivide
 from spack.graphio import coloring_from_json, encode_graph6, parse_graph6
 from spack.verify import verify, verify_sequence_shape
 
@@ -127,6 +127,18 @@ def test_color_trace_goes_to_stderr(monkeypatch, capsys):
     assert coloring.n == 20
 
 
+def test_color_trace_skips_a_tree_component(monkeypatch, capsys):
+    # The edge 0-1 is a tree with no core run, so only the moves of the
+    # random graph on 2..21 are traced.
+    busy = random_subcubic(20, 26, seed=6)
+    g = build_graph(22, [(0, 1)] + [(u + 2, v + 2) for u, v in busy.edges()])
+    code, out, err = run_cli(monkeypatch, capsys, ["color", "--trace"], stdin=encode_graph6(g) + "\n")
+    assert code == 0
+    lines = err.splitlines()
+    assert lines and all(line.startswith("component 2..: ") for line in lines)
+    assert verify(g, coloring_from_json(out.strip())).ok
+
+
 def test_color_max_moves_budget_exit(monkeypatch, capsys):
     code, gen_out, _ = run_cli(
         monkeypatch,
@@ -181,6 +193,29 @@ def test_verify_reports_partition_defects_on_stderr(monkeypatch, capsys):
     )
     assert code == 1
     assert "unassigned" in err
+    doc = {
+        "n": 3,
+        "classes": [
+            {"label": "1_a", "radius": 1, "vertices": [0]},
+            {"label": "1_b", "radius": 1, "vertices": [0, 1]},
+            {"label": "2_a", "radius": 2, "vertices": [2]},
+        ],
+    }
+    stdin = encode_graph6(cycle(3)) + "\n" + json.dumps(doc) + "\n"
+    code, _, err = run_cli(
+        monkeypatch, capsys, ["verify", "--graph", "-", "--coloring", "-"], stdin=stdin
+    )
+    assert code == 1
+    assert err == "multiply assigned: [0]\n"
+
+
+def test_verify_blank_shared_stdin_exits_two(monkeypatch, capsys):
+    code, out, err = run_cli(
+        monkeypatch, capsys, ["verify", "--graph", "-", "--coloring", "-"], stdin="\n  \n"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected a graph6 line and a coloring document on stdin\n"
 
 
 def test_undecodable_input_exits_two(monkeypatch, capsys, tmp_path):

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spack.colorer
 
@@ -11,6 +12,7 @@ from spack.colorer import (
     CLASS_RADII,
     SEQUENCE_1122,
     ColorOptions,
+    ComponentRun,
     CubicComponentError,
     PeelStep,
     color_core,
@@ -20,11 +22,11 @@ from spack.colorer import (
 )
 from spack.exact import DEFAULT_BUDGET, class_labels
 from spack.exchange import MoveBudgetExceededError, StuckError, initial_state
-from spack.gen import cycle, path, petersen, prism, random_subcubic
-from spack.graph import DegreeExceededError, build_graph, induced
+from spack.gen import cycle, path, petersen, prism, random_subcubic, random_tree
+from spack.graph import DegreeExceededError, build_graph, components, induced, is_cubic
 from spack.verify import ColorClass, InvalidInputColoringError, PackingColoring, verify, verify_sequence_shape
 from spack.weights import compute_weights
-from strategies import subcubic_graphs
+from strategies import loose_graphs, subcubic_graphs
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 LOLLIPOP = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
@@ -176,6 +178,13 @@ def test_cubic_component_size_cap():
     assert exc.value.reason == "oracle-timeout"
 
 
+def test_cubic_component_node_budget():
+    # The oracle's own BUDGET verdict, not the size cap, gives the timeout.
+    with pytest.raises(CubicComponentError) as exc:
+        color_graph(prism(3), ColorOptions(fallback_exact=True, exact_budget=0))
+    assert exc.value.reason == "oracle-timeout"
+
+
 def _stuck_core(g, w, **_):
     raise StuckError("no swap for the test", initial_state(g, w), [])
 
@@ -245,25 +254,77 @@ def _host_trace(trace, to_host):
     )
 
 
-def test_component_runs_stay_in_host_ids():
-    # Three components: a 4-cycle on 0..3, whose own ids are its host ids;
-    # a triangle 4-6-7 with the tail 7-9-11; and the path 5-8-10.  The
-    # last two interleave, so their own ids differ from their host ids.
-    edges = list(cycle(4).edges()) + [(4, 6), (6, 7), (4, 7), (7, 9), (9, 11), (5, 8), (8, 10)]
-    g = build_graph(12, edges)
-    result = color_graph(g)
+# A 4-cycle on 0..3, whose own ids are its host ids; a triangle 4-6-7
+# with the tail 7-9-11; and the path 5-8-10.  The last two interleave,
+# so their own ids differ from their host ids.
+INTERLEAVED = build_graph(
+    12, list(cycle(4).edges()) + [(4, 6), (6, 7), (4, 7), (7, 9), (9, 11), (5, 8), (8, 10)]
+)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Up to four parts (loose graphs, trees, small cubic graphs) on shuffled ids."""
+    parts = draw(
+        st.lists(
+            st.one_of(
+                loose_graphs(),
+                st.builds(random_tree, st.integers(1, 12), st.integers(0, 2**16)),
+                st.sampled_from([K4, prism(3), prism(4)]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    host = draw(st.permutations(range(sum(part.n for part in parts))))
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(host[u + offset], host[v + offset]) for u, v in part.edges()]
+        offset += part.n
+    return build_graph(len(host), edges)
+
+
+def _own_run(g, vertices):
+    """The run of one component peeled and colored on its own, in host ids."""
+    sub = induced(g, vertices)
+    if is_cubic(sub.graph):
+        return ComponentRun(vertices, used_exact=True)
+    core, trace = peel(sub.graph)
+    run = ComponentRun(vertices, tuple(sub.to_host[v] for v in core), _host_trace(trace, sub.to_host))
+    if core:
+        graph = induced(sub.graph, core).graph
+        run.core_run = color_core(graph, compute_weights(graph))
+    return run
+
+
+@settings(max_examples=60, deadline=None)
+@given(disjoint_unions())
+@example(INTERLEAVED)
+def test_component_runs_stay_in_host_ids(g):
+    # color_graph peels the whole graph once; each component's run must
+    # still equal that component's own peel and core run, in host ids,
+    # and the coloring the union of the components' own colorings.
+    options = ColorOptions(fallback_exact=True)
+    result = color_graph(g, options)
+    comps = [tuple(sorted(comp)) for comp in components(g)]
+    assert list(result.components) == [_own_run(g, vertices) for vertices in comps]
+    merged = [set() for _ in CLASS_LABELS]
+    for vertices in comps:
+        sub = induced(g, vertices)
+        for target, c in zip(merged, color_graph(sub.graph, options).coloring.classes):
+            target.update(sub.to_host[v] for v in c.vertices)
+    assert _class_sets(result.coloring) == dict(zip(CLASS_LABELS, merged))
+    assert verify(g, result.coloring).ok
+
+
+def test_interleaved_components_peel_in_host_ids():
+    result = color_graph(INTERLEAVED)
     assert [run.vertices for run in result.components] == [
         (0, 1, 2, 3), (4, 6, 7, 9, 11), (5, 8, 10)
     ]
-    for run in result.components:
-        sub = induced(g, run.vertices)
-        core, trace = peel(sub.graph)
-        assert run.core_vertices == tuple(sub.to_host[v] for v in core)
-        assert run.peel_trace == _host_trace(trace, sub.to_host)
     tail = result.components[1]
     assert tail.core_vertices == (4, 6, 7)
     assert tail.peel_trace == (PeelStep(11, 9), PeelStep(9, 7))
-    assert verify(g, result.coloring).ok
 
 
 def test_connected_graph_runs_keep_the_graphs_own_ids():

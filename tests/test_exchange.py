@@ -29,6 +29,7 @@ from spack.exchange import (
     _same_side_exchange_at,
     _swap_candidates_for_cycle,
     check_fixpoint_invariants,
+    evaluate_move,
     initial_state,
     make_state,
     run_to_fixpoint,
@@ -152,6 +153,21 @@ def test_apply_move_rejects_non_increase():
     state = make_state(C5, W5, {0, 2}, {1, 3})
     with pytest.raises(InvalidMoveError):
         apply_move(C5, W5, state, SameSideExchange(entering=4, leaving=0))
+
+
+def test_evaluate_move_rejects_malformed_moves():
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 5)])
+    w = [3, 2, 1, 1, 1, 1]
+    # The hub 0 sits on the leaving vertex's side next to 3 on the other.
+    state = make_state(g, w, {0, 4}, {3, 5})
+    with pytest.raises(InvalidMoveError, match="hub is not isolated inside S"):
+        evaluate_move(g, w, state, Deg3Exchange(hub=0, entering=1, leaving=4))
+    with pytest.raises(InvalidMoveError, match="unknown move"):
+        evaluate_move(g, w, state, (1, 2))
+    # A Flip that displaces its own vertex assigns it twice.
+    state = make_state(C4, W4, {0}, {2})
+    with pytest.raises(InvalidMoveError, match="plan assigns a vertex twice"):
+        evaluate_move(C4, W4, state, Flip(vertex=1, side=1, displaced=(0, 1)))
 
 
 def test_find_move_prefers_absorb():
@@ -332,11 +348,13 @@ def test_cross_path_swap_regression():
     assert crossed
 
 
-def test_restart_rescues_stuck_canonical_start():
-    # The canonical greedy start of this instance reaches a potential
+@pytest.mark.parametrize("n, m, seed", [(105, 157, 9000345), (79, 118, 3763), (100, 148, 722)])
+def test_restart_rescues_stuck_canonical_start(n, m, seed):
+    # The canonical greedy start of each instance reaches a potential
     # local optimum: an odd square cycle whose every candidate swap is
-    # rejected.  A reseeded start escapes it.
-    g = random_subcubic(105, 157, seed=9000345)
+    # rejected.  A reseeded start escapes it.  The last two are known
+    # stuck starts of random graphs at or near the edge ceiling.
+    g = random_subcubic(n, m, seed=seed)
     core, _ = peel(g)
     sub = induced(g, core)
     w = compute_weights(sub.graph)
@@ -663,6 +681,22 @@ def test_validate_catches_a_side_changed_outside_the_plan_at_the_next_fixpoint(m
     assert len(calls) > index
     if index == 12:  # the last commit: the recount is of the state that would be returned
         assert "after 13 moves" in str(exc.value)
+
+
+def test_validate_catches_a_missing_move_kind_at_the_fixpoint(monkeypatch):
+    # Without SameSideExchange the search stops at a state where that
+    # move still applies, and the fixpoint check names the lone
+    # neighbours left behind: one with too few S-neighbours, one lighter
+    # than the outside vertex it blocks.
+    sub, w = _core(random_subcubic(20, 29, seed=137))
+    moves = run_to_fixpoint(sub, w, initial_state(sub, w)).moves
+    assert any(isinstance(record.move, SameSideExchange) for record in moves)
+    kept = tuple(kind for kind in _CHEAP_KINDS if kind[0] is not _same_side_exchange_at)
+    monkeypatch.setattr(spack.exchange, "_CHEAP_KINDS", kept)
+    with pytest.raises(InvalidStateError, match="^fixpoint invariants violated: lone neighbor ") as exc:
+        run_to_fixpoint(sub, w, initial_state(sub, w))
+    assert "has S-degree 1" in str(exc.value)
+    assert "is lighter" in str(exc.value)
 
 
 def test_validate_recounts_the_start_state():

@@ -21,6 +21,8 @@ from spack.graphio import (
     FormatError,
     MalformedHeaderError,
     TrailingBitsError,
+    _parse_size,
+    _size_prefix,
     coloring_from_dict,
     coloring_from_json,
     coloring_to_dict,
@@ -66,6 +68,20 @@ def test_graph6_accepts_non_canonical_size_forms():
     # The same path(5) via the 4-byte and 8-byte size encodings.
     assert parse_graph6("~??DhC") == path(5)
     assert parse_graph6("~~?????DhC") == path(5)
+
+
+@pytest.mark.parametrize("n", [258047, 258048, (1 << 36) - 1])
+def test_graph6_size_prefix_roundtrips_at_the_long_forms(n):
+    # 258047 is the last 4-byte size, 258048 the first 8-byte one, and
+    # 2^36 - 1 the largest size graph6 can state.
+    prefix = _size_prefix(n)
+    assert len(prefix) == (4 if n <= 258047 else 8)
+    assert _parse_size(prefix + "rest") == (n, "rest")
+
+
+def test_graph6_size_prefix_refuses_n_beyond_36_bits():
+    with pytest.raises(FormatError, match="cannot encode"):
+        _size_prefix(1 << 36)
 
 
 def test_graph6_rejects_bad_bytes():

@@ -32,6 +32,14 @@ def test_scale_benchmark_one_size():
     assert [row.split()[-1] for row in rows] == ["1"] * 3  # attempts
 
 
+def test_restart_hunt_small_slice():
+    done = _run("restart_hunt.py", "--sizes", "50", "--seeds", "10")
+    assert done.returncode == 0, done.stderr
+    histogram, digest = done.stdout.splitlines()
+    assert histogram == "attempts {1: 20}"  # two edge counts times ten seeds
+    assert digest.startswith("sha256 ") and len(digest.split()[1]) == 64
+
+
 def test_build_corpus_matches_committed_corpus(tmp_path):
     pytest.importorskip("networkx")
     out = tmp_path / "corpus.g6"
