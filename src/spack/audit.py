@@ -1,25 +1,28 @@
 """Independent replay audits of coloring runs.
 
-Re-executes a recorded exchange run from its initial sides alone,
-validating every move and committing it in place.  The neighbour counts
-are rebuilt from those sides, not read from the record, so a forged
-count can neither fail a sound run nor hide a fault.  The potential is
-recounted from scratch at the start and at the end of the replay; in
-between, every move goes through the search's own checked commit
-(``exchange.checked_commit``), whose touched check always runs: the
-potential change must equal a count over the vertices whose side it
-changed (``weights.touched_potential``), which equals a recount by
-induction from the first anchor.  The audit then re-derives the
+Re-executes a recorded exchange run from its initial sides alone, under
+weights re-derived from the core (``weights.compute_weights``), which
+must equal the recorded ones; every move is validated and committed in
+place.  The neighbour counts are rebuilt from those sides, not read from
+the record, so a forged count can neither fail a sound run nor hide a
+fault.  The potential is recounted from scratch at the start and at the
+end of the replay; in between, every move goes through the search's own
+checked commit (``exchange.checked_commit``), whose touched check always
+runs: the potential change must equal a count over the vertices whose
+side it changed (``weights.touched_potential``), which equals a recount
+by induction from the first anchor.  The audit then re-derives the
 fixpoint structure and the outside square bipartition on the replayed
-state.  Used by the test suite to certify that every committed move
-strictly increased the potential and that every terminal state
-satisfies the structural invariants.
+state, checks that the run's coloring is their layout, and ties each run
+to the result: its classes, in host ids, lie within the result's
+classes at the same positions.  Used by the test suite to certify that
+every committed move strictly increased the potential and that every
+terminal state satisfies the structural invariants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colorer import ColorResult, CoreRun
+from .colorer import ColorResult, CoreRun, _layout
 from .exchange import (
     InvalidStateError,
     check_fixpoint_invariants,
@@ -30,7 +33,7 @@ from .exchange import (
 )
 from .graph import Graph, induced
 from .verify import verify
-from .weights import inside_potential
+from .weights import compute_weights, inside_potential
 
 
 class AuditError(ValueError):
@@ -49,7 +52,9 @@ class AuditReport:
 
 def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     """Replay one core run; raises AuditError on any discrepancy."""
-    w = list(run.weights)
+    w = compute_weights(core)
+    if tuple(w) != tuple(run.weights):
+        raise AuditError("recorded weights differ from the core's own weights")
     try:
         state = make_state(core, w, run.initial.s1, run.initial.s2)
     except InvalidStateError as err:
@@ -88,20 +93,29 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
                 f"outside vertices {order[a]} and {order[b]} share a radius-2 part "
                 "but are within distance 2"
             )
+    if run.coloring != _layout(core.n, (state.s1, state.s2, h1, h2)):
+        raise AuditError("run coloring is not the layout of its final sides and square parts")
     return AuditReport(runs=1, moves=len(run.moves))
 
 
 def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
     """Audit every core run inside a coloring result and verify its coloring.
 
-    Each core is re-derived from ``g`` and its recorded vertices alone.
+    Each core is re-derived from ``g`` and its recorded vertices alone;
+    each run's classes, in host ids, must lie in the result's same-position classes.
     """
     report = AuditReport()
+    classes = result.coloring.classes
     for comp in result.components:
-        if comp.core_run is None:
+        run = comp.core_run
+        if run is None:
             continue
-        core = induced(g, comp.core_vertices).graph
-        report.merge(audit_core_run(core, comp.core_run))
+        sub = induced(g, comp.core_vertices)
+        report.merge(audit_core_run(sub.graph, run))
+        for i, c in enumerate(run.coloring.classes):
+            held = classes[i].vertices if i < len(classes) else frozenset()
+            if not held.issuperset(map(sub.to_host.__getitem__, c.vertices)):
+                raise AuditError(f"core class {c.label} at {comp.vertices[0]} is not in the result")
     outcome = verify(g, result.coloring)
     if not outcome.ok:
         raise AuditError(

@@ -26,11 +26,11 @@ scan of the kinds in priority order and the vertices in ascending id.
 Every candidate move goes through checked application: independence and
 a strict potential increase are validated before any commit, so a proof
 edge case can only ever surface as a ``StuckError`` diagnostic, never as
-a corrupt state.  Each move is evaluated once; the search commits the
-evaluated plan in place.  ``evaluate_move`` and ``commit_move`` are
-that validation and that commit for a move given from outside.  The
-search and the audit's replay both commit through ``checked_commit``,
-which checks every commit on the vertices it touches
+a corrupt state.  Each move is evaluated once, by one walk that checks
+both; the search commits the evaluated plan in place.  ``evaluate_move``
+and ``commit_move`` are that validation and that commit for a move given
+from outside.  The search and the audit's replay both commit through
+``checked_commit``, which checks every commit on the vertices it touches
 (``weights.touched_potential``) rather than by an O(n) recount; with
 validation on, the from-scratch recount anchors that check at the start
 and at every cheap-move fixpoint.
@@ -81,15 +81,15 @@ class MoveBudgetExceededError(ExchangeError):
 class StuckError(ExchangeError):
     """The outside square is not bipartite and no swap on its odd cycle validates.
 
-    ``cycles`` holds the one cycle tried, the square 2-coloring's
+    ``cycle`` is the one cycle tried, the square 2-coloring's
     certificate, in the searched graph's ids; ``color_core`` restarts
     from a new start.
     """
 
-    def __init__(self, message: str, state: "BipartitionState", cycles: list[tuple[int, ...]]):
+    def __init__(self, message: str, state: "BipartitionState", cycle: tuple[int, ...]):
         super().__init__(message)
         self.state = state
-        self.cycles = cycles
+        self.cycle = cycle
 
 
 OUTSIDE = 0
@@ -338,35 +338,27 @@ def _move_plan(g: Graph, state: BipartitionState, move: Move) -> list[tuple[int,
 def _evaluate_plan(
     g: Graph, w: list[int], state: BipartitionState, plan: list[tuple[int, int]]
 ) -> tuple[Potential | None, str | None]:
-    """Validate a plan; return (new potential, None) or (None, reason)."""
+    """Validate a plan in one walk over each mover's adjacency, in plan order.
+
+    Returns (new potential, None), or (None, reason) at the first pair
+    that would share a side or when the potential does not strictly rise.
+    """
     targets = dict(plan)
     if len(targets) != len(plan):
         raise InvalidMoveError("plan assigns a vertex twice")
     side = state.side
-
-    def final(v: int) -> int:
-        return targets.get(v, side[v])
-
+    delta_e = delta_w = 0
     for v, s in targets.items():
-        if s != OUTSIDE:
-            for u in g.adj[v]:
-                if final(u) == s:
-                    return None, f"vertices {v} and {u} would share side {s}"
-
-    delta_e = 0
-    delta_w = 0
-    for v, s in targets.items():
-        old = side[v]
-        if (old != OUTSIDE) != (s != OUTSIDE):
-            delta_w += w[v] if s != OUTSIDE else -w[v]
+        inside, was = s != OUTSIDE, side[v] != OUTSIDE
+        if inside != was:
+            delta_w += w[v] if inside else -w[v]
         for u in g.adj[v]:
-            if u in targets and u < v:
+            t = targets.get(u, side[u])
+            if inside and t == s:
+                return None, f"vertices {v} and {u} would share side {s}"
+            if u < v and u in targets:
                 continue  # count mover-mover edges once
-            u_old = side[u]
-            u_new = final(u)
-            before = old != OUTSIDE and u_old != OUTSIDE
-            after = s != OUTSIDE and u_new != OUTSIDE
-            delta_e += int(after) - int(before)
+            delta_e += (inside and t != OUTSIDE) - (was and side[u] != OUTSIDE)
     new = Potential(state.potential.edges + delta_e, state.potential.weight + delta_w)
     if not new > state.potential:
         return None, f"potential {state.potential} -> {new} is not a strict increase"
@@ -508,24 +500,17 @@ class _Worklist:
     that yields a move is therefore the first move of the full scan
     (kinds in priority order, vertices in ascending id).
 
-    A flag is set only where its kind's side precondition holds: at
-    outside vertices for Absorb, Flip and SameSideExchange, at hubs for
-    Deg3Exchange.  Elsewhere the evaluator returns None at once, so
-    leaving the flag clear keeps the invariant.  The precondition reads
-    sides within distance 1 of v, and every kind's radius is at least
-    1, so a commit that makes it true also re-flags v in ``touch``.
+    ``_reflag`` sets each flag to its kind's side precondition: v outside
+    for Absorb, Flip and SameSideExchange, v a hub for Deg3Exchange.
+    Elsewhere the evaluator returns None at once, so a clear flag keeps
+    the invariant.  It runs on every vertex, at distance 0, when the
+    worklist is built, and on the ball around the changed vertices after
+    each commit; the precondition reads sides within distance 1 and
+    every radius is at least 1, so a commit that makes it true re-flags v.
     """
 
     def __init__(self, g: Graph, state: BipartitionState):
-        # Every vertex starts at distance 0 from a change, so each kind's
-        # first flags are its side precondition at every vertex.
-        side = state.side
-        outside = bytes(map(OUTSIDE.__eq__, side))
-        hub = bytearray(g.n)
-        # a hub is a vertex of S with degree 3 and all three neighbors outside
-        for v in itertools.compress(range(g.n), map((3).__eq__, state.nbr[OUTSIDE])):
-            hub[v] = side[v] != OUTSIDE and len(g.adj[v]) == 3
-        self.flags = [bytearray(outside if at_outside else hub) for _, _, at_outside in _CHEAP_KINDS]
+        self.flags = [bytearray(g.n) for _ in _CHEAP_KINDS]
         # within[d]: (flags, at_outside) of the kinds whose radius is at least d
         self.within = [
             [
@@ -535,6 +520,7 @@ class _Worklist:
             ]
             for d in range(_REACH + 1)
         ]
+        self._reflag(g, state, zip(range(g.n), itertools.repeat(0)))
 
     def next_move(self, g: Graph, w: list[int], state: BipartitionState) -> Candidate | None:
         for (evaluate, _, _), flags in zip(_CHEAP_KINDS, self.flags):
@@ -671,7 +657,7 @@ def _find_square_swap(
         found = _try_move(g, w, state, candidate)
         if found:
             return found
-    raise StuckError(f"no validated swap for the odd outside cycle {cycle}", state, [cycle])
+    raise StuckError(f"no validated swap for the odd outside cycle {cycle}", state, cycle)
 
 
 def check_fixpoint_invariants(g: Graph, w: list[int], state: BipartitionState) -> list[str]:
@@ -718,20 +704,15 @@ def run_to_fixpoint(
     """Drive the state to a fixpoint whose outside square is bipartite.
 
     Cheap moves come from a dirty-flag worklist (``_Worklist``), one
-    flag array per kind, built from the start state.  Each search takes
-    the lowest flagged vertex of the highest-priority kind and clears
-    the flag of every vertex that yields no move; each commit re-flags
-    only the vertices within the kind's locality radius of a vertex
-    whose side changed: 1 for Absorb, 2 for Flip and SameSideExchange, 3
-    for Deg3Exchange.  At the start and on each re-flag, a flag is set
-    only where the kind's side precondition holds (v outside for
-    Absorb, Flip and SameSideExchange; v in S with degree 3 and no
-    S-neighbor for Deg3Exchange), since elsewhere the evaluator returns
-    None at once.  Every side and neighbor count an evaluator (and the
-    plan validation behind it) reads lies inside its radius, and the
-    precondition reads within distance 1, so a vertex left unflagged
-    still has no move, and the search returns exactly the move a rescan
-    of every vertex from Absorb would find.
+    flag array per kind: each search takes the lowest flagged vertex of
+    the highest-priority kind and clears the flag of every vertex that
+    yields no move, and each commit re-flags, by the kind's side
+    precondition, only the vertices within the kind's locality radius
+    of a vertex whose side changed.  Every side and neighbor count an
+    evaluator (and the plan validation behind it) reads lies inside its
+    radius, so a vertex left unflagged still has no move, and the search
+    returns exactly the move a rescan of every vertex from Absorb would
+    find.
 
     Once no cheap move is left the outside square graph is built; if it
     is bipartite we are done, otherwise a validated cycle or path swap

@@ -185,7 +185,7 @@ def induced(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
     for i, v in enumerate(order):
         pos[v] = i
     # pos is monotone on the kept vertices, so each filtered host list stays sorted
-    adj = tuple(tuple([pos[v] for v in g.adj[u] if pos[v] >= 0]) for u in order)
+    adj = tuple([tuple([pos[v] for v in g.adj[u] if pos[v] >= 0]) for u in order])
     return InducedSubgraph(Graph(len(order), adj), tuple(order))
 
 

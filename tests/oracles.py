@@ -462,7 +462,7 @@ def _reference_square_stage(
         except InvalidMoveError:
             continue
         return move
-    raise StuckError(f"no validated swap for the odd outside cycle {cycle}", state, [cycle])
+    raise StuckError(f"no validated swap for the odd outside cycle {cycle}", state, cycle)
 
 
 def reference_run_to_fixpoint(

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 
 from spack.audit import AuditError, AuditReport, audit_color_result, audit_core_run
-from spack.colorer import color_graph
+from spack.colorer import color_core, color_graph
 from spack.exchange import OUTSIDE, MoveRecord, SquareBipartition, square_outside
 from spack.gen import path, random_subcubic
 from spack.graph import induced
-from spack.verify import ColorClass, PackingColoring
+from spack.verify import ColorClass, PackingColoring, verify
 from spack.weights import Potential
 from strategies import subcubic_graphs
 
@@ -148,6 +148,47 @@ def test_audit_rejects_square_parts_within_distance_two():
     tampered = dataclasses.replace(run, square=moved)
     with pytest.raises(AuditError, match=f"{min(x, order[b])}.* share a radius-2 part"):
         audit_core_run(core, tampered)
+
+
+def _swap_first_two(classes):
+    """``classes`` with the vertex sets of its first two classes exchanged."""
+    a, b, *rest = classes
+    return (
+        dataclasses.replace(a, vertices=b.vertices),
+        dataclasses.replace(b, vertices=a.vertices),
+        *rest,
+    )
+
+
+def test_audit_rejects_forged_weights():
+    # A sound run on all-ones weights: every move replays under those
+    # weights, but they are not the core's own.
+    g = random_subcubic(60, 89, seed=5, require_non_cubic=True)
+    result = color_graph(g)
+    components = list(result.components)
+    i, comp = next((i, c) for i, c in enumerate(components) if c.core_run is not None)
+    core = induced(g, comp.core_vertices).graph
+    components[i] = dataclasses.replace(comp, core_run=color_core(core, [1] * core.n))
+    forged = dataclasses.replace(result, components=tuple(components))
+    with pytest.raises(AuditError, match="recorded weights differ"):
+        audit_color_result(g, forged)
+
+
+def test_audit_rejects_a_run_whose_coloring_is_not_in_the_result():
+    # Exchanging the result's two radius-1 classes leaves a valid
+    # coloring and sound runs, but no run's 1_a class is in the result's.
+    g, result, _, _ = _busy_instance()
+    swapped = PackingColoring(g.n, _swap_first_two(result.coloring.classes))
+    assert verify(g, swapped).ok
+    with pytest.raises(AuditError, match="core class 1_a .* is not in the result"):
+        audit_color_result(g, dataclasses.replace(result, coloring=swapped))
+
+
+def test_audit_rejects_a_run_coloring_off_its_final_state():
+    _, _, core, run = _busy_instance()
+    swapped = PackingColoring(core.n, _swap_first_two(run.coloring.classes))
+    with pytest.raises(AuditError, match="not the layout of its final sides"):
+        audit_core_run(core, dataclasses.replace(run, coloring=swapped))
 
 
 def test_audit_rejects_invalid_final_coloring():

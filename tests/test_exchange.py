@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,23 @@ def test_evaluate_move_rejects_malformed_moves():
     state = make_state(C4, W4, {0}, {2})
     with pytest.raises(InvalidMoveError, match="plan assigns a vertex twice"):
         evaluate_move(C4, W4, state, Flip(vertex=1, side=1, displaced=(0, 1)))
+
+
+def test_evaluate_move_names_the_first_conflicting_pair():
+    # Both entrants meet side 1 (4 at 3, 1 at 0); the plan enters 4 first.
+    g, w = cycle(6), [1] * 6
+    state = make_state(g, w, {0, 3}, set())
+    first = "^PathSwap rejected: vertices 4 and 3 would share side 1$"
+    with pytest.raises(InvalidMoveError, match=first):
+        evaluate_move(g, w, state, PathSwap(path=(4, 1), displaced=(), side=1))
+
+
+def test_evaluate_move_names_a_non_increasing_potential():
+    # 4 replaces 0: three inside edges and weight 4 before and after.
+    state = make_state(C5, W5, {0, 2}, {1, 3})
+    same = re.escape(f"potential {Potential(3, 4)} -> {Potential(3, 4)} is not a strict increase")
+    with pytest.raises(InvalidMoveError, match=f"^SameSideExchange rejected: {same}$"):
+        evaluate_move(C5, W5, state, SameSideExchange(entering=4, leaving=0))
 
 
 def test_find_move_prefers_absorb():
@@ -360,7 +378,7 @@ def test_restart_rescues_stuck_canonical_start(n, m, seed):
     w = compute_weights(sub.graph)
     with pytest.raises(StuckError) as exc:
         color_core(sub.graph, w, restart_attempts=1)
-    assert exc.value.cycles
+    assert exc.value.cycle
     run = color_core(sub.graph, w)
     assert run.attempts == 2
 
@@ -375,12 +393,12 @@ def test_square_stage_raises_stuck_itself():
     stuck = exc.value
     with pytest.raises(StuckError) as again:
         _find_square_swap(sub, w, stuck.state)
-    assert again.value.cycles == stuck.cycles
+    assert again.value.cycle == stuck.cycle
     assert again.value.state is stuck.state
     # The one cycle tried is the square 2-coloring's certificate.
     sq, order = square_outside(sub, stuck.state)
     certificate = bipartition_or_odd_cycle(sq)
-    assert stuck.cycles == [tuple(order[i] for i in certificate.vertices)]
+    assert stuck.cycle == tuple(order[i] for i in certificate.vertices)
 
 
 def test_square_stage_returns_bipartition_at_clean_fixpoint():
@@ -413,7 +431,7 @@ def _outcome(engine, g, w, state):
     try:
         result = engine(g, w, state)
     except StuckError as stuck:
-        return "stuck", stuck.cycles, stuck.state.side
+        return "stuck", stuck.cycle, stuck.state.side
     return "fixpoint", result.moves, result.state.side, result.square_bipartition
 
 

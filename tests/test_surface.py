@@ -9,6 +9,11 @@ when it appears as an identifier, an attribute or an imported name.
 The scan compares names, not bindings, so it cannot see a dead function
 whose name collides with a live attribute or local: a module-level
 ``potential`` function would pass, because ``state.potential`` is used.
+
+``test_no_module_imports_a_name_it_never_uses`` stands in for a linter's
+unused-import rule: every name a module of ``src/spack`` other than
+``__init__.py`` binds by a module-level import must be read in that
+module.
 """
 from __future__ import annotations
 
@@ -106,3 +111,25 @@ def test_star_import_binds_every_name():
     namespace: dict[str, object] = {}
     exec("from spack import *", namespace)
     assert [name for name in EXPORTS if name not in namespace] == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``file:line name`` for each module-level import binding the module never reads."""
+    tree = ast.parse(path.read_text())
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert [dead for path in modules for dead in _unused_imports(path)] == []
