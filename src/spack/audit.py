@@ -21,8 +21,9 @@ terminal state satisfies the structural invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .colorer import ColorResult, CoreRun, _layout
+from .colorer import CLASS_LABELS, CLASS_RADII, ColorResult, CoreRun
 from .exchange import (
     InvalidStateError,
     check_fixpoint_invariants,
@@ -32,7 +33,7 @@ from .exchange import (
     square_outside,
 )
 from .graph import Graph, induced
-from .verify import verify
+from .verify import PackingColoring, verify
 from .weights import compute_weights, inside_potential
 
 
@@ -48,6 +49,27 @@ class AuditReport:
     def merge(self, other: "AuditReport") -> None:
         self.runs += other.runs
         self.moves += other.moves
+
+
+def _is_layout(coloring: PackingColoring, side: list[int], h1: frozenset[int], h2: frozenset[int]) -> bool:
+    """Whether ``coloring`` is ``colorer._layout`` of ``side`` and the square parts, checked in place.
+
+    A radius-1 class is the vertices on its side when it holds as many
+    vertices as the side and contains every one of them.
+    """
+    classes = coloring.classes
+    if (
+        coloring.n != len(side)
+        or tuple(c.label for c in classes) != CLASS_LABELS
+        or coloring.radii() != CLASS_RADII
+    ):
+        return False
+    for s, c in zip((1, 2), classes):
+        if len(c.vertices) != side.count(s) or not c.vertices.issuperset(
+            compress(range(len(side)), map(s.__eq__, side))
+        ):
+            return False
+    return classes[2].vertices == h1 and classes[3].vertices == h2
 
 
 def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
@@ -93,7 +115,7 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
                 f"outside vertices {order[a]} and {order[b]} share a radius-2 part "
                 "but are within distance 2"
             )
-    if run.coloring != _layout(core.n, (state.s1, state.s2, h1, h2)):
+    if not _is_layout(run.coloring, state.side, h1, h2):
         raise AuditError("run coloring is not the layout of its final sides and square parts")
     return AuditReport(runs=1, moves=len(run.moves))
 

@@ -11,17 +11,22 @@ radius-2 color classes while s1/s2 become the radius-1 classes.
 The four cheap move kinds (Absorb, Flip, Deg3Exchange,
 SameSideExchange) each have a per-vertex evaluator, and the search keeps
 a dirty-flag worklist per kind instead of rescanning every vertex after
-each commit.  A commit changes the sides of a few vertices; an
-evaluator at v reads sides only within a fixed radius of v (1 for
-Absorb, 2 for Flip and SameSideExchange, 3 for Deg3Exchange), so only
-vertices that close to a changed vertex are flagged again.  A flag is
-set only where its kind can fire at all: Absorb, Flip and
-SameSideExchange at outside vertices, Deg3Exchange at degree-3 vertices
-of S with no neighbor in S.  That side precondition reads sides within
-distance 1 of v, inside every kind's radius, so a commit that makes it
-true re-flags v.  Locality and the precondition together keep the
-worklist exact: it returns the same move, in the same order, as a full
-scan of the kinds in priority order and the vertices in ascending id.
+each commit.  Each kind has a rule, its evaluator's whole precheck:
+Absorb, an outside vertex with no neighbor on some side; Flip, an
+outside vertex with a side whose neighbors there have no neighbor
+across; SameSideExchange, an outside vertex whose three S-neighbors
+split 2 + 1 and whose lone neighbor has S-degree at most 1 or is
+lighter; Deg3Exchange, a hub, a degree-3 vertex of S with no neighbor
+in S.  Where the first three rules hold their moves provably raise the
+potential, so a flag of theirs is set exactly where the move fires; a
+Deg3Exchange flag is set at every hub.  A commit changes the sides of a
+few vertices.  The rules read sides within distance 1, 2, 2 and 1 of v,
+and the evaluators within 1, 2, 2 and 3, so only vertices that close to
+a changed vertex can change: within a rule's reach its flag is
+recomputed, and beyond it, up to the evaluator's, a flag is only set
+where the rule holds.  The worklist thus returns the same move, in the
+same order, as a full scan of the kinds in priority order and the
+vertices in ascending id.
 
 Every candidate move goes through checked application: independence and
 a strict potential increase are validated before any commit, so a proof
@@ -46,15 +51,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
-from .graph import (
-    Bipartition,
-    Graph,
-    ball,
-    bipartition_or_odd_cycle,
-    min_degree,
-)
+from .graph import Bipartition, Graph, bipartition_or_odd_cycle, min_degree
 from .weights import Potential, inside_potential, touched_potential
 
 
@@ -422,33 +421,73 @@ def _try_move(g, w, state, move) -> Candidate | None:
     return None if new_potential is None else Candidate(move, plan, new_potential)
 
 
-def _absorb_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
+# Each cheap kind's rule is its evaluator's whole precheck, everything
+# the evaluator tests before it builds a plan; the worklist flags by the
+# same function.  A rule returns 0 where it fails, else the side its move
+# is about.  Where the rules of Absorb, Flip and SameSideExchange hold,
+# their moves validate (each docstring gives the count), so those
+# evaluators never return None there.
+
+
+def _absorb_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
+    """Absorb's rule: the first side where outside x has no neighbor, or 0.
+
+    Reads sides within distance 1.  Absorbing x there adds w[x] >= 1 to
+    the inside weight and loses no inside edge.
+    """
     if state.side[x] != OUTSIDE:
-        return None
-    if state.nbr[1][x] == 0:
-        return _try_move(g, w, state, Absorb(x, 1))
-    if state.nbr[2][x] == 0:
-        return _try_move(g, w, state, Absorb(x, 2))
-    return None
+        return 0
+    nbr = state.nbr
+    return 1 if nbr[1][x] == 0 else 2 if nbr[2][x] == 0 else 0
+
+
+def _absorb_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
+    s = _absorb_side(g, w, state, x)
+    return _try_move(g, w, state, Absorb(x, s)) if s else None
+
+
+def _flip_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
+    """Flip's rule: the first side s where outside x has neighbors and none has a neighbor across, or 0.
+
+    Reads sides within distance 2.  Those neighbors had no inside edge
+    (s is independent and nothing across touches them); after the flip
+    each has one to x, so the inside edges grow by at least one.
+    """
+    side = state.side
+    if side[x] != OUTSIDE:
+        return 0
+    nbr = state.nbr
+    for s in (1, 2):
+        if nbr[s][x]:
+            across = nbr[_other(s)]
+            for u in g.adj[x]:
+                if side[u] == s and across[u]:
+                    break
+            else:
+                return s
+    return 0
 
 
 def _flip_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
-    sides = state.side
-    if sides[x] != OUTSIDE:
+    s = _flip_side(g, w, state, x)
+    if not s:
         return None
-    for side in (1, 2):
-        displaced = [u for u in g.adj[x] if sides[u] == side]
-        if not displaced or any(map(state.nbr[_other(side)].__getitem__, displaced)):
-            continue
-        found = _try_move(g, w, state, Flip(x, side, tuple(displaced)))
-        if found:
-            return found
-    return None
+    displaced = tuple(u for u in g.adj[x] if state.side[u] == s)
+    return _try_move(g, w, state, Flip(x, s, displaced))
+
+
+def _hub_side(g: Graph, w: list[int], state: BipartitionState, z: int) -> int:
+    """Deg3Exchange's rule: the side of z when z is a hub, or 0.
+
+    A hub is a degree-3 vertex of S with no neighbor in S, so every
+    neighbor of a hub is outside.  Reads sides within distance 1.
+    """
+    s = state.side[z]
+    return s if s != OUTSIDE and len(g.adj[z]) == 3 == state.nbr[OUTSIDE][z] else 0
 
 
 def _deg3_exchange_at(g: Graph, w: list[int], state: BipartitionState, z: int) -> Candidate | None:
-    # z is isolated in S, so all three of its neighbors are outside
-    if state.side[z] == OUTSIDE or len(g.adj[z]) != 3 or state.s_degree(z) != 0:
+    if not _hub_side(g, w, state, z):
         return None
     for x in g.adj[z]:
         if w[x] >= w[z]:
@@ -462,68 +501,95 @@ def _deg3_exchange_at(g: Graph, w: list[int], state: BipartitionState, z: int) -
     return None
 
 
+def _exchange_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
+    """SameSideExchange's rule: the side of the lone S-neighbor x3 of outside x, or 0.
+
+    It holds when x has three neighbors in S split 2 + 1 across the
+    sides and x3, the one alone on its side, has S-degree at most 1 or
+    is lighter than x.  Reads sides within distance 2.  x3 has at most
+    two S-neighbors (x is outside), so x taking its place gains
+    2 - s_degree(x3) >= 0 inside edges, and w[x] - w[x3] > 0 weight when
+    that gain is 0.
+    """
+    side = state.side
+    if side[x] != OUTSIDE:
+        return 0
+    in1, in2 = state.nbr[1], state.nbr[2]
+    if in1[x] + in2[x] != 3 or in1[x] == 3 or in2[x] == 3:
+        return 0  # fewer than three S-neighbors, or absorbable rather than exchangeable
+    s = 1 if in1[x] == 1 else 2
+    for x3 in g.adj[x]:
+        if side[x3] == s:
+            return s if in1[x3] + in2[x3] <= 1 or w[x3] < w[x] else 0
+
+
 def _same_side_exchange_at(
     g: Graph, w: list[int], state: BipartitionState, x: int
 ) -> Candidate | None:
-    if state.side[x] != OUTSIDE or state.s_degree(x) != 3:
+    s = _exchange_side(g, w, state, x)
+    if not s:
         return None
-    if state.nbr[1][x] == 3 or state.nbr[2][x] == 3:
-        return None  # absorbable, not exchangeable
-    lone_side = 1 if state.nbr[1][x] == 1 else 2
-    x3 = next(u for u in g.adj[x] if state.side[u] == lone_side)
-    if state.s_degree(x3) <= 1 or w[x3] < w[x]:
-        return _try_move(g, w, state, SameSideExchange(x, x3))
-    return None
+    x3 = next(u for u in g.adj[x] if state.side[u] == s)
+    return _try_move(g, w, state, SameSideExchange(x, x3))
 
 
-# The cheap move kinds in priority order, each with its locality radius
-# and the side its vertex must be on.  The evaluator at v reads sides
-# (and neighbor counts derived from them) only within the radius of v,
-# so a commit can change its answer only for vertices that close to a
-# vertex whose side changed.  Absorb, Flip and SameSideExchange fire
-# only at outside vertices (``at_outside``); Deg3Exchange fires only at
-# a hub, a degree-3 vertex of S with no neighbor in S.
+# The cheap move kinds in priority order: (evaluator, rule, at_outside,
+# the radius within which the rule reads sides, the radius within which
+# the evaluator and the plan validation behind it read sides).  A commit
+# can change an answer only for vertices that close to a vertex whose
+# side changed.  A rule holds only at outside vertices (``at_outside``)
+# or only at vertices of S whose neighbors are all outside; no kind of
+# the first sort reads beyond distance 2, which lets ``_Worklist.touch``
+# reach the hubs at distance 3 through the outside vertices at distance 2.
 _CHEAP_KINDS = (
-    (_absorb_at, 1, True),
-    (_flip_at, 2, True),
-    (_deg3_exchange_at, 3, False),
-    (_same_side_exchange_at, 2, True),
+    (_absorb_at, _absorb_side, True, 1, 1),
+    (_flip_at, _flip_side, True, 2, 2),
+    (_deg3_exchange_at, _hub_side, False, 1, 3),
+    (_same_side_exchange_at, _exchange_side, True, 2, 2),
 )
-_REACH = max(radius for _, radius, _ in _CHEAP_KINDS)
+_REACH = max(radius for *_, radius in _CHEAP_KINDS)
 
 
 class _Worklist:
-    """Dirty flags per cheap move kind; a clear flag means no move there.
+    """Dirty flags per cheap move kind over one search's graph, weights and state.
 
-    The invariant: whenever ``flags[k][v]`` is 0, the kind-k evaluator
-    at v returns None in the current state.  The first flagged vertex
-    that yields a move is therefore the first move of the full scan
-    (kinds in priority order, vertices in ascending id).
+    Two invariants hold between commits: a clear ``flags[k][v]`` means
+    the kind-k evaluator at v returns None, and a set one means the
+    kind-k rule holds at v.  The first flagged vertex that yields a move
+    is therefore the first move of the full scan (kinds in priority
+    order, vertices in ascending id).  The rules of Absorb, Flip and
+    SameSideExchange are their evaluators' whole prechecks and their
+    moves then always validate, so their flags sit exactly where they
+    fire; a Deg3Exchange flag sits at a hub, where the evaluator may
+    still find nothing and clears it.
 
-    ``_reflag`` sets each flag to its kind's side precondition: v outside
-    for Absorb, Flip and SameSideExchange, v a hub for Deg3Exchange.
-    Elsewhere the evaluator returns None at once, so a clear flag keeps
-    the invariant.  It runs on every vertex, at distance 0, when the
-    worklist is built, and on the ball around the changed vertices after
-    each commit; the precondition reads sides within distance 1 and
-    every radius is at least 1, so a commit that makes it true re-flags v.
+    The flags start as the rules, tried at the outside vertices and at
+    their neighbors in S; ``touch`` keeps the invariants after each
+    commit.
     """
 
-    def __init__(self, g: Graph, state: BipartitionState):
+    def __init__(self, g: Graph, w: list[int], state: BipartitionState):
+        self.g, self.w, self.state = g, w, state
         self.flags = [bytearray(g.n) for _ in _CHEAP_KINDS]
-        # within[d]: (flags, at_outside) of the kinds whose radius is at least d
-        self.within = [
+        self.queues = [(evaluate, flags) for (evaluate, *_), flags in zip(_CHEAP_KINDS, self.flags)]
+        # at[d]: (flags, rule, at_outside, exact) of each kind whose radius
+        # is at least d; exact when its rule reads as far as d
+        self.at = [
             [
-                (flags, at_outside)
-                for (_, radius, at_outside), flags in zip(_CHEAP_KINDS, self.flags)
+                (flags, rule, at_outside, d <= reads)
+                for (_, rule, at_outside, reads, radius), flags in zip(_CHEAP_KINDS, self.flags)
                 if d <= radius
             ]
             for d in range(_REACH + 1)
         ]
-        self._reflag(g, state, zip(range(g.n), itertools.repeat(0)))
+        adj, side = g.adj, state.side
+        outside = [v for v in range(g.n) if side[v] == OUTSIDE]
+        beside = {u for v in outside for u in adj[v] if side[u] != OUTSIDE}
+        self._set(self.at[0], (), outside, beside)
 
-    def next_move(self, g: Graph, w: list[int], state: BipartitionState) -> Candidate | None:
-        for (evaluate, _, _), flags in zip(_CHEAP_KINDS, self.flags):
+    def next_move(self) -> Candidate | None:
+        g, w, state = self.g, self.w, self.state
+        for evaluate, flags in self.queues:
             v = flags.find(1)
             while v >= 0:
                 found = evaluate(g, w, state, v)
@@ -533,25 +599,65 @@ class _Worklist:
                 v = flags.find(1, v + 1)
         return None
 
-    def touch(self, g: Graph, state: BipartitionState, changed: list[int]) -> None:
-        """Re-flag each kind within its radius of the vertices in ``changed``.
+    def touch(self, changed: list[int]) -> None:
+        """Re-flag around ``changed``, the vertices whose sides the last commit changed.
 
-        Call it after the commit that changed their sides.  One ball of
-        radius ``_REACH`` around all of ``changed`` gives each vertex its
-        distance d to the nearest changed vertex; for every kind whose
-        radius is at least d, the vertex's flag becomes that kind's side
-        precondition in the committed state.
+        A walk by layers gives the vertices at each distance d from
+        ``changed``, for d up to 2.  For each kind whose rule reads as
+        far as d, the layer's flags are cleared and then set where the
+        rule holds in the committed state.  For each kind whose rule
+        reads less far but whose evaluator reads as far as d, flags are
+        only set where the rule holds: the rule cannot have changed
+        there, so no set flag breaks it.  A rule is tried only where it
+        can hold: at the layer's outside vertices, or at a hub, which
+        sits next to an outside vertex one layer nearer.  So the hubs at
+        distance 3 are found from the outside vertices at distance 2,
+        and layer 3 is never built.
         """
-        self._reflag(g, state, ball(g, changed, _REACH).items())
+        adj, side = self.g.adj, self.state.side
+        seen = set(changed)
+        layer = beside = changed  # every changed vertex may be a hub
+        for d, kinds in enumerate(self.at):
+            outside = []
+            for v in layer:
+                if side[v] == OUTSIDE:
+                    outside.append(v)
+            self._set(kinds, layer, outside, beside)
+            if d == _REACH:
+                break
+            # Walk layer d + 1 from the outside vertices first, so that
+            # ``beside`` gets each vertex of S in it next to one of them.
+            after, beside = [], []
+            for v in outside:
+                for u in adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        after.append(u)
+                        if side[u] != OUTSIDE:
+                            beside.append(u)
+            if d < 2:
+                for v in layer:
+                    for u in adj[v]:
+                        if u not in seen:
+                            seen.add(u)
+                            after.append(u)
+            layer = after if d < 2 else ()
 
-    def _reflag(self, g: Graph, state: BipartitionState, at: Iterable[tuple[int, int]]) -> None:
-        """Set the flags of each (vertex, distance) pair in ``at`` to the side preconditions."""
-        adj, side, in1, in2 = g.adj, state.side, state.nbr[1], state.nbr[2]
-        for v, d in at:
-            outside = side[v] == OUTSIDE
-            hub = not outside and len(adj[v]) == 3 and in1[v] + in2[v] == 0
-            for flags, at_outside in self.within[d]:
-                flags[v] = outside if at_outside else hub
+    def _set(self, kinds, layer, outside, beside) -> None:
+        """Apply each (flags, rule, at_outside, exact) of ``kinds`` to one layer.
+
+        An exact kind's flags in ``layer`` are cleared first; then each
+        kind's flags are set where its rule holds among its candidates,
+        ``outside`` (the layer's outside vertices) or ``beside``.
+        """
+        g, w, state = self.g, self.w, self.state
+        for flags, rule, at_outside, exact in kinds:
+            if exact:
+                for v in layer:
+                    flags[v] = 0
+            for v in outside if at_outside else beside:
+                if rule(g, w, state, v):
+                    flags[v] = 1
 
 
 def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int, ...]]:
@@ -705,14 +811,9 @@ def run_to_fixpoint(
 
     Cheap moves come from a dirty-flag worklist (``_Worklist``), one
     flag array per kind: each search takes the lowest flagged vertex of
-    the highest-priority kind and clears the flag of every vertex that
-    yields no move, and each commit re-flags, by the kind's side
-    precondition, only the vertices within the kind's locality radius
-    of a vertex whose side changed.  Every side and neighbor count an
-    evaluator (and the plan validation behind it) reads lies inside its
-    radius, so a vertex left unflagged still has no move, and the search
-    returns exactly the move a rescan of every vertex from Absorb would
-    find.
+    the highest-priority kind, and each commit re-flags only the
+    vertices near the ones whose side it changed, so the search returns
+    exactly the move a rescan of every vertex from Absorb would find.
 
     Once no cheap move is left the outside square graph is built; if it
     is bipartite we are done, otherwise a validated cycle or path swap
@@ -743,7 +844,7 @@ def run_to_fixpoint(
     budget = (g.edge_count + 1) * (sum(w) + 1) if max_moves is None else max_moves
     records: list[MoveRecord] = []
     state = state.copy()
-    work = _Worklist(g, state)
+    work = _Worklist(g, w, state)
 
     def recount(where: str) -> None:
         scratch = inside_potential(g, w, state.side)
@@ -758,12 +859,12 @@ def run_to_fixpoint(
         records.append(MoveRecord(found.move, before, state.potential))
         if len(records) > budget:
             raise MoveBudgetExceededError(f"move budget {budget} exhausted")
-        work.touch(g, state, changed)
+        work.touch(changed)
 
     if validate:
         recount("at the start")
     while True:
-        found = work.next_move(g, w, state)
+        found = work.next_move()
         if found is not None:
             commit(found)
             continue
