@@ -17,16 +17,16 @@ outside vertex with a side whose neighbors there have no neighbor
 across; SameSideExchange, an outside vertex whose three S-neighbors
 split 2 + 1 and whose lone neighbor has S-degree at most 1 or is
 lighter; Deg3Exchange, a hub, a degree-3 vertex of S with no neighbor
-in S.  Where the first three rules hold their moves provably raise the
-potential, so a flag of theirs is set exactly where the move fires; a
-Deg3Exchange flag is set at every hub.  A commit changes the sides of a
-few vertices.  The rules read sides within distance 1, 2, 2 and 1 of v,
-and the evaluators within 1, 2, 2 and 3, so only vertices that close to
-a changed vertex can change: within a rule's reach its flag is
-recomputed, and beyond it, up to the evaluator's, a flag is only set
-where the rule holds.  The worklist thus returns the same move, in the
-same order, as a full scan of the kinds in priority order and the
-vertices in ascending id.
+in S.  A flag is set exactly where its rule holds.  Where the first
+three rules hold their moves provably raise the potential, and a hub is
+tried only once no Absorb or Flip rule holds anywhere, when its move
+provably raises the potential too (the hub lemma, at ``_Worklist``), so
+every set flag yields a move.  A commit changes the sides of a few
+vertices, and the rules read sides within distance 1, 2, 2 and 1 of v,
+so each flag is recomputed within its rule's radius of a changed vertex
+and nowhere else.  The worklist thus returns the same move, in the same
+order, as a full scan of the kinds in priority order and the vertices
+in ascending id.
 
 Every candidate move goes through checked application: independence and
 a strict potential increase are validated before any commit, so a proof
@@ -382,8 +382,6 @@ def commit_move(g: Graph, state: BipartitionState, found: Candidate) -> None:
     side, nbr = state.side, state.nbr
     for v, s in found.plan:
         old = side[v]
-        if old == s:
-            continue
         side[v] = s
         leaving, entering = nbr[old], nbr[s]
         for u in g.adj[v]:
@@ -426,7 +424,8 @@ def _try_move(g, w, state, move) -> Candidate | None:
 # same function.  A rule returns 0 where it fails, else the side its move
 # is about.  Where the rules of Absorb, Flip and SameSideExchange hold,
 # their moves validate (each docstring gives the count), so those
-# evaluators never return None there.
+# evaluators never return None there.  Deg3Exchange's may at a hub, but
+# not once no Absorb or Flip rule holds (the hub lemma at ``_Worklist``).
 
 
 def _absorb_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
@@ -534,18 +533,15 @@ def _same_side_exchange_at(
 
 
 # The cheap move kinds in priority order: (evaluator, rule, at_outside,
-# the radius within which the rule reads sides, the radius within which
-# the evaluator and the plan validation behind it read sides).  A commit
-# can change an answer only for vertices that close to a vertex whose
-# side changed.  A rule holds only at outside vertices (``at_outside``)
-# or only at vertices of S whose neighbors are all outside; no kind of
-# the first sort reads beyond distance 2, which lets ``_Worklist.touch``
-# reach the hubs at distance 3 through the outside vertices at distance 2.
+# the radius within which the rule reads sides).  A commit can change a
+# rule's answer only for vertices that close to a vertex whose side
+# changed.  A rule holds only at outside vertices (``at_outside``) or
+# only at vertices of S.
 _CHEAP_KINDS = (
-    (_absorb_at, _absorb_side, True, 1, 1),
-    (_flip_at, _flip_side, True, 2, 2),
-    (_deg3_exchange_at, _hub_side, False, 1, 3),
-    (_same_side_exchange_at, _exchange_side, True, 2, 2),
+    (_absorb_at, _absorb_side, True, 1),
+    (_flip_at, _flip_side, True, 2),
+    (_deg3_exchange_at, _hub_side, False, 1),
+    (_same_side_exchange_at, _exchange_side, True, 2),
 )
 _REACH = max(radius for *_, radius in _CHEAP_KINDS)
 
@@ -553,109 +549,104 @@ _REACH = max(radius for *_, radius in _CHEAP_KINDS)
 class _Worklist:
     """Dirty flags per cheap move kind over one search's graph, weights and state.
 
-    Two invariants hold between commits: a clear ``flags[k][v]`` means
-    the kind-k evaluator at v returns None, and a set one means the
-    kind-k rule holds at v.  The first flagged vertex that yields a move
-    is therefore the first move of the full scan (kinds in priority
-    order, vertices in ascending id).  The rules of Absorb, Flip and
-    SameSideExchange are their evaluators' whole prechecks and their
-    moves then always validate, so their flags sit exactly where they
-    fire; a Deg3Exchange flag sits at a hub, where the evaluator may
-    still find nothing and clears it.
+    Between commits ``flags[k][v]`` is set exactly where the kind-k rule
+    holds at v, and the first set flag of the highest-priority kind
+    with one set yields a move.  That move is therefore the first move
+    of the full scan (kinds in priority order, vertices in ascending
+    id).  For Absorb, Flip and SameSideExchange the rule's docstring
+    gives the count that makes the move validate; for Deg3Exchange it
+    is the hub lemma.
 
-    The flags start as the rules, tried at the outside vertices and at
-    their neighbors in S; ``touch`` keeps the invariants after each
-    commit.
+    Hub lemma: a hub z is evaluated only when no Absorb or Flip rule
+    holds, and then its evaluator finds a move.  z has degree 3, so a
+    neighbor x has w[x] = w[z] - 1 (``weights``), and x is outside.  Not
+    absorbable, x has a neighbor across from z; not flippable onto z's
+    side, x has a second neighbor there, since z has no neighbor across.
+    So x has three S-neighbors and degree 3, and its lightest neighbor y
+    weighs w[x] - 1, so y is in S and is not z.  Trading x for y, with z
+    stepping across when y shares its side, changes the inside edges by
+    2 - s_degree(y) >= 0 and raises the weight by w[x] - w[y] = 1.
+
+    The flags start as the rules, tried at every vertex; ``touch``
+    keeps them so after each commit.
     """
 
     def __init__(self, g: Graph, w: list[int], state: BipartitionState):
         self.g, self.w, self.state = g, w, state
         self.flags = [bytearray(g.n) for _ in _CHEAP_KINDS]
         self.queues = [(evaluate, flags) for (evaluate, *_), flags in zip(_CHEAP_KINDS, self.flags)]
-        # at[d]: (flags, rule, at_outside, exact) of each kind whose radius
-        # is at least d; exact when its rule reads as far as d
+        # at[d]: (flags, rule, at_outside) of each kind whose radius is at least d
         self.at = [
             [
-                (flags, rule, at_outside, d <= reads)
-                for (_, rule, at_outside, reads, radius), flags in zip(_CHEAP_KINDS, self.flags)
+                (flags, rule, at_outside)
+                for (_, rule, at_outside, radius), flags in zip(_CHEAP_KINDS, self.flags)
                 if d <= radius
             ]
             for d in range(_REACH + 1)
         ]
-        adj, side = g.adj, state.side
+        side = state.side
         outside = [v for v in range(g.n) if side[v] == OUTSIDE]
-        beside = {u for v in outside for u in adj[v] if side[u] != OUTSIDE}
-        self._set(self.at[0], (), outside, beside)
+        inside = [v for v in range(g.n) if side[v] != OUTSIDE]
+        self._set(self.at[0], (), outside, inside)
 
     def next_move(self) -> Candidate | None:
+        """The move at the first set flag of the highest-priority kind, or None.
+
+        Raises InvalidStateError when that flag's evaluator finds no
+        move, which the invariant rules out.
+        """
         g, w, state = self.g, self.w, self.state
         for evaluate, flags in self.queues:
             v = flags.find(1)
-            while v >= 0:
+            if v >= 0:
                 found = evaluate(g, w, state, v)
-                if found is not None:
-                    return found
-                flags[v] = 0
-                v = flags.find(1, v + 1)
+                if found is None:
+                    raise InvalidStateError(f"{evaluate.__name__} found no move at flagged vertex {v}")
+                return found
         return None
 
     def touch(self, changed: list[int]) -> None:
         """Re-flag around ``changed``, the vertices whose sides the last commit changed.
 
         A walk by layers gives the vertices at each distance d from
-        ``changed``, for d up to 2.  For each kind whose rule reads as
-        far as d, the layer's flags are cleared and then set where the
-        rule holds in the committed state.  For each kind whose rule
-        reads less far but whose evaluator reads as far as d, flags are
-        only set where the rule holds: the rule cannot have changed
-        there, so no set flag breaks it.  A rule is tried only where it
-        can hold: at the layer's outside vertices, or at a hub, which
-        sits next to an outside vertex one layer nearer.  So the hubs at
-        distance 3 are found from the outside vertices at distance 2,
-        and layer 3 is never built.
+        ``changed``, for d up to ``_REACH``.  For each kind whose rule
+        reads as far as d, the layer's flags are cleared and then set
+        where the rule holds in the committed state, tried at the
+        layer's outside vertices or at its vertices of S.
         """
         adj, side = self.g.adj, self.state.side
         seen = set(changed)
-        layer = beside = changed  # every changed vertex may be a hub
+        layer = changed
         for d, kinds in enumerate(self.at):
-            outside = []
+            outside, inside = [], []
             for v in layer:
                 if side[v] == OUTSIDE:
                     outside.append(v)
-            self._set(kinds, layer, outside, beside)
+                else:
+                    inside.append(v)
+            self._set(kinds, layer, outside, inside)
             if d == _REACH:
                 break
-            # Walk layer d + 1 from the outside vertices first, so that
-            # ``beside`` gets each vertex of S in it next to one of them.
-            after, beside = [], []
-            for v in outside:
+            after = []
+            for v in layer:
                 for u in adj[v]:
                     if u not in seen:
                         seen.add(u)
                         after.append(u)
-                        if side[u] != OUTSIDE:
-                            beside.append(u)
-            if d < 2:
-                for v in layer:
-                    for u in adj[v]:
-                        if u not in seen:
-                            seen.add(u)
-                            after.append(u)
-            layer = after if d < 2 else ()
+            layer = after
 
-    def _set(self, kinds, layer, outside, beside) -> None:
-        """Apply each (flags, rule, at_outside, exact) of ``kinds`` to one layer.
+    def _set(self, kinds, layer, outside, inside) -> None:
+        """Recompute each (flags, rule, at_outside) of ``kinds`` on one layer.
 
-        An exact kind's flags in ``layer`` are cleared first; then each
-        kind's flags are set where its rule holds among its candidates,
-        ``outside`` (the layer's outside vertices) or ``beside``.
+        The flags in ``layer`` are cleared; then each kind's flags are set
+        where its rule holds among ``outside`` or ``inside``, the
+        layer's vertices outside and in S.
         """
         g, w, state = self.g, self.w, self.state
-        for flags, rule, at_outside, exact in kinds:
-            if exact:
-                for v in layer:
-                    flags[v] = 0
-            for v in outside if at_outside else beside:
+        for flags, rule, at_outside in kinds:
+            for v in layer:
+                flags[v] = 0
+            for v in outside if at_outside else inside:
                 if rule(g, w, state, v):
                     flags[v] = 1
 

@@ -12,10 +12,7 @@ magic number) reaches the whole component.  The two checkers are the
 exceptions: ``spack.verify`` walks its own half-radius balls, and
 ``spack.exact`` grows its distance masks by a bitmask recurrence, so
 that a fault in ``ball`` cannot hide in the checks of the colorings
-built on it.  The exchange worklist's ``touch`` is the third: it walks
-two layers around a commit's changed vertices and reaches distance 3
-only through the outside vertices at distance 2, which ``ball`` cannot
-do.
+built on it.
 """
 from __future__ import annotations
 

@@ -191,6 +191,26 @@ def test_audit_rejects_a_run_coloring_off_its_final_state():
         audit_core_run(core, dataclasses.replace(run, coloring=swapped))
 
 
+def _with_first_class(coloring, **changes):
+    first, *rest = coloring.classes
+    return PackingColoring(coloring.n, (dataclasses.replace(first, **changes), *rest))
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda c: PackingColoring(c.n + 1, c.classes),
+        lambda c: _with_first_class(c, label="1_z"),
+        lambda c: _with_first_class(c, radius=3),
+    ],
+    ids=["n_plus_one", "relabelled", "radius_3"],
+)
+def test_audit_rejects_a_run_coloring_of_the_wrong_shape(reshape):
+    _, _, core, run = _busy_instance()
+    with pytest.raises(AuditError, match="run coloring is not the layout"):
+        audit_core_run(core, dataclasses.replace(run, coloring=reshape(run.coloring)))
+
+
 def test_audit_rejects_invalid_final_coloring():
     g, result, _, _ = _busy_instance()
     classes = list(result.coloring.classes)

@@ -30,6 +30,7 @@ from spack.exchange import (
     _same_side_exchange_at,
     _swap_candidates_for_cycle,
     check_fixpoint_invariants,
+    commit_move,
     evaluate_move,
     initial_state,
     make_state,
@@ -142,6 +143,17 @@ def test_apply_move_absorb():
     assert after.potential == Potential(1, 2)
     # the original state is untouched
     assert state.s2 == frozenset()
+
+
+def test_commit_move_leaves_no_op_entries_alone():
+    # No generated plan reassigns a vertex to its own side, but a forged
+    # one may: 0 stays on side 1 and 3 outside while 2 is absorbed.
+    state = make_state(C4, W4, {0}, set())
+    found = evaluate_move(C4, W4, state, Absorb(2, 1))
+    forged = Candidate(found.move, [(0, 1), (3, OUTSIDE)] + found.plan, found.potential)
+    commit_move(C4, state, forged)
+    fresh = make_state(C4, W4, {0, 2}, set())
+    assert (state.side, state.nbr, state.potential) == (fresh.side, fresh.nbr, fresh.potential)
 
 
 def test_apply_move_rejects_conflict():
@@ -468,15 +480,15 @@ def test_worklist_matches_full_rescan_through_swaps_and_restarts():
 
 
 def _worklist_checks(g, seeds=(None,)):
-    """Search g's core from each seeded start, checking the worklist invariants.
+    """Search g's core from each seeded start, checking the worklist invariant.
 
     The search's worklist is replaced by one that, when built and after
-    every commit, asserts three things of each kind k at each vertex v:
-    a clear flag means the kind-k evaluator at v returns None; a set
-    flag means the kind-k rule holds at v, which is what lets ``touch``
-    skip clears beyond a rule's read radius; and a set Absorb, Flip or
-    SameSideExchange flag means the evaluator at v returns a move.
-    Returns how many times it checked.
+    every commit, asserts of each kind k at each vertex v that
+    ``flags[k][v]`` is set exactly where the kind-k rule holds, that a
+    clear flag means the kind-k evaluator at v returns None, and that a
+    set Absorb, Flip or SameSideExchange flag yields a move.  When no
+    Absorb or Flip flag is set, every set Deg3Exchange flag yields a
+    move too (the hub lemma).  Returns how many times it checked.
     """
     if not peel(g)[0]:
         return 0
@@ -495,14 +507,14 @@ def _worklist_checks(g, seeds=(None,)):
         def check(self):
             nonlocal checks
             graph, state = self.g, self.state
+            hubs_fire = not any(1 in flags for flags in self.flags[:2])
             for (evaluate, rule, *_), flags in zip(_CHEAP_KINDS, self.flags):
                 for v in range(graph.n):
                     where = (evaluate.__name__, v)
+                    assert bool(flags[v]) == bool(rule(graph, w, state, v)), where
                     if not flags[v]:
                         assert evaluate(graph, w, state, v) is None, where
-                        continue
-                    assert rule(graph, w, state, v), where
-                    if evaluate is not _deg3_exchange_at:
+                    elif evaluate is not _deg3_exchange_at or hubs_fire:
                         assert evaluate(graph, w, state, v) is not None, where
             checks += 1
 
@@ -535,10 +547,12 @@ def test_worklist_clear_flag_means_no_move_through_swaps_and_restarts():
 
 def test_cheap_move_radii_are_exact():
     # The worklist recomputes kind k's flag within its rule's read radius
-    # of a changed vertex and re-examines it within the evaluator's
-    # radius.  Change one vertex of a random valid state: no rule or
-    # evaluator answer may change farther away than its radius, and
+    # of a changed vertex.  Change one vertex of a random valid state: no
+    # rule answer may change farther away than its radius, nor any
+    # evaluator answer farther than the evaluator's (1, 2, 3, 2), and
     # across the sample each radius is reached, so none could be smaller.
+    reads = [radius for *_, radius in _CHEAP_KINDS]
+    evaluator_radii = (1, 2, 3, 2)
     reached = [[0, 0] for _ in _CHEAP_KINDS]
     for trial in range(1000):
         rng = random.Random(trial)
@@ -566,41 +580,32 @@ def test_cheap_move_radii_are_exact():
             for x in (side, changed)
         )
         dist = distance_matrix(g)[c]
-        for k, (evaluate, rule, _, reads, radius) in enumerate(_CHEAP_KINDS):
+        for k, (evaluate, rule, *_) in enumerate(_CHEAP_KINDS):
             for v in range(n):
                 if rule(g, w, before, v) != rule(g, w, after, v):
-                    assert dist[v] <= reads, (trial, rule.__name__, v)
+                    assert dist[v] <= reads[k], (trial, rule.__name__, v)
                     reached[k][0] = max(reached[k][0], int(dist[v]))
                 if _move_at(evaluate, g, w, before, v) != _move_at(evaluate, g, w, after, v):
-                    assert dist[v] <= radius, (trial, evaluate.__name__, v)
+                    assert dist[v] <= evaluator_radii[k], (trial, evaluate.__name__, v)
                     reached[k][1] = max(reached[k][1], int(dist[v]))
-    assert reached == [[reads, radius] for *_, reads, radius in _CHEAP_KINDS]
+    assert reached == [list(pair) for pair in zip(reads, evaluator_radii)]
 
 
-def test_touch_reflags_a_hub_three_steps_from_the_change():
+def test_next_move_raises_at_a_flagged_hub_without_a_move():
     # Hub 0 (side 1) could trade 4 (side 1) for 1, but 4 has two
-    # S-neighbours, 6 and 7, so the trade loses an inside edge.  Once 6,
-    # three steps from the hub, leaves S the trade breaks even on edges
-    # and gains weight.  No search in the suite turns a hub on this way, so
-    # the worklist is driven by hand: its idle flags cleared as
-    # ``next_move`` would, then 6 moved outside in place and touched.
+    # S-neighbours, 6 and 7, so the trade loses an inside edge.  These
+    # hand-made weights break the hub lemma, which needs no Absorb or
+    # Flip flag: with those flags cleared by hand, the flagged hub that
+    # yields no move is reported, not skipped.
     g = build_graph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 6), (4, 7)])
     w = [3, 2, 3, 3, 1, 1, 1, 1]
     state = make_state(g, w, {0, 4}, {6, 7})
     work = _Worklist(g, w, state)
-    for (evaluate, *_), flags in zip(_CHEAP_KINDS, work.flags):
-        for v in range(g.n):
-            flags[v] = flags[v] and evaluate(g, w, state, v) is not None
-    hubs = work.flags[[kind[0] for kind in _CHEAP_KINDS].index(_deg3_exchange_at)]
-    assert not hubs[0]
-    after = make_state(g, w, {0, 4}, {7})
-    state.side[:] = after.side
-    for counts, recount in zip(state.nbr, after.nbr):
-        counts[:] = recount
-    state.potential = after.potential
-    work.touch([6])
-    assert hubs[0]
-    assert _move_at(_deg3_exchange_at, g, w, state, 0) == Deg3Exchange(hub=0, entering=1, leaving=4)
+    absorb, flip, hubs, _ = work.flags
+    assert hubs[0] and _deg3_exchange_at(g, w, state, 0) is None
+    absorb[:] = flip[:] = bytes(g.n)
+    with pytest.raises(InvalidStateError, match="_deg3_exchange_at found no move at flagged vertex 0"):
+        work.next_move()
 
 
 def _core(g):
