@@ -9,16 +9,30 @@ column times the certification of the corollary on S(G):
 the lifted coloring.  Validation stays on, as in ``color_graph``'s
 defaults.
 
-Usage: python scripts/scale_benchmark.py [--sizes 100,1000,10000] [--seed S]
+With ``--json PATH`` it also writes the ladder to PATH: per cell the
+size, density, generation time (apart from the rest), the four timings,
+the committed moves per kind and the attempts; for the file the Python
+version, ``git describe --always --dirty`` (null outside a checkout),
+the usable CPU count and the seed.
+
+Usage: python scripts/scale_benchmark.py [--sizes 100,1000,10000] [--seed S] [--json PATH]
 """
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
+import subprocess
 import sys
 import time
+from collections import Counter
+from pathlib import Path
+from typing import get_args
 
 from spack.audit import audit_color_result
 from spack.colorer import color_graph
+from spack.exchange import Move
 from spack.gen import random_subcubic
 from spack.graph import subdivide
 from spack.verify import derive_subdivision_coloring, verify
@@ -37,8 +51,10 @@ def density_ladder(n: int) -> list[tuple[str, int]]:
     ]
 
 
-def bench_one(n: int, m: int, seed: int) -> tuple[float, float, float, float, int, int]:
+def bench_one(n: int, m: int, label: str, seed: int) -> dict:
+    start = time.perf_counter()
     g = random_subcubic(n, m, seed=seed, require_non_cubic=True)
+    t_generate = time.perf_counter() - start
     start = time.perf_counter()
     result = color_graph(g)
     t_color = time.perf_counter() - start
@@ -57,28 +73,61 @@ def bench_one(n: int, m: int, seed: int) -> tuple[float, float, float, float, in
     t_lift = time.perf_counter() - start
     if not lifted_report.ok:
         raise RuntimeError(f"invalid S(G) coloring at n={n} m={m} seed={seed}")
-    moves = sum(
-        len(comp.core_run.moves) for comp in result.components if comp.core_run is not None
-    )
-    attempts = max(
-        (comp.core_run.attempts for comp in result.components if comp.core_run is not None),
-        default=0,
-    )
-    return t_color, t_verify, t_audit, t_lift, moves, attempts
+    runs = [comp.core_run for comp in result.components if comp.core_run is not None]
+    kinds = Counter(type(record.move).__name__ for run in runs for record in run.moves)
+    return {
+        "n": n,
+        "m": m,
+        "density": label,
+        "generate_s": t_generate,
+        "color_s": t_color,
+        "verify_s": t_verify,
+        "audit_s": t_audit,
+        "lift_s": t_lift,
+        "moves": {kind.__name__: kinds[kind.__name__] for kind in get_args(Move)},
+        "attempts": max((run.attempts for run in runs), default=0),
+    }
 
 
-def run(sizes: list[int], seed: int) -> int:
+def _git_describe() -> str | None:
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+        )
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def run(sizes: list[int], seed: int, json_path: str | None = None) -> int:
     print(
         f"{'n':>7} {'m':>7} {'density':>8} {'color s':>9} {'verify s':>9} {'audit s':>9} "
         f"{'lift s':>9} {'moves':>8} {'attempts':>8}"
     )
+    cells = []
     for n in sizes:
         for label, m in density_ladder(n):
-            t_color, t_verify, t_audit, t_lift, moves, attempts = bench_one(n, m, seed)
+            cell = bench_one(n, m, label, seed)
+            cells.append(cell)
             print(
-                f"{n:>7} {m:>7} {label:>8} {t_color:>9.3f} {t_verify:>9.3f} {t_audit:>9.3f} "
-                f"{t_lift:>9.3f} {moves:>8} {attempts:>8}"
+                f"{n:>7} {m:>7} {label:>8} {cell['color_s']:>9.3f} {cell['verify_s']:>9.3f} "
+                f"{cell['audit_s']:>9.3f} {cell['lift_s']:>9.3f} "
+                f"{sum(cell['moves'].values()):>8} {cell['attempts']:>8}"
             )
+    if json_path is not None:
+        # what ``nproc`` prints: the CPUs this process may run on, where the OS says
+        affinity = getattr(os, "sched_getaffinity", None)
+        ladder = {
+            "python": platform.python_version(),
+            "git": _git_describe(),
+            "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+            "seed": seed,
+            "cells": cells,
+        }
+        Path(json_path).write_text(json.dumps(ladder, indent=1) + "\n")
     return 0
 
 
@@ -91,8 +140,9 @@ def main() -> int:
         help="comma-separated vertex counts",
     )
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--json", metavar="PATH", help="also write the ladder as JSON to PATH")
     args = ap.parse_args()
-    return run(args.sizes, args.seed)
+    return run(args.sizes, args.seed, args.json)
 
 
 if __name__ == "__main__":

@@ -258,7 +258,7 @@ def _oracle_component(g: Graph, options: ColorOptions, host: tuple[int, ...]) ->
 
 
 def _split_by_component(
-    n: int, comps: list[frozenset[int]], core: tuple[int, ...], trace: tuple[PeelStep, ...]
+    n: int, comps: list[tuple[int, ...]], core: tuple[int, ...], trace: tuple[PeelStep, ...]
 ) -> list[tuple[tuple[int, ...], tuple[PeelStep, ...]]]:
     """Each component's share of the whole graph's core and peel trace, in order."""
     label = [0] * n
@@ -288,11 +288,9 @@ def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
     assert_subcubic(g)
     comps = components(g)
     core, trace = peel(g)
-    shares = [(core, trace)] if len(comps) == 1 else _split_by_component(g.n, comps, core, trace)
     sets = [set() for _ in CLASS_LABELS]
     runs: list[ComponentRun] = []
-    for comp, (comp_core, comp_trace) in zip(comps, shares):
-        host = tuple(sorted(comp))
+    for host, (comp_core, comp_trace) in zip(comps, _split_by_component(g.n, comps, core, trace)):
         run = ComponentRun(vertices=host)
         runs.append(run)
         if not comp_trace and all(len(g.adj[v]) == 3 for v in host):

@@ -11,12 +11,12 @@ limit or recursion limit applies.  Conflicts are tested on bitmasks.
 Each vertex's distance ball at every radius comes from one recurrence
 over the adjacency lists: the closed ball at radius r is the one at
 r - 1 joined with its neighbours' balls at r - 1.  So the oracle shares
-no search code with ``graph.ball``, the solvers' breadth-first search,
-and the tests check the two against each other.  For each class the
-search keeps the vertices it bars: its members and every vertex within
-its radius of one.  Symmetric branches are skipped by only opening an
-empty class when every earlier class of the same radius is already
-used.
+no search code with ``graph.bfs``, the solvers' breadth-first search,
+and the tests check its masks against a reference BFS.  For each class
+the search keeps the vertices it bars: its members and every vertex
+within its radius of one.  Symmetric branches are skipped by only
+opening an empty class when every earlier class of the same radius is
+already used.
 
 After each commit a dead-vertex check ANDs every class's barred set
 into the vertices still to be placed.  A vertex left over can join no

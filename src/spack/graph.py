@@ -6,22 +6,19 @@ outside the package.  A graph the package derives (an induced subgraph,
 a subdivision, a decoded graph6 line, an outside square) is built as
 ``Graph(n, adj)`` straight from adjacency lists that are sorted,
 symmetric and loop-free by construction.  Every distance the solvers
-need beyond two steps comes from one breadth-first search, ``ball``,
-whose default radius ``INFINITY`` (a real ``math.inf``, never a large
-magic number) reaches the whole component.  The two checkers are the
-exceptions: ``spack.verify`` walks its own half-radius balls, and
-``spack.exact`` grows its distance masks by a bitmask recurrence, so
-that a fault in ``ball`` cannot hide in the checks of the colorings
-built on it.
+need beyond two steps comes from one breadth-first search, ``bfs``,
+which writes depths into a flat list that the caller owns.  It has three
+callers: ``components`` (one list shared across roots), the weights
+(one search from every light vertex) and ``bipartition_or_odd_cycle``
+(parts from depth parity).  The two checkers are the exceptions:
+``spack.verify`` walks its own half-radius balls, and ``spack.exact``
+grows its distance masks by a bitmask recurrence, so that a fault in
+``bfs`` cannot hide in the checks of the colorings built on it.
 """
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-INFINITY = math.inf
 
 
 class GraphError(ValueError):
@@ -123,41 +120,35 @@ def min_degree(g: Graph) -> int:
     return min(map(len, g.adj))
 
 
-def ball(
-    g: Graph, sources: Iterable[int], radius: int | float = INFINITY
-) -> dict[int, int]:
-    """Distance to the nearest source for every vertex within ``radius``.
+def bfs(g: Graph, sources: Iterable[int], dist: list[int]) -> list[int]:
+    """Breadth-first search from all sources at once, over unreached vertices.
 
-    One breadth-first search from all sources at once, a layer at a
-    time.  The keys come in BFS order, the sources first, so the
-    distances never decrease along the dict.  With the default radius
-    the whole of each source's component is reached.
+    A vertex is unreached while ``dist[v]`` is -1; the search enters no
+    other vertex and rewrites no other entry.  Each reached vertex gets
+    its distance to the nearest source in ``dist``.  The reached vertices
+    are returned in BFS order, the sources first, so their distances
+    never decrease along the list; the list is also the queue, walked
+    while it grows.
     """
-    dist = dict.fromkeys(sources, 0)
-    layer = list(dist)
-    d = 0
-    while layer and d < radius:
-        d += 1
-        next_layer = []
-        for u in layer:
-            for v in g.adj[u]:
-                if v not in dist:
-                    dist[v] = d
-                    next_layer.append(v)
-        layer = next_layer
-    return dist
+    order = []
+    for s in sources:
+        if dist[s] == -1:
+            dist[s] = 0
+            order.append(s)
+    adj = g.adj
+    for u in order:
+        d = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] == -1:
+                dist[v] = d
+                order.append(v)
+    return order
 
 
-def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components, ordered by their smallest vertex."""
-    seen: set[int] = set()
-    out: list[frozenset[int]] = []
-    for root in range(g.n):
-        if root not in seen:
-            comp = frozenset(ball(g, (root,)))
-            seen |= comp
-            out.append(comp)
-    return out
+def components(g: Graph) -> list[tuple[int, ...]]:
+    """Connected components as ascending tuples, ordered by smallest vertex."""
+    dist = [-1] * g.n
+    return [tuple(sorted(bfs(g, (root,), dist))) for root in range(g.n) if dist[root] == -1]
 
 
 @dataclass(frozen=True)
@@ -232,46 +223,44 @@ class OddCycle:
 
 
 def bipartition_or_odd_cycle(g: Graph) -> Bipartition | OddCycle:
-    """2-color by BFS, or return a chordless odd cycle certificate.
+    """2-color by BFS depth parity, or return a chordless odd cycle certificate.
 
-    Components are processed by ascending root id and each root lands in
-    part 1, so the bipartition is deterministic.  The certificate is
-    closed at the first edge whose ends share a part, in the first
-    non-bipartite component, and shortened across chords; it is the one
-    odd cycle the exchange search's square stage tries.
+    Components are searched by ascending root id and each root lands in
+    part 1, so the bipartition is deterministic.  Adjacent depths differ
+    by at most one, so an edge whose ends share a part joins two vertices
+    of one layer.  The certificate is closed at the first such edge in
+    BFS scan order, in the first non-bipartite component, and shortened
+    across chords; it is the one odd cycle the exchange search's square
+    stage tries.
     """
-    color: list[int] = [0] * g.n
-    parent: list[int] = [-1] * g.n
+    depth = [-1] * g.n
     for root in range(g.n):
-        if color[root]:
+        if depth[root] != -1:
             continue
-        color[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        order = bfs(g, (root,), depth)
+        for u in order:
+            du = depth[u]
             for v in g.adj[u]:
-                if not color[v]:
-                    color[v] = 3 - color[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    cycle = _cycle_through(parent, u, v)
+                if depth[v] == du:
+                    cycle = _cycle_through(g, order, u, v)
                     return OddCycle(tuple(_shorten_to_chordless(g, cycle)))
-    part1 = frozenset(v for v in range(g.n) if color[v] == 1)
-    part2 = frozenset(v for v in range(g.n) if color[v] == 2)
+    part1 = frozenset(v for v in range(g.n) if depth[v] % 2 == 0)
+    part2 = frozenset(v for v in range(g.n) if depth[v] % 2)
     return Bipartition(part1, part2)
 
 
-def _cycle_through(parent: list[int], u: int, v: int) -> list[int]:
+def _cycle_through(g: Graph, order: list[int], u: int, v: int) -> list[int]:
     """Close the cycle formed by BFS-tree paths to u and v plus edge (u, v).
 
-    The parts alternate with BFS depth, so a same-part edge joins two
-    vertices of one layer, and walking both up in lockstep meets at
-    their lowest common ancestor.
+    A vertex's BFS parent is the neighbour that reached it first: its
+    earliest neighbour in the BFS ``order`` of its component, always one
+    layer up.  u and v share a layer, so walking both up in lockstep
+    meets at their lowest common ancestor.
     """
+    pos = dict(zip(order, range(len(order))))
     up, down = [u], [v]
     while u != v:
-        u, v = parent[u], parent[v]
+        u, v = min(g.adj[u], key=pos.__getitem__), min(g.adj[v], key=pos.__getitem__)
         up.append(u)
         down.append(v)
     return up + down[-2::-1]  # u .. lca, then back down to v

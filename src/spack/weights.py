@@ -1,7 +1,8 @@
 """Distance-to-light-vertex weights and the search potential.
 
 A vertex is *light* when its degree is at most 2.  The weight of x is
-``1 + dist(x, nearest light vertex)``, computed by one multi-source BFS.
+``1 + dist(x, nearest light vertex)``: one ``graph.bfs`` from every light
+vertex at once writes each distance into a flat list.
 Two facts drive the exchange search:
 
 * adjacent weights differ by at most one, and
@@ -18,7 +19,7 @@ from __future__ import annotations
 from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import EmptyGraphError, Graph, GraphError, ball
+from .graph import EmptyGraphError, Graph, GraphError, bfs
 
 
 class CubicGraphError(GraphError):
@@ -50,10 +51,10 @@ def compute_weights(g: Graph) -> list[int]:
     sources = [v for v, d in enumerate(map(len, g.adj)) if d <= 2]
     if not sources:
         raise CubicGraphError("graph is 3-regular; no light vertex to anchor weights")
-    dist = ball(g, sources)
-    if len(dist) < g.n:
+    dist = [-1] * g.n
+    if len(bfs(g, sources, dist)) < g.n:
         raise DisconnectedError("graph is not connected")
-    return [dist[v] + 1 for v in range(g.n)]
+    return [d + 1 for d in dist]
 
 
 def inside_potential(g: Graph, w: list[int], inside: Sequence[int]) -> Potential:

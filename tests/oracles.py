@@ -30,12 +30,19 @@ must return the same verdict and the same witness, in no more nodes.
 
 ``reference_verify`` is the third: the verifier as it was before the
 half-radius search, one breadth-first search truncated at the full
-class radius from every member of a class.  It shares ``graph.ball``,
-and is now the only verifier that does: ``spack.verify`` walks its
+class radius from every member of a class.  That search is ``ball``,
+the dict-returning, radius-limited search the library used before
+``graph.bfs``, kept here verbatim; ``spack.verify`` walks its
 half-radius balls over flat lists of its own.  So differential tests
 can show that meeting radius-(s // 2) balls finds the same violations
 with the same distances in the same order, by a search that shares no
-code with the one it is checked against.
+code with the one it is checked against, nor with the solvers'.
+
+``reference_bipartition_or_odd_cycle`` is the library's square
+2-colouring as it was before ``graph.bfs``: a ``deque`` search with
+parent and colour lists.  It shares only ``_shorten_to_chordless``, so
+a differential test can pin that depth parity gives the same parts and
+the same odd-cycle certificate, which the move trails depend on.
 
 The module also holds the helpers only tests need: the two weight
 predicates, a copy-on-write move application, a coloring constructor
@@ -49,6 +56,7 @@ import sys
 from collections import deque
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterable
 
 from spack.exact import (
     DEFAULT_BUDGET,
@@ -82,10 +90,11 @@ from spack.exchange import (
     evaluate_move,
 )
 from spack.graph import (
+    Bipartition,
     Graph,
     OddCycle,
     VertexOutOfRangeError,
-    ball,
+    _shorten_to_chordless,
     bipartition_or_odd_cycle,
     build_graph,
 )
@@ -134,6 +143,76 @@ def distance_matrix(g: Graph) -> list[list[float]]:
                 if through + row_k[j] < row_i[j]:
                     row_i[j] = through + row_k[j]
     return dist
+
+
+def ball(
+    g: Graph, sources: Iterable[int], radius: int | float = math.inf
+) -> dict[int, int]:
+    """Distance to the nearest source for every vertex within ``radius``.
+
+    One breadth-first search from all sources at once, a layer at a
+    time.  The keys come in BFS order, the sources first, so the
+    distances never decrease along the dict.  With the default radius
+    the whole of each source's component is reached.
+    """
+    dist = dict.fromkeys(sources, 0)
+    layer = list(dist)
+    d = 0
+    while layer and d < radius:
+        d += 1
+        next_layer = []
+        for u in layer:
+            for v in g.adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    next_layer.append(v)
+        layer = next_layer
+    return dist
+
+
+def reference_bipartition_or_odd_cycle(g: Graph) -> Bipartition | OddCycle:
+    """2-color by BFS, or return a chordless odd cycle certificate.
+
+    Components are processed by ascending root id and each root lands in
+    part 1, so the bipartition is deterministic.  The certificate is
+    closed at the first edge whose ends share a part, in the first
+    non-bipartite component, and shortened across chords.
+    """
+    color: list[int] = [0] * g.n
+    parent: list[int] = [-1] * g.n
+    for root in range(g.n):
+        if color[root]:
+            continue
+        color[root] = 1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in g.adj[u]:
+                if not color[v]:
+                    color[v] = 3 - color[u]
+                    parent[v] = u
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    cycle = _reference_cycle_through(parent, u, v)
+                    return OddCycle(tuple(_shorten_to_chordless(g, cycle)))
+    part1 = frozenset(v for v in range(g.n) if color[v] == 1)
+    part2 = frozenset(v for v in range(g.n) if color[v] == 2)
+    return Bipartition(part1, part2)
+
+
+def _reference_cycle_through(parent: list[int], u: int, v: int) -> list[int]:
+    """Close the cycle formed by BFS-tree paths to u and v plus edge (u, v).
+
+    The parts alternate with BFS depth, so a same-part edge joins two
+    vertices of one layer, and walking both up in lockstep meets at
+    their lowest common ancestor.
+    """
+    up, down = [u], [v]
+    while u != v:
+        u, v = parent[u], parent[v]
+        up.append(u)
+        down.append(v)
+    return up + down[-2::-1]  # u .. lca, then back down to v
 
 
 def naive_packing_assignment(g: Graph, radii: tuple[int, ...]) -> list[int] | None:

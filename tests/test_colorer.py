@@ -306,7 +306,7 @@ def test_component_runs_stay_in_host_ids(g):
     # and the coloring the union of the components' own colorings.
     options = ColorOptions(fallback_exact=True)
     result = color_graph(g, options)
-    comps = [tuple(sorted(comp)) for comp in components(g)]
+    comps = components(g)
     assert list(result.components) == [_own_run(g, vertices) for vertices in comps]
     merged = [set() for _ in CLASS_LABELS]
     for vertices in comps:

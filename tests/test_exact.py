@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import spack.exact
 from oracles import (
+    ball,
     load_corpus,
     naive_chi_rho,
     naive_packing_colorable,
@@ -26,7 +27,7 @@ from spack.exact import (
     decide,
 )
 from spack.gen import cycle, path, petersen, random_subcubic
-from spack.graph import ball, build_graph
+from spack.graph import build_graph
 from spack.verify import verify, verify_sequence_shape
 from strategies import loose_graphs
 
@@ -316,7 +317,7 @@ def test_search_keeps_the_reference_witness_random(g, seq):
 
 
 def _masks_from_ball(g, radii):
-    """balls[r][v] from one ``graph.ball`` per vertex and radius."""
+    """balls[r][v] from one reference ``ball`` per vertex and radius."""
     return {
         r: [sum(1 << u for u, d in ball(g, (v,), r).items() if d) for v in range(g.n)]
         for r in radii

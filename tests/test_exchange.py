@@ -40,7 +40,13 @@ from spack.exchange import (
 from spack.gen import cycle, path, prism, random_subcubic
 from spack.graph import bipartition_or_odd_cycle, build_graph, induced
 from spack.weights import Potential, compute_weights, inside_potential, touched_potential
-from oracles import apply_move, assert_canonical, distance_matrix, reference_run_to_fixpoint
+from oracles import (
+    apply_move,
+    assert_canonical,
+    distance_matrix,
+    reference_bipartition_or_odd_cycle,
+    reference_run_to_fixpoint,
+)
 from strategies import subcubic_graphs
 
 C4, C5 = cycle(4), cycle(5)
@@ -411,6 +417,19 @@ def test_square_stage_raises_stuck_itself():
     sq, order = square_outside(sub, stuck.state)
     certificate = bipartition_or_odd_cycle(sq)
     assert stuck.cycle == tuple(order[i] for i in certificate.vertices)
+
+
+@pytest.mark.parametrize("n, m, seed", [(14, 20, 1336), (17, 25, 758)])
+def test_square_certificate_matches_reference_on_stuck_states(n, m, seed):
+    # Two of the smallest instances whose canonical run gets stuck: the
+    # certificate of the odd outside square is the one cycle tried.
+    sub, w = _core(random_subcubic(n, m, seed=seed))
+    with pytest.raises(StuckError) as exc:
+        run_to_fixpoint(sub, w, initial_state(sub, w))
+    sq, order = square_outside(sub, exc.value.state)
+    certificate = bipartition_or_odd_cycle(sq)
+    assert certificate == reference_bipartition_or_odd_cycle(sq)
+    assert exc.value.cycle == tuple(order[i] for i in certificate.vertices)
 
 
 def test_square_stage_returns_bipartition_at_clean_fixpoint():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import ball
 from spack.gen import (
     FAMILIES,
     InfeasibleParamsError,
@@ -13,7 +14,7 @@ from spack.gen import (
     random_subcubic,
     random_tree,
 )
-from spack.graph import ball, build_graph, components, is_cubic
+from spack.graph import build_graph, components, is_cubic
 
 
 def test_cycle_shape():

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_canonical, distance_matrix
+from oracles import assert_canonical, ball, distance_matrix, reference_bipartition_or_odd_cycle
 from spack.exchange import make_state, square_outside
 from spack.gen import cycle, path, petersen
 from spack.graph import (
-    INFINITY,
     Bipartition,
     DegreeExceededError,
     DuplicateEdgeError,
@@ -18,7 +17,7 @@ from spack.graph import (
     SelfLoopError,
     VertexOutOfRangeError,
     assert_subcubic,
-    ball,
+    bfs,
     bipartition_or_odd_cycle,
     build_graph,
     components,
@@ -115,30 +114,70 @@ def test_edge_count():
 
 
 def test_distances_c5():
-    dist = ball(cycle(5), (0,))
-    assert dist == {0: 0, 1: 1, 2: 2, 3: 2, 4: 1}
-    assert list(dist) == [0, 1, 4, 2, 3]  # BFS order
+    dist = [-1] * 5
+    assert bfs(cycle(5), (0,), dist) == [0, 1, 4, 2, 3]  # BFS order
+    assert dist == [0, 1, 2, 2, 1]
 
 
 def test_distances_disconnected():
     g = build_graph(4, [(0, 1), (2, 3)])
-    assert ball(g, (0,)) == {0: 0, 1: 1}
+    dist = [-1] * 4
+    assert bfs(g, (0,), dist) == [0, 1]
+    assert dist == [0, 1, -1, -1]
+
+
+def _nearest(matrix, sources, n):
+    """Floyd-Warshall distance to the nearest source, -1 when none is reachable."""
+    near = [min((matrix[s][v] for s in sources), default=math.inf) for v in range(n)]
+    return [-1 if d == math.inf else d for d in near]
 
 
 @given(loose_graphs(max_n=8, max_degree=7))
 def test_distances_match_floyd_warshall(g):
     matrix = distance_matrix(g)
     for source in range(g.n):
-        dist = ball(g, (source,))
-        assert [dist.get(v, INFINITY) for v in range(g.n)] == matrix[source]
+        dist = [-1] * g.n
+        bfs(g, (source,), dist)
+        assert dist == _nearest(matrix, (source,), g.n)
+
+
+@given(loose_graphs(max_n=8, max_degree=7), st.data())
+def test_bfs_several_sources_order_and_depths(g, data):
+    sources = data.draw(st.permutations(range(g.n)))[: data.draw(st.integers(0, g.n))]
+    dist = [-1] * g.n
+    order = bfs(g, sources, dist)
+    assert dist == _nearest(distance_matrix(g), sources, g.n)
+    assert order[: len(sources)] == sources
+    assert sorted(order) == [v for v in range(g.n) if dist[v] != -1]
+    depths = [dist[v] for v in order]
+    assert depths == sorted(depths)
+
+
+@given(loose_graphs(max_n=8, max_degree=7), st.data())
+def test_bfs_leaves_reached_vertices_alone(g, data):
+    # A vertex already given a distance is a wall: it is neither entered
+    # nor rewritten, even as a source, and the rest is searched as if it
+    # were deleted.
+    blocked = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), unique=True)) if g.n else []
+    dist = [7 if v in blocked else -1 for v in range(g.n)]
+    order = bfs(g, sources, dist)
+    assert not blocked & set(order)
+    assert [dist[v] for v in blocked] == [7] * len(blocked)
+    rest = induced(g, set(range(g.n)) - blocked)
+    kept = [rest.to_host.index(s) for s in sources if s not in blocked]
+    expect = _nearest(distance_matrix(rest.graph), kept, rest.graph.n)
+    assert [dist[v] for v in rest.to_host] == expect
 
 
 @given(loose_graphs(max_n=8, max_degree=7), st.data())
 def test_ball_several_sources_within_radius(g, data):
+    # ``ball`` is the tests' own radius-limited search: reference_verify
+    # and the exact oracle's mask check rest on it.
     sources = data.draw(st.permutations(range(g.n)))[: data.draw(st.integers(0, g.n))]
     radius = data.draw(st.integers(0, 4))
     matrix = distance_matrix(g)
-    nearest = {v: min((matrix[s][v] for s in sources), default=INFINITY) for v in range(g.n)}
+    nearest = {v: min((matrix[s][v] for s in sources), default=math.inf) for v in range(g.n)}
     dist = ball(g, sources, radius)
     assert dist == {v: d for v, d in nearest.items() if d <= radius}
     assert list(dist)[: len(sources)] == sources
@@ -147,12 +186,14 @@ def test_ball_several_sources_within_radius(g, data):
 
 def test_components_order_and_cover():
     g = build_graph(6, [(4, 5), (1, 2)])
-    assert components(g) == [
-        frozenset({0}),
-        frozenset({1, 2}),
-        frozenset({3}),
-        frozenset({4, 5}),
-    ]
+    assert components(g) == [(0,), (1, 2), (3,), (4, 5)]
+
+
+@given(loose_graphs(max_n=10, max_degree=4))
+def test_components_are_the_finite_distance_classes(g):
+    matrix = distance_matrix(g)
+    classes = {tuple(v for v in range(g.n) if matrix[u][v] < math.inf) for u in range(g.n)}
+    assert components(g) == sorted(classes)
 
 
 def _square(g):
@@ -312,3 +353,11 @@ def test_bipartition_or_certificate_properties(g):
             assert (u in result.part1) != (v in result.part1)
     else:
         _assert_chordless_odd_cycle(g, result.vertices)
+
+
+@given(loose_graphs(max_n=12, max_degree=8))
+def test_bipartition_or_certificate_matches_reference(g):
+    # The exchange search's square stage tries this one certificate, so
+    # the move trails depend on which odd cycle comes back, not only on
+    # its being chordless and odd.
+    assert bipartition_or_odd_cycle(g) == reference_bipartition_or_odd_cycle(g)

@@ -1,6 +1,7 @@
 """Smoke tests for ``scripts/``: each script runs end to end on a small input."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -24,12 +25,30 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_scale_benchmark_one_size():
-    done = _run("scale_benchmark.py", "--sizes", "100")
+def test_scale_benchmark_one_size(tmp_path):
+    out = tmp_path / "bench.json"
+    done = _run("scale_benchmark.py", "--sizes", "100", "--json", str(out))
     assert done.returncode == 0, done.stderr
     _, *rows = done.stdout.splitlines()
     assert [row.split()[0] for row in rows] == ["100"] * 3
     assert [row.split()[-1] for row in rows] == ["1"] * 3  # attempts
+    ladder = json.loads(out.read_text())
+    assert set(ladder) == {"python", "git", "nproc", "seed", "cells"}
+    assert ladder["seed"] == 0 and ladder["nproc"] >= 1
+    cells = ladder["cells"]
+    assert [(c["n"], c["density"]) for c in cells] == [(100, d) for d in ("sparse", "medium", "dense")]
+    for cell, row in zip(cells, rows):
+        assert set(cell) == {
+            "n", "m", "density", "generate_s", "color_s", "verify_s", "audit_s", "lift_s",
+            "moves", "attempts",
+        }
+        assert set(cell["moves"]) == {
+            "Absorb", "Flip", "Deg3Exchange", "SameSideExchange", "CycleSwap", "PathSwap",
+        }
+        # the table and the file come from the same run
+        assert int(row.split()[1]) == cell["m"]
+        assert int(row.split()[-2]) == sum(cell["moves"].values())
+        assert cell["attempts"] == 1
 
 
 def test_restart_hunt_small_slice():
