@@ -1,22 +1,23 @@
 """Independent replay audits of coloring runs.
 
-Re-executes a recorded exchange run from its initial sides alone, under
-weights re-derived from the core (``weights.compute_weights``), which
-must equal the recorded ones; every move is validated and committed in
-place.  The neighbour counts are rebuilt from those sides, not read from
-the record, so a forged count can neither fail a sound run nor hide a
-fault.  The potential is recounted from scratch at the start and at the
-end of the replay; in between, every move goes through the search's own
-checked commit (``exchange.checked_commit``), whose touched check always
-runs: the potential change must equal a count over the vertices whose
-side it changed (``weights.touched_potential``), which equals a recount
-by induction from the first anchor.  The audit then re-derives the
-fixpoint structure and the outside square bipartition on the replayed
-state, checks that the run's coloring is their layout, and ties each run
-to the result: its classes, in host ids, lie within the result's
-classes at the same positions.  Used by the test suite to certify that
-every committed move strictly increased the potential and that every
-terminal state satisfies the structural invariants.
+Re-executes a recorded exchange run from its recorded side list alone,
+under weights re-derived from the core (``weights.compute_weights``),
+which must equal the recorded ones; every move is validated and
+committed in place.  The list must hold 0, 1 or 2 for each core vertex;
+its neighbour counts are rebuilt from it, not read from the record, so
+a forged count can neither fail a sound run nor hide a fault.  The
+potential is recounted from scratch at the start and at the end of the
+replay; in between, every move goes through the search's own checked
+commit (``exchange.checked_commit``), whose touched check always runs:
+the potential change must equal a count over the vertices whose side it
+changed (``weights.touched_potential``), which equals a recount by
+induction from the first anchor.  The audit then re-derives the fixpoint
+structure and the outside square bipartition on the replayed state,
+checks that the run's coloring is their layout, and ties each run to the
+result: its classes, in host ids, lie within the result's classes at the
+same positions.  Used by the test suite to certify that every committed
+move strictly increased the potential and that every terminal state
+satisfies the structural invariants.
 """
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ from itertools import compress
 from .colorer import CLASS_LABELS, CLASS_RADII, ColorResult, CoreRun
 from .exchange import (
     InvalidStateError,
+    _state_from_sides,
     check_fixpoint_invariants,
     checked_commit,
     evaluate_move,
-    make_state,
     square_outside,
 )
 from .graph import Graph, induced
@@ -77,8 +78,11 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     w = compute_weights(core)
     if tuple(w) != tuple(run.weights):
         raise AuditError("recorded weights differ from the core's own weights")
+    side = list(run.initial.side)
+    if len(side) != core.n or not {*side} <= {0, 1, 2}:
+        raise AuditError(f"initial state: not a side list of length {core.n} over 0, 1 and 2")
     try:
-        state = make_state(core, w, run.initial.s1, run.initial.s2)
+        state = _state_from_sides(core, w, side)
     except InvalidStateError as err:
         raise AuditError(f"initial state: {err}") from err
     if state.potential != run.initial.potential:

@@ -40,11 +40,11 @@ from outside.  The search and the audit's replay both commit through
 validation on, the from-scratch recount anchors that check at the start
 and at every cheap-move fixpoint.
 
-``initial_state`` builds its greedy side list once and hands it to the
-same from-scratch count that ``make_state`` runs after building sides
-from two sets: every neighbor count, the independence of both sides and
-the potential are counted again from the side list, so the start state
-is validated as any state from outside is.
+``initial_state`` builds its greedy side list once and hands it to
+``_state_from_sides``, the from-scratch count the audit also runs on a
+recorded side list: every neighbor count, the independence of both sides
+and the potential are counted again from the side list, so the start
+state is validated as any state from outside is.
 """
 from __future__ import annotations
 
@@ -224,19 +224,6 @@ class FixpointResult:
     moves: list[MoveRecord]
 
 
-def make_state(g: Graph, w: list[int], s1, s2) -> BipartitionState:
-    """Assemble and validate a state from explicit side sets."""
-    a, b = frozenset(s1), frozenset(s2)
-    if a & b:
-        raise InvalidStateError(f"sides overlap on {sorted(a & b)}")
-    side = [OUTSIDE] * g.n
-    for v in a:
-        side[v] = 1
-    for v in b:
-        side[v] = 2
-    return _state_from_sides(g, w, side)
-
-
 def _state_from_sides(g: Graph, w: list[int], side: list[int]) -> BipartitionState:
     """The state on ``side``, its neighbor counts and potential counted from scratch.
 
@@ -265,8 +252,8 @@ def initial_state(g: Graph, w: list[int], seed: int | None = None) -> Bipartitio
     no strict-increase swap.
 
     The side list built here is the state's own; its neighbor counts,
-    independence and potential are still counted from scratch, as
-    ``make_state`` counts them.
+    independence and potential are still counted from scratch, as the
+    audit counts them on a recorded side list.
     """
     if min_degree(g) < 2:
         raise MinDegreeError("initial_state needs minimum degree 2")

@@ -16,11 +16,12 @@ edge.  Edge meetings are needed only for odd s, and only between the
 two balls' outermost layers: any other edge meeting is matched or beaten
 by a vertex meeting one step along the edge.
 
-The balls are walked over ``g.adj`` with two flat lists per class, one
-slot per vertex, rather than a dict per member; ``_close_pairs`` says
-why a pair's first meeting on that walk gives its distance.  The lists
-are indexed by vertex id, so ``verify`` range-checks every class before
-it walks any ball.  The verifier runs its own breadth-first search and
+The balls are walked over ``g.adj`` with two flat int lists per class,
+one slot per vertex: the member whose walk last reached it and that
+member's distance; a dict takes older entries only where balls overlap.
+``_close_pairs`` says why a pair's first meeting on that walk gives its
+distance.  The lists are indexed by vertex id, so ``verify`` range-checks
+every class first.  The verifier runs its own breadth-first search and
 shares none with the solvers it checks.
 """
 from __future__ import annotations
@@ -126,18 +127,18 @@ def _close_pairs(g: Graph, cls: ColorClass) -> dict[tuple[int, int], int]:
     end, so ``verify`` range-checks the classes first.
 
     Members are walked in ascending order, each one's radius-k ball a
-    layer at a time.  ``holders[v]`` lists the ``(member, distance)``
-    entries of the balls walked so far that contain v, ``()`` when none
-    does, and ``stamp[v]`` is the member whose walk last reached v.
-    When y's walk first reaches v at distance dy, every entry (x, dx)
-    already there is a vertex meeting.  The first meeting of a pair has
-    the least dy, and there dx + dy is already the distance: a shortest
-    path of length d has its vertex at distance max(0, d - k) from y
-    inside x's ball, and no vertex nearer to y is.  For an odd radius, a pair
-    still without a vertex meeting that meets across an edge from y's
-    outermost layer is at distance 2k + 1 = r.  In a valid class the
-    balls are disjoint, so each member costs one walk over its ball and
-    every ``holders`` read is empty.
+    layer at a time.  ``last[v]`` is the member whose walk last reached
+    v (-1 for none) and ``depth[v]`` its distance to v; a later walk
+    moves that entry to ``overflow[v]``, so only vertices in two or more
+    balls have one.  When y's walk first reaches v at distance dy, every
+    entry (x, dx) held there is a vertex meeting.  The first meeting of
+    a pair has the least dy, and there dx + dy is already the distance:
+    a shortest path of length d has its vertex at distance max(0, d - k)
+    from y inside x's ball, and no vertex nearer to y is.  For an odd
+    radius, a pair still without a vertex meeting that meets across an
+    edge from y's outermost layer is at distance 2k + 1 = r.  In a valid
+    class the balls are disjoint, so each vertex a walk reaches costs
+    two stores and ``overflow`` stays empty.
     """
     members = cls.vertices
     if len(members) < 2:
@@ -147,36 +148,44 @@ def _close_pairs(g: Graph, cls: ColorClass) -> dict[tuple[int, int], int]:
     adj = g.adj
     if k == 0:
         # the balls are the members themselves, and they meet only across edges
-        return {(x, y): 1 for y in sorted(members) for x in adj[y] if x < y and x in members}
-    holders: list[tuple[tuple[int, int], ...]] = [()] * g.n
-    stamp = [-1] * g.n
+        return {(x, y): 1 for y in members for x in adj[y] if x < y and x in members}
+    last = [-1] * g.n
+    depth = [0] * g.n
+    overflow: dict[int, list[tuple[int, int]]] = {}
     close: dict[tuple[int, int], int] = {}
-    for y in sorted(members):
-        stamp[y] = y
-        held = holders[y]
+
+    def meet(v: int, y: int, d: int) -> None:
+        held = overflow.setdefault(v, [])
+        held.append((last[v], depth[v]))
         for x, dx in held:
-            close.setdefault((x, y), dx)
-        holders[y] = held + ((y, 0),)
+            close.setdefault((x, y), dx + d)
+
+    for y in sorted(members):
+        if last[y] >= 0:
+            meet(y, y, 0)
+        last[y], depth[y] = y, 0
         layer = [y]
         for d in range(1, k + 1):
-            entry = ((y, d),)
             reached = []
             for u in layer:
                 for v in adj[u]:
-                    if stamp[v] != y:
-                        stamp[v] = y
+                    x = last[v]
+                    if x != y:
+                        if x >= 0:
+                            meet(v, y, d)
+                        last[v] = y
+                        depth[v] = d
                         reached.append(v)
-                        held = holders[v]
-                        for x, dx in held:
-                            close.setdefault((x, y), dx + d)
-                        holders[v] = held + entry
             layer = reached
         if r % 2:
             # layer is y's outermost one at distance k, empty if the ball stops short
             for a in layer:
                 for b in adj[a]:
-                    for x, _ in holders[b]:
-                        if x != y:
+                    x = last[b]
+                    if x != y and x >= 0:
+                        close.setdefault((x, y), r)
+                    if overflow and b in overflow:
+                        for x, _ in overflow[b]:
                             close.setdefault((x, y), r)
     return close
 

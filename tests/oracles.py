@@ -45,9 +45,10 @@ a differential test can pin that depth parity gives the same parts and
 the same odd-cycle certificate, which the move trails depend on.
 
 The module also holds the helpers only tests need: the two weight
-predicates, a copy-on-write move application, a coloring constructor
-and a check that a graph built straight from adjacency lists is the
-graph ``build_graph`` makes from its edges.
+predicates, a set-based state constructor, a copy-on-write move
+application, a coloring constructor and a check that a graph built
+straight from adjacency lists is the graph ``build_graph`` makes from
+its edges.
 """
 from __future__ import annotations
 
@@ -83,6 +84,7 @@ from spack.exchange import (
     SquareBipartition,
     StuckError,
     _other,
+    _state_from_sides,
     _swap_candidates_for_cycle,
     _try_move,
     check_fixpoint_invariants,
@@ -417,6 +419,19 @@ def reference_potential(g: Graph, w: list[int], side) -> Potential:
         sum(1 for u, v in g.edges() if side[u] and side[v]),
         sum(w[v] for v in range(g.n) if side[v]),
     )
+
+
+def make_state(g: Graph, w: list[int], s1, s2) -> BipartitionState:
+    """Assemble and validate a state from explicit side sets."""
+    a, b = frozenset(s1), frozenset(s2)
+    if a & b:
+        raise InvalidStateError(f"sides overlap on {sorted(a & b)}")
+    side = [OUTSIDE] * g.n
+    for v in a:
+        side[v] = 1
+    for v in b:
+        side[v] = 2
+    return _state_from_sides(g, w, side)
 
 
 def apply_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> BipartitionState:

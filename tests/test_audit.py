@@ -124,6 +124,23 @@ def test_audit_rejects_dependent_initial_side():
         audit_core_run(core, tampered)
 
 
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda side: side + [OUTSIDE],
+        lambda side: side[:-1],
+        lambda side: [3 if s == 2 else s for s in side],
+        lambda side: [-1 if s == OUTSIDE else s for s in side],
+    ],
+    ids=["one_too_long", "one_too_short", "side_3", "side_minus_1"],
+)
+def test_audit_rejects_an_initial_side_list_off_the_core(forge):
+    _, _, core, run = _busy_instance()
+    forged = dataclasses.replace(run.initial, side=forge(list(run.initial.side)))
+    with pytest.raises(AuditError, match="initial state: not a side list of length"):
+        audit_core_run(core, dataclasses.replace(run, initial=forged))
+
+
 def test_audit_rejects_broken_square_bipartition():
     _, _, core, run = _busy_instance()
     outside = sorted(run.final.outside)

@@ -33,7 +33,6 @@ from spack.exchange import (
     commit_move,
     evaluate_move,
     initial_state,
-    make_state,
     run_to_fixpoint,
     square_outside,
 )
@@ -44,6 +43,7 @@ from oracles import (
     apply_move,
     assert_canonical,
     distance_matrix,
+    make_state,
     reference_bipartition_or_odd_cycle,
     reference_run_to_fixpoint,
 )

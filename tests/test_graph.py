@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_canonical, ball, distance_matrix, reference_bipartition_or_odd_cycle
-from spack.exchange import make_state, square_outside
+from oracles import (
+    assert_canonical,
+    ball,
+    distance_matrix,
+    make_state,
+    reference_bipartition_or_odd_cycle,
+)
+from spack.exchange import square_outside
 from spack.gen import cycle, path, petersen
 from spack.graph import (
     Bipartition,

@@ -315,3 +315,55 @@ def test_lift_matches_the_built_subdivision(g):
     assert lifted.n == sg.n
     assert lifted.classes[0].label == "sub"
     assert lifted.classes[0].vertices == set(smap.edge_vertex.values())
+
+
+def test_three_balls_share_the_centre_of_a_claw():
+    # every leaf's radius-1 ball holds the centre 0
+    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    coloring = make_coloring(4, [("leaves", 2, [1, 2, 3]), ("centre", 1, [0])])
+    result = verify(g, coloring)
+    assert result.violations == [
+        Violation("leaves", 2, (1, 2), 2),
+        Violation("leaves", 2, (1, 3), 2),
+        Violation("leaves", 2, (2, 3), 2),
+    ]
+    assert result == reference_verify(g, coloring)
+
+
+@pytest.mark.parametrize("radius", [3, 5])
+def test_edge_meeting_at_a_vertex_held_by_two_earlier_balls(radius):
+    # x1 and x2 end arms of k from b, y ends one of k + 1, so y's
+    # outermost layer meets b, which both earlier balls hold, across an edge
+    k = radius // 2
+    b, x1, x2, a, y = 0, k, 2 * k, 2 * k + 1, 3 * k + 1
+    edges = [(b, 1), (b, k + 1), (b, a)]
+    edges += [(v, v + 1) for v in [*range(1, k), *range(k + 1, 2 * k), *range(a, y)]]
+    g = build_graph(y + 1, edges)
+    rest = [v for v in range(g.n) if v not in (x1, x2, y)]
+    coloring = make_coloring(g.n, [("c", radius, [x1, x2, y]), ("rest", 1, rest)])
+    result = verify(g, coloring)
+    assert [v for v in result.violations if v.label == "c"] == [
+        Violation("c", radius, (x1, x2), 2 * k),
+        Violation("c", radius, (x1, y), radius),
+        Violation("c", radius, (x2, y), radius),
+    ]
+    assert result == reference_verify(g, coloring)
+
+
+@settings(deadline=None)
+@given(subcubic_graphs(min_n=1, max_n=20), st.data())
+def test_verify_matches_reference_on_random_classes_of_subdivisions(g, data):
+    sg, _ = subdivide(g)
+    vertex = st.integers(0, sg.n - 1)
+    classes = data.draw(
+        st.lists(
+            st.tuples(st.integers(1, 5), st.frozensets(vertex, max_size=sg.n)),
+            min_size=1,
+            max_size=5,
+        ),
+        label="classes",
+    )
+    coloring = PackingColoring(
+        sg.n, tuple(ColorClass(str(i), r, vs) for i, (r, vs) in enumerate(classes))
+    )
+    assert verify(sg, coloring) == reference_verify(sg, coloring)
