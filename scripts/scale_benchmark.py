@@ -7,7 +7,12 @@ subdivision-lift time, committed moves, restart attempts).  The lift
 column times the certification of the corollary on S(G):
 ``derive_subdivision_coloring``, then ``subdivide``, then ``verify`` of
 the lifted coloring.  Validation stays on, as in ``color_graph``'s
-defaults.
+defaults.  Each cell's graph is generated once, then colored, verified,
+audited and lifted three times; each of the four timings is the median
+of its three runs, since single runs of the same cell can differ by
+more than the changes the ladder is meant to show.  The default sizes
+are the n = 10^3, 10^4, 10^5 ladder (about 15 s on one core);
+``--sizes`` picks others.
 
 With ``--json PATH`` it also writes the ladder to PATH: per cell the
 size, density, generation time (apart from the rest), the four timings,
@@ -15,7 +20,7 @@ the committed moves per kind and the attempts; for the file the Python
 version, ``git describe --always --dirty`` (null outside a checkout),
 the usable CPU count and the seed.
 
-Usage: python scripts/scale_benchmark.py [--sizes 100,1000,10000] [--seed S] [--json PATH]
+Usage: python scripts/scale_benchmark.py [--sizes 1000,10000,100000] [--seed S] [--json PATH]
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -31,11 +37,13 @@ from pathlib import Path
 from typing import get_args
 
 from spack.audit import audit_color_result
-from spack.colorer import color_graph
+from spack.colorer import ColorResult, color_graph
 from spack.exchange import Move
 from spack.gen import random_subcubic
-from spack.graph import subdivide
+from spack.graph import Graph, subdivide
 from spack.verify import derive_subdivision_coloring, verify
+
+REPEATS = 3  # each cell's four timings are the median of this many runs
 
 
 def density_ladder(n: int) -> list[tuple[str, int]]:
@@ -51,10 +59,8 @@ def density_ladder(n: int) -> list[tuple[str, int]]:
     ]
 
 
-def bench_one(n: int, m: int, label: str, seed: int) -> dict:
-    start = time.perf_counter()
-    g = random_subcubic(n, m, seed=seed, require_non_cubic=True)
-    t_generate = time.perf_counter() - start
+def time_stages(g: Graph, where: str) -> tuple[ColorResult, dict[str, float]]:
+    """Color, verify, audit and lift ``g`` once; the wall time of each stage."""
     start = time.perf_counter()
     result = color_graph(g)
     t_color = time.perf_counter() - start
@@ -62,7 +68,7 @@ def bench_one(n: int, m: int, label: str, seed: int) -> dict:
     report = verify(g, result.coloring)
     t_verify = time.perf_counter() - start
     if not report.ok:
-        raise RuntimeError(f"invalid coloring at n={n} m={m} seed={seed}")
+        raise RuntimeError(f"invalid coloring at {where}")
     start = time.perf_counter()
     audit_color_result(g, result)
     t_audit = time.perf_counter() - start
@@ -72,7 +78,17 @@ def bench_one(n: int, m: int, label: str, seed: int) -> dict:
     lifted_report = verify(sg, lifted)
     t_lift = time.perf_counter() - start
     if not lifted_report.ok:
-        raise RuntimeError(f"invalid S(G) coloring at n={n} m={m} seed={seed}")
+        raise RuntimeError(f"invalid S(G) coloring at {where}")
+    return result, {"color_s": t_color, "verify_s": t_verify, "audit_s": t_audit, "lift_s": t_lift}
+
+
+def bench_one(n: int, m: int, label: str, seed: int) -> dict:
+    start = time.perf_counter()
+    g = random_subcubic(n, m, seed=seed, require_non_cubic=True)
+    t_generate = time.perf_counter() - start
+    where = f"n={n} m={m} seed={seed}"
+    result, first = time_stages(g, where)
+    samples = [first] + [time_stages(g, where)[1] for _ in range(REPEATS - 1)]
     runs = [comp.core_run for comp in result.components if comp.core_run is not None]
     kinds = Counter(type(record.move).__name__ for run in runs for record in run.moves)
     return {
@@ -80,10 +96,7 @@ def bench_one(n: int, m: int, label: str, seed: int) -> dict:
         "m": m,
         "density": label,
         "generate_s": t_generate,
-        "color_s": t_color,
-        "verify_s": t_verify,
-        "audit_s": t_audit,
-        "lift_s": t_lift,
+        **{stage: statistics.median(t[stage] for t in samples) for stage in first},
         "moves": {kind.__name__: kinds[kind.__name__] for kind in get_args(Move)},
         "attempts": max((run.attempts for run in runs), default=0),
     }
@@ -136,7 +149,7 @@ def main() -> int:
     ap.add_argument(
         "--sizes",
         type=lambda s: [int(x) for x in s.split(",")],
-        default=[100, 1_000, 10_000],
+        default=[1_000, 10_000, 100_000],
         help="comma-separated vertex counts",
     )
     ap.add_argument("--seed", type=int, default=0)

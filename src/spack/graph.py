@@ -2,18 +2,20 @@
 
 Adjacency lists are kept sorted so that every traversal in the package is
 deterministic.  ``build_graph`` validates and sorts an edge list from
-outside the package.  A graph the package derives (an induced subgraph,
-a subdivision, a decoded graph6 line, an outside square) is built as
-``Graph(n, adj)`` straight from adjacency lists that are sorted,
-symmetric and loop-free by construction.  Every distance the solvers
-need beyond two steps comes from one breadth-first search, ``bfs``,
-which writes depths into a flat list that the caller owns.  It has three
-callers: ``components`` (one list shared across roots), the weights
-(one search from every light vertex) and ``bipartition_or_odd_cycle``
-(parts from depth parity).  The two checkers are the exceptions:
-``spack.verify`` walks its own half-radius balls, and ``spack.exact``
-grows its distance masks by a bitmask recurrence, so that a fault in
-``bfs`` cannot hide in the checks of the colorings built on it.
+outside the package (and the fixed families and random trees of
+``spack.gen``).  A graph the package derives (an induced subgraph, a
+subdivision, a decoded graph6 line, an outside square, a random
+subcubic graph) is built as ``Graph(n, adj)`` straight from adjacency
+lists that are sorted, symmetric and loop-free by construction.  Every
+distance the solvers need beyond two steps comes from one breadth-first
+search, ``bfs``, which writes depths into a flat list that the caller
+owns.  It has three callers: ``components`` (one list shared across
+roots), the weights (one search from every light vertex) and
+``bipartition_or_odd_cycle`` (parts from depth parity).  The two
+checkers are the exceptions: ``spack.verify`` walks its own half-radius
+balls, and ``spack.exact`` grows its distance masks by a bitmask
+recurrence, so that a fault in ``bfs`` cannot hide in the checks of the
+colorings built on it.
 """
 from __future__ import annotations
 

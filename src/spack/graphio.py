@@ -133,9 +133,12 @@ def parse_graph6(data: str | bytes) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """Canonical graph6 line (shortest size form, no optional header)."""
     body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
-    for u, v in g.edges():
-        k = v * (v - 1) // 2 + u  # the bit of (u, v), u < v, as in parse_graph6
-        body[k // 6] |= 32 >> (k % 6)
+    for v, row in enumerate(g.adj):
+        base = v * (v - 1) // 2  # the bit of (u, v), u < v, is base + u, as in parse_graph6
+        for u in row:
+            if u >= v:
+                break
+            body[(base + u) // 6] |= 32 >> ((base + u) % 6)
     return _size_prefix(g.n) + body.translate(_GRAPH6_CHARS).decode("ascii")
 
 

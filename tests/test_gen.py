@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import ball
+from oracles import assert_canonical, ball
 from spack.gen import (
     FAMILIES,
     InfeasibleParamsError,
@@ -15,6 +17,7 @@ from spack.gen import (
     random_tree,
 )
 from spack.graph import build_graph, components, is_cubic
+from spack.graphio import encode_graph6
 
 
 def test_cycle_shape():
@@ -94,6 +97,26 @@ def test_random_subcubic_non_cubic_option():
         g = random_subcubic(8, 12, seed=seed, require_non_cubic=True)
         assert not is_cubic(g)
     assert random_subcubic(1, 0, require_non_cubic=True) == build_graph(1, [])
+
+
+def test_random_subcubic_outputs_pinned():
+    # One digest over graph6 lines for every (n, m, seed, non-cubic) cell
+    # pins the sampler draw for draw; it was taken from the sampler that
+    # rebuilt its pool list for every edge.  The grid holds pools of up
+    # to five 256-member blocks (n = 2000) and runs whose rejection
+    # sampling fails and falls back to exhaustive enumeration, such as
+    # (6, 9, seed 6, non-cubic).  Each graph must also be exactly what
+    # ``build_graph`` makes of its own edges.
+    digest = hashlib.sha256()
+    for n in (2, 3, 6, 7, 50, 200, 600, 1000, 2000):
+        cap = min(3 * n // 2, n * (n - 1) // 2)
+        for m in sorted({n - 1, round(1.25 * (n - 1)), cap}):
+            for seed in range(20):
+                for non_cubic in (False, True):
+                    g = random_subcubic(n, m, seed, require_non_cubic=non_cubic)
+                    assert_canonical(g)
+                    digest.update(encode_graph6(g).encode() + b"\n")
+    assert digest.hexdigest() == "468ac57fa20a08a01d0e7d6c4641b52021e3ff6f7312cedd58279121be9bc467"
 
 
 def test_random_subcubic_rejects_bad_params():
