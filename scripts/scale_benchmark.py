@@ -18,13 +18,16 @@ With ``--json PATH`` it also writes the ladder to PATH: per cell the
 size, density, generation time (apart from the rest), the four timings,
 the committed moves per kind and the attempts; for the file the Python
 version, ``git describe --always --dirty`` (null outside a checkout),
-the usable CPU count and the seed.
+``source``, a sha256 over the measured package's ``*.py`` files (each
+name, then its bytes, in name order) that names the code even when the
+checkout is dirty, the usable CPU count and the seed.
 
 Usage: python scripts/scale_benchmark.py [--sizes 1000,10000,100000] [--seed S] [--json PATH]
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -36,6 +39,7 @@ from collections import Counter
 from pathlib import Path
 from typing import get_args
 
+import spack
 from spack.audit import audit_color_result
 from spack.colorer import ColorResult, color_graph
 from spack.exchange import Move
@@ -115,6 +119,14 @@ def _git_describe() -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def _source_sha256() -> str:
+    digest = hashlib.sha256()
+    for path in sorted(Path(spack.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def run(sizes: list[int], seed: int, json_path: str | None = None) -> int:
     print(
         f"{'n':>7} {'m':>7} {'density':>8} {'color s':>9} {'verify s':>9} {'audit s':>9} "
@@ -136,6 +148,7 @@ def run(sizes: list[int], seed: int, json_path: str | None = None) -> int:
         ladder = {
             "python": platform.python_version(),
             "git": _git_describe(),
+            "source": _source_sha256(),
             "nproc": len(affinity(0)) if affinity else os.cpu_count(),
             "seed": seed,
             "cells": cells,

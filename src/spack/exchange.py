@@ -9,24 +9,24 @@ graph restricted to the outside is bipartite; its two parts become the
 radius-2 color classes while s1/s2 become the radius-1 classes.
 
 The four cheap move kinds (Absorb, Flip, Deg3Exchange,
-SameSideExchange) each have a per-vertex evaluator, and the search keeps
+SameSideExchange) each have a rule, which says where a move exists, and
+a builder, which makes the one move the rule promises; the search keeps
 a dirty-flag worklist per kind instead of rescanning every vertex after
-each commit.  Each kind has a rule, its evaluator's whole precheck:
-Absorb, an outside vertex with no neighbor on some side; Flip, an
-outside vertex with a side whose neighbors there have no neighbor
-across; SameSideExchange, an outside vertex whose three S-neighbors
-split 2 + 1 and whose lone neighbor has S-degree at most 1 or is
-lighter; Deg3Exchange, a hub, a degree-3 vertex of S with no neighbor
-in S.  A flag is set exactly where its rule holds.  Where the first
-three rules hold their moves provably raise the potential, and a hub is
-tried only once no Absorb or Flip rule holds anywhere, when its move
-provably raises the potential too (the hub lemma, at ``_Worklist``), so
-every set flag yields a move.  A commit changes the sides of a few
-vertices, and the rules read sides within distance 1, 2, 2 and 1 of v,
-so each flag is recomputed within its rule's radius of a changed vertex
-and nowhere else.  The worklist thus returns the same move, in the same
-order, as a full scan of the kinds in priority order and the vertices
-in ascending id.
+each commit.  The rules: Absorb, an outside vertex with no neighbor on
+some side; Flip, an outside vertex with a side whose neighbors there
+have no neighbor across; SameSideExchange, an outside vertex whose three
+S-neighbors split 2 + 1 and whose lone neighbor has S-degree at most 1
+or is lighter; Deg3Exchange, a hub, a degree-3 vertex of S with no
+neighbor in S.  A flag is set exactly where its rule holds.  Where the
+first three rules hold their built moves provably raise the potential,
+and a hub is tried only once no Absorb or Flip rule holds anywhere, when
+its built move provably raises the potential too (the hub lemma, at
+``_Worklist``), so every set flag yields a move.  A commit changes the
+sides of a few vertices, and the rules read sides within distance 1, 2,
+2 and 1 of v, so each flag is recomputed within its rule's radius of a
+changed vertex and nowhere else.  The worklist thus returns the same
+move, in the same order, as a full scan of the kinds in priority order
+and the vertices in ascending id.
 
 Every candidate move goes through checked application: independence and
 a strict potential increase are validated before any commit, so a proof
@@ -406,13 +406,12 @@ def _try_move(g, w, state, move) -> Candidate | None:
     return None if new_potential is None else Candidate(move, plan, new_potential)
 
 
-# Each cheap kind's rule is its evaluator's whole precheck, everything
-# the evaluator tests before it builds a plan; the worklist flags by the
-# same function.  A rule returns 0 where it fails, else the side its move
-# is about.  Where the rules of Absorb, Flip and SameSideExchange hold,
-# their moves validate (each docstring gives the count), so those
-# evaluators never return None there.  Deg3Exchange's may at a hub, but
-# not once no Absorb or Flip rule holds (the hub lemma at ``_Worklist``).
+# Each cheap kind has a rule, by which the worklist flags, and a builder.
+# A rule returns 0 where it fails, else the side s its move is about, and
+# ``build(g, w, state, v, s)`` returns the one move that s promises.  The
+# built moves validate where their rules hold (each rule's docstring gives
+# the count), the hub move once no Absorb or Flip rule holds (the hub
+# lemma at ``_Worklist``).
 
 
 def _absorb_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
@@ -427,9 +426,8 @@ def _absorb_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int
     return 1 if nbr[1][x] == 0 else 2 if nbr[2][x] == 0 else 0
 
 
-def _absorb_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
-    s = _absorb_side(g, w, state, x)
-    return _try_move(g, w, state, Absorb(x, s)) if s else None
+def _absorb_move(g: Graph, w: list[int], state: BipartitionState, x: int, s: int) -> Absorb:
+    return Absorb(x, s)
 
 
 def _flip_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
@@ -454,12 +452,8 @@ def _flip_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
     return 0
 
 
-def _flip_at(g: Graph, w: list[int], state: BipartitionState, x: int) -> Candidate | None:
-    s = _flip_side(g, w, state, x)
-    if not s:
-        return None
-    displaced = tuple(u for u in g.adj[x] if state.side[u] == s)
-    return _try_move(g, w, state, Flip(x, s, displaced))
+def _flip_move(g: Graph, w: list[int], state: BipartitionState, x: int, s: int) -> Flip:
+    return Flip(x, s, tuple(u for u in g.adj[x] if state.side[u] == s))
 
 
 def _hub_side(g: Graph, w: list[int], state: BipartitionState, z: int) -> int:
@@ -472,18 +466,14 @@ def _hub_side(g: Graph, w: list[int], state: BipartitionState, z: int) -> int:
     return s if s != OUTSIDE and len(g.adj[z]) == 3 == state.nbr[OUTSIDE][z] else 0
 
 
-def _deg3_exchange_at(g: Graph, w: list[int], state: BipartitionState, z: int) -> Candidate | None:
-    if not _hub_side(g, w, state, z):
-        return None
+def _hub_move(g: Graph, w: list[int], state: BipartitionState, z: int, s: int) -> Deg3Exchange | None:
+    """The hub lemma's trade: z's first lighter neighbor x for x's first lighter S-neighbor y, or None."""
     for x in g.adj[z]:
-        if w[x] >= w[z]:
-            continue
-        for y in g.adj[x]:
-            if state.side[y] == OUTSIDE or w[y] >= w[x]:
-                continue
-            found = _try_move(g, w, state, Deg3Exchange(z, x, y))
-            if found:
-                return found
+        if w[x] < w[z]:
+            for y in g.adj[x]:
+                if state.side[y] != OUTSIDE and w[y] < w[x]:
+                    return Deg3Exchange(z, x, y)
+            return None
     return None
 
 
@@ -509,26 +499,20 @@ def _exchange_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> i
             return s if in1[x3] + in2[x3] <= 1 or w[x3] < w[x] else 0
 
 
-def _same_side_exchange_at(
-    g: Graph, w: list[int], state: BipartitionState, x: int
-) -> Candidate | None:
-    s = _exchange_side(g, w, state, x)
-    if not s:
-        return None
-    x3 = next(u for u in g.adj[x] if state.side[u] == s)
-    return _try_move(g, w, state, SameSideExchange(x, x3))
+def _same_side_move(g: Graph, w: list[int], state: BipartitionState, x: int, s: int) -> SameSideExchange:
+    return SameSideExchange(x, next(u for u in g.adj[x] if state.side[u] == s))
 
 
-# The cheap move kinds in priority order: (evaluator, rule, at_outside,
-# the radius within which the rule reads sides).  A commit can change a
+# The cheap move kinds in priority order: (build, rule, at_outside, the
+# radius within which the rule reads sides).  A commit can change a
 # rule's answer only for vertices that close to a vertex whose side
 # changed.  A rule holds only at outside vertices (``at_outside``) or
 # only at vertices of S.
 _CHEAP_KINDS = (
-    (_absorb_at, _absorb_side, True, 1),
-    (_flip_at, _flip_side, True, 2),
-    (_deg3_exchange_at, _hub_side, False, 1),
-    (_same_side_exchange_at, _exchange_side, True, 2),
+    (_absorb_move, _absorb_side, True, 1),
+    (_flip_move, _flip_side, True, 2),
+    (_hub_move, _hub_side, False, 1),
+    (_same_side_move, _exchange_side, True, 2),
 )
 _REACH = max(radius for *_, radius in _CHEAP_KINDS)
 
@@ -541,18 +525,19 @@ class _Worklist:
     with one set yields a move.  That move is therefore the first move
     of the full scan (kinds in priority order, vertices in ascending
     id).  For Absorb, Flip and SameSideExchange the rule's docstring
-    gives the count that makes the move validate; for Deg3Exchange it
-    is the hub lemma.
+    gives the count that makes the built move validate; for
+    Deg3Exchange it is the hub lemma.
 
-    Hub lemma: a hub z is evaluated only when no Absorb or Flip rule
-    holds, and then its evaluator finds a move.  z has degree 3, so a
-    neighbor x has w[x] = w[z] - 1 (``weights``), and x is outside.  Not
-    absorbable, x has a neighbor across from z; not flippable onto z's
-    side, x has a second neighbor there, since z has no neighbor across.
-    So x has three S-neighbors and degree 3, and its lightest neighbor y
-    weighs w[x] - 1, so y is in S and is not z.  Trading x for y, with z
-    stepping across when y shares its side, changes the inside edges by
-    2 - s_degree(y) >= 0 and raises the weight by w[x] - w[y] = 1.
+    Hub lemma: a hub z is tried only when no Absorb or Flip rule holds,
+    and then ``_hub_move``'s trade validates.  z has degree 3, so its
+    first lighter neighbor x has w[x] = w[z] - 1 (``weights``), and x is
+    outside.  Not absorbable, x has a neighbor across from z; not
+    flippable onto z's side, x has a second neighbor there, since z has
+    no neighbor across.  So x has three S-neighbors and degree 3, and
+    its first lighter neighbor y weighs w[x] - 1, so y is in S and is
+    not z.  Trading x for y, with z stepping across when y shares its
+    side, changes the inside edges by 2 - s_degree(y) >= 0 and raises
+    the weight by w[x] - w[y] = 1.
 
     The flags start as the rules, tried at every vertex; ``touch``
     keeps them so after each commit.
@@ -561,7 +546,6 @@ class _Worklist:
     def __init__(self, g: Graph, w: list[int], state: BipartitionState):
         self.g, self.w, self.state = g, w, state
         self.flags = [bytearray(g.n) for _ in _CHEAP_KINDS]
-        self.queues = [(evaluate, flags) for (evaluate, *_), flags in zip(_CHEAP_KINDS, self.flags)]
         # at[d]: (flags, rule, at_outside) of each kind whose radius is at least d
         self.at = [
             [
@@ -571,24 +555,23 @@ class _Worklist:
             ]
             for d in range(_REACH + 1)
         ]
-        side = state.side
-        outside = [v for v in range(g.n) if side[v] == OUTSIDE]
-        inside = [v for v in range(g.n) if side[v] != OUTSIDE]
-        self._set(self.at[0], (), outside, inside)
+        self._set(self.at[0], range(g.n))
 
     def next_move(self) -> Candidate | None:
         """The move at the first set flag of the highest-priority kind, or None.
 
-        Raises InvalidStateError when that flag's evaluator finds no
-        move, which the invariant rules out.
+        Raises InvalidStateError when the kind's builder makes no move
+        there or its move fails validation, which the invariant rules out.
         """
         g, w, state = self.g, self.w, self.state
-        for evaluate, flags in self.queues:
+        for (build, rule, _, _), flags in zip(_CHEAP_KINDS, self.flags):
             v = flags.find(1)
             if v >= 0:
-                found = evaluate(g, w, state, v)
-                if found is None:
-                    raise InvalidStateError(f"{evaluate.__name__} found no move at flagged vertex {v}")
+                s = rule(g, w, state, v)
+                move = s and build(g, w, state, v, s)
+                found = move and _try_move(g, w, state, move)
+                if not found:
+                    raise InvalidStateError(f"{build.__name__} found no move at flagged vertex {v}")
                 return found
         return None
 
@@ -597,21 +580,14 @@ class _Worklist:
 
         A walk by layers gives the vertices at each distance d from
         ``changed``, for d up to ``_REACH``.  For each kind whose rule
-        reads as far as d, the layer's flags are cleared and then set
-        where the rule holds in the committed state, tried at the
-        layer's outside vertices or at its vertices of S.
+        reads as far as d, the layer's flags are recomputed from the
+        rule in the committed state.
         """
-        adj, side = self.g.adj, self.state.side
+        adj = self.g.adj
         seen = set(changed)
         layer = changed
         for d, kinds in enumerate(self.at):
-            outside, inside = [], []
-            for v in layer:
-                if side[v] == OUTSIDE:
-                    outside.append(v)
-                else:
-                    inside.append(v)
-            self._set(kinds, layer, outside, inside)
+            self._set(kinds, layer)
             if d == _REACH:
                 break
             after = []
@@ -622,20 +598,16 @@ class _Worklist:
                         after.append(u)
             layer = after
 
-    def _set(self, kinds, layer, outside, inside) -> None:
+    def _set(self, kinds, layer) -> None:
         """Recompute each (flags, rule, at_outside) of ``kinds`` on one layer.
 
-        The flags in ``layer`` are cleared; then each kind's flags are set
-        where its rule holds among ``outside`` or ``inside``, the
-        layer's vertices outside and in S.
+        A flag is set where the rule holds and its vertex is outside or
+        in S as ``at_outside`` says, and cleared elsewhere in ``layer``.
         """
-        g, w, state = self.g, self.w, self.state
+        g, w, state, side = self.g, self.w, self.state, self.state.side
         for flags, rule, at_outside in kinds:
             for v in layer:
-                flags[v] = 0
-            for v in outside if at_outside else inside:
-                if rule(g, w, state, v):
-                    flags[v] = 1
+                flags[v] = (side[v] == OUTSIDE) == at_outside and rule(g, w, state, v) != 0
 
 
 def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int, ...]]:

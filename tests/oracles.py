@@ -72,6 +72,7 @@ from spack.exchange import (
     OUTSIDE,
     Absorb,
     BipartitionState,
+    Candidate,
     Deg3Exchange,
     FixpointResult,
     Flip,
@@ -83,6 +84,7 @@ from spack.exchange import (
     SameSideExchange,
     SquareBipartition,
     StuckError,
+    _hub_side,
     _other,
     _state_from_sides,
     _swap_candidates_for_cycle,
@@ -489,6 +491,30 @@ def _find_deg3_exchange(g: Graph, w: list[int], state: BipartitionState) -> Deg3
                 found = _try_move(g, w, state, Deg3Exchange(z, x, y))
                 if found:
                     return found.move
+    return None
+
+
+def reference_deg3_exchange_at(
+    g: Graph, w: list[int], state: BipartitionState, z: int
+) -> Candidate | None:
+    """The first validated Deg3Exchange at hub z over every (x, y) pair, or None.
+
+    Tries each neighbor x lighter than z and, for each, each lighter
+    neighbor y of x in S, returning the first trade that validates as a
+    Candidate.  ``_hub_move`` builds only the first pair; the hub lemma
+    says that pair validates once no Absorb or Flip rule holds.
+    """
+    if not _hub_side(g, w, state, z):
+        return None
+    for x in g.adj[z]:
+        if w[x] >= w[z]:
+            continue
+        for y in g.adj[x]:
+            if state.side[y] == OUTSIDE or w[y] >= w[x]:
+                continue
+            found = _try_move(g, w, state, Deg3Exchange(z, x, y))
+            if found:
+                return found
     return None
 
 

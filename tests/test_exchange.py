@@ -25,10 +25,13 @@ from spack.exchange import (
     StuckError,
     _CHEAP_KINDS,
     _Worklist,
-    _deg3_exchange_at,
+    _exchange_side,
     _find_square_swap,
-    _same_side_exchange_at,
+    _hub_move,
+    _hub_side,
+    _same_side_move,
     _swap_candidates_for_cycle,
+    _try_move,
     check_fixpoint_invariants,
     commit_move,
     evaluate_move,
@@ -45,6 +48,7 @@ from oracles import (
     distance_matrix,
     make_state,
     reference_bipartition_or_odd_cycle,
+    reference_deg3_exchange_at,
     reference_run_to_fixpoint,
 )
 from strategies import subcubic_graphs
@@ -53,15 +57,26 @@ C4, C5 = cycle(4), cycle(5)
 W4, W5 = [1, 1, 1, 1], [1, 1, 1, 1, 1]
 
 
-def _move_at(evaluate, g, w, state, v):
-    """The move one kind's evaluator finds at v, without its evaluation."""
-    found = evaluate(g, w, state, v)
+def _evaluate(build, rule, g, w, state, v):
+    """One kind's move at v as the search takes it: rule, then build, then ``_try_move``.
+
+    Returns the validated Candidate, or None where the rule fails, the
+    builder makes no move or the move does not validate.
+    """
+    s = rule(g, w, state, v)
+    move = s and build(g, w, state, v, s)
+    return _try_move(g, w, state, move) if move else None
+
+
+def _move_at(build, rule, g, w, state, v):
+    """The move one kind finds at v, without its evaluation."""
+    found = _evaluate(build, rule, g, w, state, v)
     return found.move if found else None
 
 
-def _first_move(evaluate, g, w, state):
+def _first_move(build, rule, g, w, state):
     """The first move of one kind over all vertices in ascending id."""
-    return next((mv for v in range(g.n) if (mv := _move_at(evaluate, g, w, state, v))), None)
+    return next((mv for v in range(g.n) if (mv := _move_at(build, rule, g, w, state, v))), None)
 
 
 def find_move(g, w, state):
@@ -223,7 +238,7 @@ def test_deg3_exchange_finder():
     g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 5)])
     w = [3, 2, 1, 1, 1, 1]
     state = make_state(g, w, {0, 4}, {5})
-    move = _first_move(_deg3_exchange_at, g, w, state)
+    move = _first_move(_hub_move, _hub_side, g, w, state)
     assert move == Deg3Exchange(hub=0, entering=1, leaving=4)
     after = apply_move(g, w, state, move)
     assert after.side[0] == 2 and after.side[1] == 1 and after.side[4] == 0
@@ -234,7 +249,7 @@ def test_same_side_exchange_finder():
     g = build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
     w = [1, 1, 1, 1, 1]
     state = make_state(g, w, {1, 2, 4}, {3})
-    move = _first_move(_same_side_exchange_at, g, w, state)
+    move = _first_move(_same_side_move, _exchange_side, g, w, state)
     assert move == SameSideExchange(entering=0, leaving=3)
     after = apply_move(g, w, state, move)
     assert after.side[0] == 2 and after.side[3] == 0
@@ -504,10 +519,11 @@ def _worklist_checks(g, seeds=(None,)):
     The search's worklist is replaced by one that, when built and after
     every commit, asserts of each kind k at each vertex v that
     ``flags[k][v]`` is set exactly where the kind-k rule holds, that a
-    clear flag means the kind-k evaluator at v returns None, and that a
-    set Absorb, Flip or SameSideExchange flag yields a move.  When no
-    Absorb or Flip flag is set, every set Deg3Exchange flag yields a
-    move too (the hub lemma).  Returns how many times it checked.
+    clear flag means ``_evaluate`` at v returns None, and that a set
+    Absorb, Flip or SameSideExchange flag yields a move.  When no Absorb
+    or Flip flag is set, every set Deg3Exchange flag yields a move too
+    (the hub lemma), and it is the move that the reference search over
+    every (x, y) pair finds first.  Returns how many times it checked.
     """
     if not peel(g)[0]:
         return 0
@@ -527,14 +543,18 @@ def _worklist_checks(g, seeds=(None,)):
             nonlocal checks
             graph, state = self.g, self.state
             hubs_fire = not any(1 in flags for flags in self.flags[:2])
-            for (evaluate, rule, *_), flags in zip(_CHEAP_KINDS, self.flags):
+            for (build, rule, *_), flags in zip(_CHEAP_KINDS, self.flags):
                 for v in range(graph.n):
-                    where = (evaluate.__name__, v)
+                    where = (build.__name__, v)
                     assert bool(flags[v]) == bool(rule(graph, w, state, v)), where
+                    found = _evaluate(build, rule, graph, w, state, v)
                     if not flags[v]:
-                        assert evaluate(graph, w, state, v) is None, where
-                    elif evaluate is not _deg3_exchange_at or hubs_fire:
-                        assert evaluate(graph, w, state, v) is not None, where
+                        assert found is None, where
+                    elif build is not _hub_move:
+                        assert found is not None, where
+                    elif hubs_fire:
+                        reference = reference_deg3_exchange_at(graph, w, state, v)
+                        assert found is not None and found.move == reference.move, where
             checks += 1
 
     with pytest.MonkeyPatch.context() as mp:
@@ -568,8 +588,10 @@ def test_cheap_move_radii_are_exact():
     # The worklist recomputes kind k's flag within its rule's read radius
     # of a changed vertex.  Change one vertex of a random valid state: no
     # rule answer may change farther away than its radius, nor any
-    # evaluator answer farther than the evaluator's (1, 2, 3, 2), and
-    # across the sample each radius is reached, so none could be smaller.
+    # ``_evaluate`` answer (rule, builder and validation) farther than
+    # (1, 2, 3, 2), and across the sample each radius is reached, so none
+    # could be smaller.  The weights break the weight facts, so this also
+    # shows that every builder returns where its rule holds.
     reads = [radius for *_, radius in _CHEAP_KINDS]
     evaluator_radii = (1, 2, 3, 2)
     reached = [[0, 0] for _ in _CHEAP_KINDS]
@@ -599,32 +621,36 @@ def test_cheap_move_radii_are_exact():
             for x in (side, changed)
         )
         dist = distance_matrix(g)[c]
-        for k, (evaluate, rule, *_) in enumerate(_CHEAP_KINDS):
+        for k, (build, rule, *_) in enumerate(_CHEAP_KINDS):
             for v in range(n):
                 if rule(g, w, before, v) != rule(g, w, after, v):
                     assert dist[v] <= reads[k], (trial, rule.__name__, v)
                     reached[k][0] = max(reached[k][0], int(dist[v]))
-                if _move_at(evaluate, g, w, before, v) != _move_at(evaluate, g, w, after, v):
-                    assert dist[v] <= evaluator_radii[k], (trial, evaluate.__name__, v)
+                if _move_at(build, rule, g, w, before, v) != _move_at(build, rule, g, w, after, v):
+                    assert dist[v] <= evaluator_radii[k], (trial, build.__name__, v)
                     reached[k][1] = max(reached[k][1], int(dist[v]))
     assert reached == [list(pair) for pair in zip(reads, evaluator_radii)]
 
 
 def test_next_move_raises_at_a_flagged_hub_without_a_move():
-    # Hub 0 (side 1) could trade 4 (side 1) for 1, but 4 has two
-    # S-neighbours, 6 and 7, so the trade loses an inside edge.  These
-    # hand-made weights break the hub lemma, which needs no Absorb or
-    # Flip flag: with those flags cleared by hand, the flagged hub that
-    # yields no move is reported, not skipped.
+    # The hub lemma needs the weight facts and no set Absorb or Flip
+    # flag; these hand-made weights break the facts.  With weights w1,
+    # hub 0 (side 1) trades 4 (side 1) for 1, but 4 has two
+    # S-neighbours, 6 and 7, so the trade loses an inside edge.  With
+    # weights w2, no neighbour of hub 0 is lighter, so there is no trade
+    # to build.  With the Absorb and Flip flags cleared by hand, the
+    # flagged hub that yields no move is reported, not skipped.
     g = build_graph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 6), (4, 7)])
-    w = [3, 2, 3, 3, 1, 1, 1, 1]
-    state = make_state(g, w, {0, 4}, {6, 7})
-    work = _Worklist(g, w, state)
-    absorb, flip, hubs, _ = work.flags
-    assert hubs[0] and _deg3_exchange_at(g, w, state, 0) is None
-    absorb[:] = flip[:] = bytes(g.n)
-    with pytest.raises(InvalidStateError, match="_deg3_exchange_at found no move at flagged vertex 0"):
-        work.next_move()
+    w1, w2 = [3, 2, 3, 3, 1, 1, 1, 1], [1] * 8
+    for w, built in ((w1, Deg3Exchange(0, 1, 4)), (w2, None)):
+        state = make_state(g, w, {0, 4}, {6, 7})
+        work = _Worklist(g, w, state)
+        absorb, flip, hubs, _ = work.flags
+        assert hubs[0] and _hub_move(g, w, state, 0, 1) == built
+        assert _evaluate(_hub_move, _hub_side, g, w, state, 0) is None
+        absorb[:] = flip[:] = bytes(g.n)
+        with pytest.raises(InvalidStateError, match="_hub_move found no move at flagged vertex 0"):
+            work.next_move()
 
 
 def _core(g):
@@ -772,7 +798,7 @@ def test_validate_catches_a_missing_move_kind_at_the_fixpoint(monkeypatch):
     sub, w = _core(random_subcubic(20, 29, seed=137))
     moves = run_to_fixpoint(sub, w, initial_state(sub, w)).moves
     assert any(isinstance(record.move, SameSideExchange) for record in moves)
-    kept = tuple(kind for kind in _CHEAP_KINDS if kind[0] is not _same_side_exchange_at)
+    kept = tuple(kind for kind in _CHEAP_KINDS if kind[0] is not _same_side_move)
     monkeypatch.setattr(spack.exchange, "_CHEAP_KINDS", kept)
     with pytest.raises(InvalidStateError, match="^fixpoint invariants violated: lone neighbor ") as exc:
         run_to_fixpoint(sub, w, initial_state(sub, w))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,8 +34,9 @@ def test_scale_benchmark_one_size(tmp_path):
     assert [row.split()[0] for row in rows] == ["100"] * 3
     assert [row.split()[-1] for row in rows] == ["1"] * 3  # attempts
     ladder = json.loads(out.read_text())
-    assert set(ladder) == {"python", "git", "nproc", "seed", "cells"}
+    assert set(ladder) == {"python", "git", "source", "nproc", "seed", "cells"}
     assert ladder["seed"] == 0 and ladder["nproc"] >= 1
+    assert re.fullmatch("[0-9a-f]{64}", ladder["source"])
     cells = ladder["cells"]
     assert [(c["n"], c["density"]) for c in cells] == [(100, d) for d in ("sparse", "medium", "dense")]
     for cell, row in zip(cells, rows):
