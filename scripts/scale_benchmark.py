@@ -16,7 +16,12 @@ are the n = 10^3, 10^4, 10^5 ladder (about 15 s on one core);
 
 With ``--json PATH`` it also writes the ladder to PATH: per cell the
 size, density, generation time (apart from the rest), the four timings,
-the committed moves per kind and the attempts; for the file the Python
+the committed moves per kind, the attempts and ``ref_ms``, the machine's
+speed next to the cell: the median of ``perfbench/pace.py``'s
+``speed_sample()`` (a fixed pure-Python kernel that uses no spack code)
+taken just before and just after the cell, in milliseconds, so that
+timings in files written at different times or loads can be scaled to
+one another; for the file the Python
 version, ``git describe --always --dirty`` (null outside a checkout),
 ``source``, a sha256 over the measured package's ``*.py`` files (each
 name, then its bytes, in name order) that names the code even when the
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -48,6 +54,18 @@ from spack.graph import Graph, subdivide
 from spack.verify import derive_subdivision_coloring, verify
 
 REPEATS = 3  # each cell's four timings are the median of this many runs
+
+
+def _load_speed_sample():
+    """``speed_sample`` of ``perfbench/pace.py``, loaded from its file, which stays as it is."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "pace.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_pace", path)
+    pace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pace)
+    return pace.speed_sample
+
+
+speed_sample = _load_speed_sample()
 
 
 def density_ladder(n: int) -> list[tuple[str, int]]:
@@ -87,12 +105,14 @@ def time_stages(g: Graph, where: str) -> tuple[ColorResult, dict[str, float]]:
 
 
 def bench_one(n: int, m: int, label: str, seed: int) -> dict:
+    before = speed_sample()
     start = time.perf_counter()
     g = random_subcubic(n, m, seed=seed, require_non_cubic=True)
     t_generate = time.perf_counter() - start
     where = f"n={n} m={m} seed={seed}"
     result, first = time_stages(g, where)
     samples = [first] + [time_stages(g, where)[1] for _ in range(REPEATS - 1)]
+    ref_ms = 1000 * statistics.median((before, speed_sample()))
     runs = [comp.core_run for comp in result.components if comp.core_run is not None]
     kinds = Counter(type(record.move).__name__ for run in runs for record in run.moves)
     return {
@@ -103,6 +123,7 @@ def bench_one(n: int, m: int, label: str, seed: int) -> dict:
         **{stage: statistics.median(t[stage] for t in samples) for stage in first},
         "moves": {kind.__name__: kinds[kind.__name__] for kind in get_args(Move)},
         "attempts": max((run.attempts for run in runs), default=0),
+        "ref_ms": ref_ms,
     }
 
 

@@ -539,8 +539,8 @@ class _Worklist:
     side, changes the inside edges by 2 - s_degree(y) >= 0 and raises
     the weight by w[x] - w[y] = 1.
 
-    The flags start as the rules, tried at every vertex; ``touch``
-    keeps them so after each commit.
+    The flags start as the rules, each tried at every vertex of its own
+    side of the split; ``touch`` keeps them so after each commit.
     """
 
     def __init__(self, g: Graph, w: list[int], state: BipartitionState):
@@ -555,7 +555,13 @@ class _Worklist:
             ]
             for d in range(_REACH + 1)
         ]
-        self._set(self.at[0], range(g.n))
+        side = state.side
+        outside = list(itertools.compress(range(g.n), map(OUTSIDE.__eq__, side)))
+        inside = list(itertools.compress(range(g.n), side))
+        for (_, rule, at_outside, _), flags in zip(_CHEAP_KINDS, self.flags):
+            for v in outside if at_outside else inside:
+                if rule(g, w, state, v):
+                    flags[v] = 1
 
     def next_move(self) -> Candidate | None:
         """The move at the first set flag of the highest-priority kind, or None.

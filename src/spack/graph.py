@@ -6,20 +6,25 @@ outside the package (and the fixed families and random trees of
 ``spack.gen``).  A graph the package derives (an induced subgraph, a
 subdivision, a decoded graph6 line, an outside square, a random
 subcubic graph) is built as ``Graph(n, adj)`` straight from adjacency
-lists that are sorted, symmetric and loop-free by construction.  Every
+lists that are sorted, symmetric and loop-free by construction.  A
+subdivision's edge vertex ``n + k`` has the k-th edge ``(u, v)`` as its
+adjacency row, so ``SubdivisionMap`` reads its edge-to-vertex dict off
+the subdivided graph when asked, and ``subdivide`` builds none.  Every
 distance the solvers need beyond two steps comes from one breadth-first
 search, ``bfs``, which writes depths into a flat list that the caller
 owns.  It has three callers: ``components`` (one list shared across
 roots), the weights (one search from every light vertex) and
 ``bipartition_or_odd_cycle`` (parts from depth parity).  The two
-checkers are the exceptions: ``spack.verify`` walks its own half-radius
-balls, and ``spack.exact`` grows its distance masks by a bitmask
+checkers are the exceptions: ``spack.verify`` decides most classes by
+set operations over neighbour lists and walks its own half-radius balls
+for the rest, and ``spack.exact`` grows its distance masks by a bitmask
 recurrence, so that a fault in ``bfs`` cannot hide in the checks of the
 colorings built on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -184,9 +189,24 @@ def induced(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
 
 @dataclass(frozen=True)
 class SubdivisionMap:
-    """Vertex bookkeeping for a subdivision: originals keep their ids."""
+    """Vertex bookkeeping for a subdivision: originals keep their ids.
 
-    edge_vertex: dict[tuple[int, int], int]
+    ``edge_vertex`` maps each edge (u, v), u < v, of the original graph
+    to the id of the vertex splitting it, in edge rank order.  It is read
+    off the subdivision on first use: by ``subdivide``'s id rule, vertex
+    ``n + k`` splits the k-th edge and its adjacency row is that edge.
+    No library code reads it; it stays an attribute, as it was when
+    ``subdivide`` built the dict eagerly.
+    """
+
+    subdivision: Graph
+    n: int
+
+    def _edge_vertex(self) -> dict[tuple[int, int], int]:
+        sub = self.subdivision
+        return dict(zip(sub.adj[self.n :], range(self.n, sub.n)))
+
+    edge_vertex = cached_property(_edge_vertex)
 
 
 def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
@@ -194,21 +214,19 @@ def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
 
     Original vertices keep their ids; the vertex splitting edge (u, v)
     (with u < v) gets id ``n + k`` where k is the rank of the edge in
-    sorted order.  All pairwise distances exactly double.
+    sorted order, and its adjacency row is ``(u, v)``.  All pairwise
+    distances exactly double.  The map builds its dict only when read.
     """
-    edge_vertex: dict[tuple[int, int], int] = {}
+    edges = list(g.edges())
     # Ids are handed out in edge rank order, so each original vertex
     # collects its edge vertices already sorted: those of (w, u) for
     # w < u, then those of (u, v) for v > u.
     original: list[list[int]] = [[] for _ in range(g.n)]
-    next_id = g.n
-    for u, v in g.edges():
-        edge_vertex[(u, v)] = next_id
-        original[u].append(next_id)
-        original[v].append(next_id)
-        next_id += 1
-    adj = tuple(map(tuple, original)) + tuple(edge_vertex)
-    return Graph(next_id, adj), SubdivisionMap(edge_vertex)
+    for k, (u, v) in enumerate(edges, g.n):
+        original[u].append(k)
+        original[v].append(k)
+    sub = Graph(g.n + len(edges), tuple(map(tuple, original)) + tuple(edges))
+    return sub, SubdivisionMap(sub, g.n)
 
 
 @dataclass(frozen=True)

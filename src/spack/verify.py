@@ -5,7 +5,29 @@ vertex set; vertices sharing a class must be pairwise further than s
 apart.  ``verify`` enumerates every violating pair (it never stops at
 the first failure) so tests can assert exact witness sets.
 
-It searches only half the radius from each member.  Let k = s // 2.
+Most classes it sees are clean, and it decides those by set operations
+over whole neighbour lists, which run in C.  Let ``near`` be the
+members' neighbour lists, concatenated.  The set-test lemma:
+
+- radius 1: a class is clean exactly when no member is in ``near``;
+- radius 2: exactly when the closed neighbourhoods are pairwise
+  disjoint, that is when the members and ``near`` hold
+  ``len(members) + len(near)`` distinct vertices (two members at
+  distance 1 or 2 share a vertex of their closed neighbourhoods, and a
+  shared vertex is a path of length at most 2);
+- radius 3: when, in addition, no edge joins two vertices of ``near``.
+  Two members at distance 3 are a path x, a, b, y with a and b in
+  ``near``, so the test is sound, but it is not exact: a triangle
+  x, a, b puts such an edge beside one member.
+
+A class that fails its test, and every class of radius 4 or more, goes
+to the half-radius walk below, which is the only part of ``verify``
+that lists violating pairs and their distances.  The partition check is
+one comparison when it holds: class sizes that sum to n and a union
+equal to ``0 .. n - 1`` leave no vertex missing, doubly assigned or out
+of range.  Only otherwise are the vertices counted one by one.
+
+The walk searches only half the radius from each member.  Let k = s // 2.
 Two members x and y lie within distance d <= s exactly when their
 radius-k balls meet, at a vertex (d = dx + dy) or across an edge
 (d = dx + 1 + dy); every meeting is a walk from x to y, and the least
@@ -20,13 +42,14 @@ The balls are walked over ``g.adj`` with two flat int lists per class,
 one slot per vertex: the member whose walk last reached it and that
 member's distance; a dict takes older entries only where balls overlap.
 ``_close_pairs`` says why a pair's first meeting on that walk gives its
-distance.  The lists are indexed by vertex id, so ``verify`` range-checks
-every class first.  The verifier runs its own breadth-first search and
-shares none with the solvers it checks.
+distance.  The lists are indexed by vertex id, so ``verify`` checks the
+partition, and with it the range of every id, first.  The verifier runs
+its own breadth-first search and shares none with the solvers it checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .graph import Graph, VertexOutOfRangeError
 
@@ -86,16 +109,42 @@ class VerifyResult:
 def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
     """Check the partition property and all pairwise distance constraints.
 
-    Per class of radius s, a breadth-first search truncated at s // 2
-    runs from each member, and a pair of members violates the class
-    exactly when their balls meet (see the module docstring), so nothing
-    close to an all-pairs matrix is ever built.  Every violating pair is
-    reported with its distance, ordered by (class position, smaller id,
-    larger id).
+    A class the set-test lemma (see the module docstring) shows clean
+    is done.  Any other runs a breadth-first search truncated at s // 2
+    from each member, and a pair of members violates the class exactly
+    when their balls meet, so nothing close to an all-pairs matrix is
+    ever built.  Every violating pair is reported with its distance,
+    ordered by (class position, smaller id, larger id).
     """
     if coloring.n != g.n:
         raise ColoringError(f"coloring is for n={coloring.n}, graph has n={g.n}")
     n = g.n
+    sets = [cls.vertices for cls in coloring.classes]
+    missing: list[int] = []
+    multiply_assigned: list[int] = []
+    if sum(map(len, sets)) != n or frozenset().union(*sets) != frozenset(range(n)):
+        missing, multiply_assigned = _partition_faults(coloring, n)
+
+    violations = []
+    adj = g.adj
+    for cls in coloring.classes:
+        if _clean(adj, cls.vertices, cls.radius):
+            continue
+        close = _close_pairs(g, cls)
+        if close:
+            violations.extend(
+                Violation(cls.label, cls.radius, pair, close[pair]) for pair in sorted(close)
+            )
+    ok = not violations and not missing and not multiply_assigned
+    return VerifyResult(ok, violations, missing, multiply_assigned)
+
+
+def _partition_faults(coloring: PackingColoring, n: int) -> tuple[list[int], list[int]]:
+    """The vertices no class holds and those two or more classes hold.
+
+    Raises VertexOutOfRangeError at the first class, in order, that
+    mentions a vertex outside ``0 .. n - 1``.
+    """
     hits = [0] * n  # hits[v]: how many classes hold v
     for cls in coloring.classes:
         for v in cls.vertices:
@@ -107,16 +156,33 @@ def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
             hits[v] += 1
     missing = [v for v, k in enumerate(hits) if k == 0] if 0 in hits else []
     multiply_assigned = [v for v, k in enumerate(hits) if k > 1] if max(hits, default=0) > 1 else []
+    return missing, multiply_assigned
 
-    violations = []
-    for cls in coloring.classes:
-        close = _close_pairs(g, cls)
-        if close:
-            violations.extend(
-                Violation(cls.label, cls.radius, pair, close[pair]) for pair in sorted(close)
-            )
-    ok = not violations and not missing and not multiply_assigned
-    return VerifyResult(ok, violations, missing, multiply_assigned)
+
+def _clean(adj: tuple[tuple[int, ...], ...], members: frozenset[int], r: int) -> bool:
+    """True when the set-test lemma shows no two members within distance r.
+
+    False sends the class to the walk: for radius 1 and 2 only when a
+    pair violates it, for radius 3 also when a triangle touches a member,
+    and for radius 4 and up whenever the class has two members.  Every
+    member indexes ``adj`` here or in the walk's flat lists, so one that
+    equals an id without being an int (such as 1.0) raises TypeError, as
+    the per-vertex count does.
+    """
+    if r > 3 and len(members) > 1:
+        return False
+    near = list(chain.from_iterable(map(adj.__getitem__, members)))
+    if r == 1:
+        return members.isdisjoint(near)
+    if r > 3:
+        return True  # one member or none
+    if len(members.union(near)) != len(members) + len(near):
+        return False
+    if r == 2:
+        return True
+    # the union test left near free of members and of repeats
+    reach = set(near)
+    return reach.isdisjoint(chain.from_iterable(map(adj.__getitem__, reach)))
 
 
 def _close_pairs(g: Graph, cls: ColorClass) -> dict[tuple[int, int], int]:

@@ -584,6 +584,42 @@ def test_worklist_clear_flag_means_no_move_through_swaps_and_restarts():
     assert _worklist_checks(random_subcubic(105, 157, seed=9000345), seeds=(None, 1, 2)) > 3
 
 
+def test_hub_moves_match_the_reference_on_dense_graphs():
+    # Near n = 1000 at the densest admissible edge count, the seeded
+    # starts below reach hubs whose first lighter neighbour x has two
+    # lighter S-neighbours, where the order ``_hub_move`` takes them in
+    # decides the move.  Before each move the worklist takes, with no
+    # Absorb or Flip flag set, every flagged hub's validated move must be
+    # the one the reference search over every (x, y) pair finds first.
+    hubs = several = 0
+    for n, graph_seed, starts in ((998, 1, (3, 5)), (1000, 1, (7, 10)), (1002, 2, (3, 11))):
+        sub, w = _core(random_subcubic(n, 3 * n // 2 - 1, seed=graph_seed, require_non_cubic=True))
+
+        class HubCheckedWorklist(_Worklist):
+            def next_move(self):
+                nonlocal hubs, several
+                graph, state = self.g, self.state
+                if not any(1 in flags for flags in self.flags[:2]):
+                    for z in (v for v, flag in enumerate(self.flags[2]) if flag):
+                        found = _evaluate(_hub_move, _hub_side, graph, w, state, z)
+                        reference = reference_deg3_exchange_at(graph, w, state, z)
+                        assert found is not None and found.move == reference.move, (n, z)
+                        x = found.move.entering
+                        lighter = [y for y in graph.adj[x] if state.side[y] != OUTSIDE and w[y] < w[x]]
+                        hubs += 1
+                        several += len(lighter) > 1
+                return super().next_move()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spack.exchange, "_Worklist", HubCheckedWorklist)
+            for seed in starts:
+                try:
+                    run_to_fixpoint(sub, w, initial_state(sub, w, seed=seed))
+                except StuckError:
+                    pass
+    assert hubs >= 40 and several >= 10, (hubs, several)
+
+
 def test_cheap_move_radii_are_exact():
     # The worklist recomputes kind k's flag within its rule's read radius
     # of a changed vertex.  Change one vertex of a random valid state: no

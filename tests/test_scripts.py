@@ -42,7 +42,7 @@ def test_scale_benchmark_one_size(tmp_path):
     for cell, row in zip(cells, rows):
         assert set(cell) == {
             "n", "m", "density", "generate_s", "color_s", "verify_s", "audit_s", "lift_s",
-            "moves", "attempts",
+            "moves", "attempts", "ref_ms",
         }
         assert set(cell["moves"]) == {
             "Absorb", "Flip", "Deg3Exchange", "SameSideExchange", "CycleSwap", "PathSwap",
@@ -51,6 +51,7 @@ def test_scale_benchmark_one_size(tmp_path):
         assert int(row.split()[1]) == cell["m"]
         assert int(row.split()[-2]) == sum(cell["moves"].values())
         assert cell["attempts"] == 1
+        assert cell["ref_ms"] > 0
 
 
 def test_restart_hunt_small_slice():

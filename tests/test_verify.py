@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import class_of, make_coloring, reference_verify, violating_pairs
 from spack.colorer import color_graph
-from spack.gen import cycle, path, random_subcubic
+from spack.gen import cycle, path, prism, random_subcubic
 from spack.graph import VertexOutOfRangeError, build_graph, subdivide
 from spack.verify import (
     ColorClass,
@@ -20,6 +21,9 @@ from spack.verify import (
     verify_sequence_shape,
 )
 from strategies import loose_graphs, subcubic_graphs
+
+# the module, which the package's ``verify`` function hides as an attribute
+verify_module = importlib.import_module("spack.verify")
 
 
 def test_make_coloring():
@@ -367,3 +371,78 @@ def test_verify_matches_reference_on_random_classes_of_subdivisions(g, data):
         sg.n, tuple(ColorClass(str(i), r, vs) for i, (r, vs) in enumerate(classes))
     )
     assert verify(sg, coloring) == reference_verify(sg, coloring)
+
+
+def _walk_recorder(monkeypatch, refuse_up_to=0):
+    """Patch ``_close_pairs`` to record each class's radius, refusing radii up to a bound."""
+    walked = []
+    walk = verify_module._close_pairs
+
+    def recording(g, cls):
+        assert cls.radius > refuse_up_to, f"class {cls.label!r} of radius {cls.radius} was walked"
+        walked.append(cls.radius)
+        return walk(g, cls)
+
+    monkeypatch.setattr(verify_module, "_close_pairs", recording)
+    return walked
+
+
+def test_valid_classes_up_to_radius_three_skip_the_walk(corpus_noncubic, monkeypatch):
+    # G's radius-1 and radius-2 classes are decided by the exact set
+    # tests.  S(G) is bipartite, so no triangle sends a valid radius-3
+    # class to the walk; its radius-4 and radius-5 classes still go.
+    walked = _walk_recorder(monkeypatch, refuse_up_to=3)
+    for g in corpus_noncubic:
+        coloring = color_graph(g).coloring
+        assert verify(g, coloring).ok
+        sg, _ = subdivide(g)
+        assert verify(sg, derive_subdivision_coloring(g, coloring)).ok
+    assert set(walked) == {4, 5}
+
+
+def test_a_triangle_sends_a_valid_radius_three_class_to_the_walk(monkeypatch):
+    walked = _walk_recorder(monkeypatch)
+    # prism(3): 0 lies on the triangle 0, 1, 2, so the set test is unsure
+    prism_coloring = make_coloring(
+        6, [("far", 3, [0]), ("a", 1, [4]), ("b", 1, [1, 5]), ("c", 1, [2, 3])]
+    )
+    # a triangle 0, 1, 2 with the tail 2, 3, 4, 5: 0 and 5 are 4 apart
+    tailed = build_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+    tailed_coloring = make_coloring(6, [("far", 3, [0, 5]), ("a", 1, [1, 3]), ("b", 1, [2, 4])])
+    for g, coloring in ((prism(3), prism_coloring), (tailed, tailed_coloring)):
+        walked.clear()
+        result = verify(g, coloring)
+        assert result.ok
+        assert result == reference_verify(g, coloring)
+        assert walked == [3]
+
+
+def _with_one_as(coloring, stand_in):
+    """The coloring with vertex 1 written as ``stand_in``."""
+    classes = tuple(
+        ColorClass(cls.label, cls.radius, frozenset(stand_in if v == 1 else v for v in cls.vertices))
+        for cls in coloring.classes
+    )
+    return PackingColoring(coloring.n, classes)
+
+
+@pytest.mark.parametrize("radius", range(1, 6))
+def test_members_equal_to_an_id_keep_their_outcome(radius):
+    # True is the int 1 and verifies as 1 does; 1.0 only equals 1 and is
+    # refused with TypeError, as the per-vertex count refused it, whether
+    # it sits alone in its class, beside a member two steps away or
+    # beside a neighbour, and whatever the class radius.
+    for x, rest in (([1], [[0, 2], [3]]), ([1, 3], [[0], [2]]), ([0, 1], [[2], [3]])):
+        coloring = make_coloring(4, [("x", radius, x), ("a", 1, rest[0]), ("b", 1, rest[1])])
+        assert verify(path(4), _with_one_as(coloring, True)) == verify(path(4), coloring)
+        with pytest.raises(TypeError):
+            verify(path(4), _with_one_as(coloring, 1.0))
+
+
+def test_verify_reports_a_doubly_assigned_vertex_when_none_is_missing():
+    # the classes cover 0..n-1, so only their sizes show the repeat
+    coloring = make_coloring(3, [("a", 1, [0, 2]), ("b", 2, [1]), ("c", 2, [2])])
+    result = verify(path(3), coloring)
+    assert not result.ok
+    assert result.missing == [] and result.multiply_assigned == [2]
+    assert result == reference_verify(path(3), coloring)
