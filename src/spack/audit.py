@@ -11,30 +11,30 @@ replay; in between, every move goes through the search's own checked
 commit (``exchange.checked_commit``), whose touched check always runs:
 the potential change must equal a count over the vertices whose side it
 changed (``weights.touched_potential``), which equals a recount by
-induction from the first anchor.  The audit then re-derives the fixpoint
-structure and the outside square bipartition on the replayed state,
-checks that the run's coloring is their layout, and ties each run to the
-result: its classes, in host ids, lie within the result's classes at the
-same positions.  Used by the test suite to certify that every committed
-move strictly increased the potential and that every terminal state
-satisfies the structural invariants.
+induction from the first anchor.  The audit then re-checks the fixpoint
+structure on the replayed state and that the square parts partition its
+outside, and verifies the ``colorer._layout`` of the final sides and
+those parts on the core, without the search's outside square, so a fault
+in ``exchange.square_outside`` cannot pass both.  The run's coloring
+must equal that layout, and its classes, in host ids, lie within the
+result's classes at the same positions.  Used by the test suite to
+certify that every committed move strictly increased the potential and
+that every terminal state satisfies the structural invariants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
-from .colorer import CLASS_LABELS, CLASS_RADII, ColorResult, CoreRun
+from .colorer import ColorResult, CoreRun, _layout
 from .exchange import (
     InvalidStateError,
     _state_from_sides,
     check_fixpoint_invariants,
     checked_commit,
     evaluate_move,
-    square_outside,
 )
 from .graph import Graph, induced
-from .verify import PackingColoring, verify
+from .verify import verify
 from .weights import compute_weights, inside_potential
 
 
@@ -50,27 +50,6 @@ class AuditReport:
     def merge(self, other: "AuditReport") -> None:
         self.runs += other.runs
         self.moves += other.moves
-
-
-def _is_layout(coloring: PackingColoring, side: list[int], h1: frozenset[int], h2: frozenset[int]) -> bool:
-    """Whether ``coloring`` is ``colorer._layout`` of ``side`` and the square parts, checked in place.
-
-    A radius-1 class is the vertices on its side when it holds as many
-    vertices as the side and contains every one of them.
-    """
-    classes = coloring.classes
-    if (
-        coloring.n != len(side)
-        or tuple(c.label for c in classes) != CLASS_LABELS
-        or coloring.radii() != CLASS_RADII
-    ):
-        return False
-    for s, c in zip((1, 2), classes):
-        if len(c.vertices) != side.count(s) or not c.vertices.issuperset(
-            compress(range(len(side)), map(s.__eq__, side))
-        ):
-            return False
-    return classes[2].vertices == h1 and classes[3].vertices == h2
 
 
 def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
@@ -109,17 +88,15 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     if problems:
         raise AuditError("fixpoint structure violated: " + "; ".join(problems))
 
-    sq, order = square_outside(core, state)
     h1, h2 = run.square.h1, run.square.h2
-    if h1 & h2 or (h1 | h2) != frozenset(order):
+    if h1 & h2 or (h1 | h2) != state.outside:
         raise AuditError("square bipartition does not partition the outside")
-    for a, b in sq.edges():
-        if (order[a] in h1) == (order[b] in h1):
-            raise AuditError(
-                f"outside vertices {order[a]} and {order[b]} share a radius-2 part "
-                "but are within distance 2"
-            )
-    if not _is_layout(run.coloring, state.side, h1, h2):
+    layout = _layout(core.n, (state.s1, state.s2, h1, h2))
+    outcome = verify(core, layout)
+    if outcome.violations:
+        a, b = outcome.violations[0].pair
+        raise AuditError(f"outside vertices {a} and {b} share a radius-2 part but are within distance 2")
+    if run.coloring != layout:
         raise AuditError("run coloring is not the layout of its final sides and square parts")
     return AuditReport(runs=1, moves=len(run.moves))
 

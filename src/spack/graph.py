@@ -8,8 +8,8 @@ subdivision, a decoded graph6 line, an outside square, a random
 subcubic graph) is built as ``Graph(n, adj)`` straight from adjacency
 lists that are sorted, symmetric and loop-free by construction.  A
 subdivision's edge vertex ``n + k`` has the k-th edge ``(u, v)`` as its
-adjacency row, so ``SubdivisionMap`` reads its edge-to-vertex dict off
-the subdivided graph when asked, and ``subdivide`` builds none.  Every
+adjacency row, so the subdivided graph itself maps edges to the
+vertices splitting them, and ``subdivide`` builds no dict.  Every
 distance the solvers need beyond two steps comes from one breadth-first
 search, ``bfs``, which writes depths into a flat list that the caller
 owns.  It has three callers: ``components`` (one list shared across
@@ -24,7 +24,6 @@ colorings built on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -191,22 +190,15 @@ def induced(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
 class SubdivisionMap:
     """Vertex bookkeeping for a subdivision: originals keep their ids.
 
-    ``edge_vertex`` maps each edge (u, v), u < v, of the original graph
-    to the id of the vertex splitting it, in edge rank order.  It is read
-    off the subdivision on first use: by ``subdivide``'s id rule, vertex
-    ``n + k`` splits the k-th edge and its adjacency row is that edge.
-    No library code reads it; it stays an attribute, as it was when
-    ``subdivide`` built the dict eagerly.
+    The ``n`` original vertices keep ids ``0 .. n - 1``.  By
+    ``subdivide``'s id rule, vertex ``n + k`` splits the k-th edge of the
+    original graph, and its adjacency row in ``subdivision`` is that
+    edge, so the edge-to-vertex map is ``subdivision.adj[n:]`` read in
+    order and needs no field of its own.
     """
 
     subdivision: Graph
     n: int
-
-    def _edge_vertex(self) -> dict[tuple[int, int], int]:
-        sub = self.subdivision
-        return dict(zip(sub.adj[self.n :], range(self.n, sub.n)))
-
-    edge_vertex = cached_property(_edge_vertex)
 
 
 def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
@@ -215,7 +207,7 @@ def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
     Original vertices keep their ids; the vertex splitting edge (u, v)
     (with u < v) gets id ``n + k`` where k is the rank of the edge in
     sorted order, and its adjacency row is ``(u, v)``.  All pairwise
-    distances exactly double.  The map builds its dict only when read.
+    distances exactly double.
     """
     edges = list(g.edges())
     # Ids are handed out in edge rank order, so each original vertex

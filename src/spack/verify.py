@@ -36,7 +36,9 @@ vertex of a shortest path is a meeting vertex.  An odd d = 2j + 1 <= s
 has j <= k too, so the middle edge of a shortest path is a meeting
 edge.  Edge meetings are needed only for odd s, and only between the
 two balls' outermost layers: any other edge meeting is matched or beaten
-by a vertex meeting one step along the edge.
+by a vertex meeting one step along the edge.  At s = 1 the balls are the
+members themselves, so the edge step alone lists the adjacent pairs:
+radius 1 takes the same walk as every other radius.
 
 The balls are walked over ``g.adj`` with two flat int lists per class,
 one slot per vertex: the member whose walk last reached it and that
@@ -202,7 +204,8 @@ def _close_pairs(g: Graph, cls: ColorClass) -> dict[tuple[int, int], int]:
     a shortest path of length d has its vertex at distance max(0, d - k)
     from y inside x's ball, and no vertex nearer to y is.  For an odd
     radius, a pair still without a vertex meeting that meets across an
-    edge from y's outermost layer is at distance 2k + 1 = r.  In a valid
+    edge from y's outermost layer is at distance 2k + 1 = r; at radius
+    1 that layer is y alone, so this step finds every pair.  In a valid
     class the balls are disjoint, so each vertex a walk reaches costs
     two stores and ``overflow`` stays empty.
     """
@@ -212,9 +215,6 @@ def _close_pairs(g: Graph, cls: ColorClass) -> dict[tuple[int, int], int]:
     r = cls.radius
     k = r // 2
     adj = g.adj
-    if k == 0:
-        # the balls are the members themselves, and they meet only across edges
-        return {(x, y): 1 for y in members for x in adj[y] if x < y and x in members}
     last = [-1] * g.n
     depth = [0] * g.n
     overflow: dict[int, list[tuple[int, int]]] = {}

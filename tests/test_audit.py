@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,9 @@ from spack.audit import AuditError, AuditReport, audit_color_result, audit_core_
 from spack.colorer import color_core, color_graph
 from spack.exchange import OUTSIDE, MoveRecord, SquareBipartition, square_outside
 from spack.gen import path, random_subcubic
-from spack.graph import induced
+from spack.graph import Graph, induced
 from spack.verify import ColorClass, PackingColoring, verify
-from spack.weights import Potential
+from spack.weights import Potential, compute_weights
 from strategies import subcubic_graphs
 
 
@@ -165,6 +166,27 @@ def test_audit_rejects_square_parts_within_distance_two():
     tampered = dataclasses.replace(run, square=moved)
     with pytest.raises(AuditError, match=f"{min(x, order[b])}.* share a radius-2 part"):
         audit_core_run(core, tampered)
+
+
+def test_audit_does_not_share_the_search_square(monkeypatch):
+    # Wherever the package binds square_outside, it now returns an
+    # edgeless square over the same outside order.  The search then
+    # splits the outside blind to distance, and only an audit that does
+    # not rebuild the square with the same function sees the close pairs.
+    g = random_subcubic(30, 40, seed=2, require_non_cubic=True)
+    core = induced(g, next(c for c in color_graph(g).components if c.core_run).core_vertices).graph
+
+    def edgeless(g, state):
+        _, order = square_outside(g, state)
+        return Graph(len(order), ((),) * len(order)), order
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "spack" and getattr(module, "square_outside", None) is square_outside:
+            monkeypatch.setattr(module, "square_outside", edgeless)
+    run = color_core(core, compute_weights(core))
+    assert square_outside(core, run.final)[0].edge_count  # the true square is not edgeless
+    with pytest.raises(AuditError, match="share a radius-2 part"):
+        audit_core_run(core, run)
 
 
 def _swap_first_two(classes):

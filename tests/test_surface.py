@@ -10,6 +10,11 @@ The scan compares names, not bindings, so it cannot see a dead function
 whose name collides with a live attribute or local: a module-level
 ``potential`` function would pass, because ``state.potential`` is used.
 
+``test_every_public_property_is_read_outside_tests`` does the same for
+computed attributes: every public ``property`` or ``cached_property`` on
+a class of ``src/spack``, decorated or assigned, must be read as an
+attribute in that non-test code.
+
 ``test_no_module_imports_a_name_it_never_uses`` stands in for a linter's
 unused-import rule: every name a module of ``src/spack`` other than
 ``__init__.py`` binds by a module-level import must be read in that
@@ -77,12 +82,43 @@ def _public_definitions() -> list[str]:
     return out
 
 
-def _names_used_outside_tests() -> set[str]:
+def _public_properties(source: str) -> list[str]:
+    """``Class.name`` for each public property or cached_property in ``source``.
+
+    Both spellings count: a decorated method, and a class attribute
+    assigned ``property(...)`` or ``cached_property(...)``, which the
+    method scan above does not see.
+    """
+    out = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and any(map(_is_property, item.decorator_list)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign) and _is_property(getattr(item.value, "func", None)):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            out.extend(f"{cls.name}.{name}" for name in names if not name.startswith("_"))
+    return out
+
+
+def _is_property(node: ast.expr | None) -> bool:
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("property", "cached_property")
+
+
+def _files_outside_tests() -> list[Path]:
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py"))
     files += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    return files
+
+
+def _names_used_outside_tests() -> set[str]:
     used: set[str] = set()
-    for path in files:
+    for path in _files_outside_tests():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -101,6 +137,35 @@ def test_every_public_name_has_a_caller():
         if name.rpartition(".")[2] not in used and name not in ENTRY_POINTS
     ]
     assert unused == []
+
+
+def test_every_public_property_is_read_outside_tests():
+    read = {
+        node.attr
+        for path in _files_outside_tests()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = [
+        f"{path.stem}.{prop}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for prop in _public_properties(path.read_text())
+    ]
+    assert "graph.Graph.edge_count" in found
+    assert [prop for prop in found if prop.rpartition(".")[2] not in read] == []
+
+
+def test_the_property_scan_sees_an_assigned_cached_property():
+    source = (
+        "class Map:\n"
+        "    def _pairs(self):\n"
+        "        return {}\n"
+        "    pairs = cached_property(_pairs)\n"
+        "    @functools.cached_property\n"
+        "    def size(self):\n"
+        "        return 0\n"
+    )
+    assert _public_properties(source) == ["Map.pairs", "Map.size"]
 
 
 def test_all_is_pinned():

@@ -136,10 +136,11 @@ def test_derive_subdivision_triangle():
         3, [("1_a", 1, [0]), ("1_b", 1, [1]), ("2_a", 2, [2]), ("2_b", 2, [])]
     )
     lifted = derive_subdivision_coloring(g, coloring)
-    sg, smap = subdivide(g)
+    sg, _ = subdivide(g)
     assert lifted.n == sg.n == 6
     assert lifted.radii() == (1, 2, 3, 4, 5)
-    assert lifted.classes[0].vertices == frozenset(smap.edge_vertex.values())
+    assert sg.adj[g.n :] == tuple(g.edges())
+    assert lifted.classes[0].vertices == frozenset(range(g.n, sg.n))
     assert lifted.classes[1].vertices == frozenset({0})
     assert verify(sg, lifted).ok
 
@@ -315,10 +316,11 @@ def test_verify_matches_reference_on_random_classes(g, data):
 def test_lift_matches_the_built_subdivision(g):
     coloring = color_graph(g).coloring
     lifted = derive_subdivision_coloring(g, coloring)
-    sg, smap = subdivide(g)
+    sg, _ = subdivide(g)
     assert lifted.n == sg.n
     assert lifted.classes[0].label == "sub"
-    assert lifted.classes[0].vertices == set(smap.edge_vertex.values())
+    assert sg.adj[g.n :] == tuple(g.edges())
+    assert lifted.classes[0].vertices == set(range(g.n, sg.n))
 
 
 def test_three_balls_share_the_centre_of_a_claw():
@@ -415,6 +417,25 @@ def test_a_triangle_sends_a_valid_radius_three_class_to_the_walk(monkeypatch):
         assert result.ok
         assert result == reference_verify(g, coloring)
         assert walked == [3]
+
+
+def test_the_walk_alone_matches_the_reference(corpus_noncubic, monkeypatch):
+    # With the set tests off every class is walked, valid ones of radius
+    # 1 to 3 included, so the walk is checked on its own.  Radius 1 has
+    # only the odd-radius edge step to find its adjacent pairs.
+    monkeypatch.setattr(verify_module, "_clean", lambda adj, members, r: False)
+    rng = random.Random(26)
+    adjacent = 0
+    for g in corpus_noncubic:
+        coloring = color_graph(g).coloring
+        lifted = derive_subdivision_coloring(g, coloring)
+        sg, _ = subdivide(g)
+        for graph, c in ((g, coloring), (sg, lifted), (g, _moved(coloring, rng, 3))):
+            outcome = verify(graph, c)
+            assert outcome == reference_verify(graph, c)
+            adjacent += any(v.radius == 1 for v in outcome.violations)
+    # 830 perturbed colorings: 457 with a radius-1 pair
+    assert adjacent >= 400
 
 
 def _with_one_as(coloring, stand_in):
