@@ -7,12 +7,13 @@ subdivision-lift time, committed moves, restart attempts).  The lift
 column times the certification of the corollary on S(G):
 ``derive_subdivision_coloring``, then ``subdivide``, then ``verify`` of
 the lifted coloring.  Validation stays on, as in ``color_graph``'s
-defaults.  Each cell's graph is generated once, then colored, verified,
-audited and lifted three times; each of the four timings is the median
-of its three runs, since single runs of the same cell can differ by
-more than the changes the ladder is meant to show.  The default sizes
-are the n = 10^3, 10^4, 10^5 ladder (about 15 s on one core);
-``--sizes`` picks others.
+defaults.  Each cell's graph is generated three times, then colored,
+verified, audited and lifted three times; the generation time and each
+of the four timings is the median of its three runs, since single runs
+of the same cell can differ by more than the changes the ladder is meant
+to show.  A generation that differs from the cell's first graph raises
+``RuntimeError``.  The default sizes are the n = 10^3, 10^4, 10^5
+ladder (about 30 s on one core); ``--sizes`` picks others.
 
 With ``--json PATH`` it also writes the ladder to PATH: per cell the
 size, density, generation time (apart from the rest), the four timings,
@@ -53,7 +54,7 @@ from spack.gen import random_subcubic
 from spack.graph import Graph, subdivide
 from spack.verify import derive_subdivision_coloring, verify
 
-REPEATS = 3  # each cell's four timings are the median of this many runs
+REPEATS = 3  # each cell's five timings are the median of this many runs
 
 
 def _load_speed_sample():
@@ -104,12 +105,22 @@ def time_stages(g: Graph, where: str) -> tuple[ColorResult, dict[str, float]]:
     return result, {"color_s": t_color, "verify_s": t_verify, "audit_s": t_audit, "lift_s": t_lift}
 
 
+def time_generate(n: int, m: int, seed: int, where: str) -> tuple[Graph, float]:
+    """Generate the cell's graph REPEATS times; the graph and the median wall time."""
+    graphs, times = [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        graphs.append(random_subcubic(n, m, seed=seed, require_non_cubic=True))
+        times.append(time.perf_counter() - start)
+    if any(g != graphs[0] for g in graphs):
+        raise RuntimeError(f"random_subcubic gave different graphs at {where}")
+    return graphs[0], statistics.median(times)
+
+
 def bench_one(n: int, m: int, label: str, seed: int) -> dict:
     before = speed_sample()
-    start = time.perf_counter()
-    g = random_subcubic(n, m, seed=seed, require_non_cubic=True)
-    t_generate = time.perf_counter() - start
     where = f"n={n} m={m} seed={seed}"
+    g, t_generate = time_generate(n, m, seed, where)
     result, first = time_stages(g, where)
     samples = [first] + [time_stages(g, where)[1] for _ in range(REPEATS - 1)]
     ref_ms = 1000 * statistics.median((before, speed_sample()))

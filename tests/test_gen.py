@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from oracles import assert_canonical, ball
 from spack.gen import (
     FAMILIES,
     InfeasibleParamsError,
+    _below,
     cycle,
     generate,
     path,
@@ -76,6 +78,32 @@ def test_random_tree_rejects_zero():
         random_tree(0)
 
 
+def test_random_tree_outputs_pinned():
+    # Taken from the generator that drew with ``rng.randrange``; the
+    # trees share ``_tree_edges`` with ``random_subcubic``.
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 4, 7, 50, 300, 1000, 5000):
+        for seed in range(20):
+            g = random_tree(n, seed)
+            assert_canonical(g)
+            digest.update(encode_graph6(g).encode() + b"\n")
+    assert digest.hexdigest() == "e5203d754b2ac41620ef9150ab7192339dd57a2c3ed7e0e782aaa6dc56886096"
+
+
+@pytest.mark.parametrize(
+    "size",
+    [1, 2, 3, 255, 256, 257, 2**31 - 1, 2**32, 2**32 + 1, 2**40 + 3]
+    + [random.Random(7).randrange(1, 2**k) for k in range(1, 64, 6)],
+)
+def test_below_is_randrange(size):
+    # ``_below`` restates ``Random.randrange(n)``: the same values, draw
+    # for draw, and the generators left in the same state.
+    ours, theirs = random.Random(size), random.Random(size)
+    bits = ours.getrandbits
+    assert [_below(bits, size) for _ in range(300)] == [theirs.randrange(size) for _ in range(300)]
+    assert ours.getstate() == theirs.getstate()
+
+
 @given(st.integers(2, 40), st.data())
 def test_random_subcubic_properties(n, data):
     cap = min(3 * n // 2, n * (n - 1) // 2)
@@ -117,6 +145,35 @@ def test_random_subcubic_outputs_pinned():
                     assert_canonical(g)
                     digest.update(encode_graph6(g).encode() + b"\n")
     assert digest.hexdigest() == "468ac57fa20a08a01d0e7d6c4641b52021e3ff6f7312cedd58279121be9bc467"
+
+
+def test_random_subcubic_large_pool_pinned():
+    # A pool of about 80 blocks of 256 members, at the sparsest and the
+    # densest non-cubic edge counts; taken from the generator that drew
+    # with ``rng.randrange`` and kept its adjacency in sets.
+    digest = hashlib.sha256()
+    for m in (29_999, 20_000):
+        for seed in range(3):
+            g = random_subcubic(20_000, m, seed)
+            digest.update(encode_graph6(g).encode() + b"\n")
+    assert digest.hexdigest() == "aac83b8782f7cd2793bfa11be779ce36180a44b0963c2d5691b55fb6b6130c8e"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_subcubic(10, 12.5, seed=1),
+        lambda: random_subcubic(10.0, 12, seed=1),
+        lambda: random_subcubic(True, 0),
+        lambda: random_subcubic(2, True),
+        lambda: random_tree(4.0, 1),
+        lambda: random_tree(True, 1),
+    ],
+    ids=["float_m", "float_n", "bool_n", "bool_m", "tree_float_n", "tree_bool_n"],
+)
+def test_generators_reject_non_int_sizes(call):
+    with pytest.raises(InfeasibleParamsError, match="must be an int"):
+        call()
 
 
 def test_random_subcubic_rejects_bad_params():
