@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .colorer import ColorOptions, CubicComponentError, color_graph
@@ -108,20 +109,7 @@ def _cmd_verify(args) -> int:
         g = _graph_from_text(_read_text(args.graph), args.format)
         coloring = coloring_from_json(_read_text(args.coloring))
     result = verify(g, coloring)
-    print(
-        json.dumps(
-            [
-                {
-                    "label": v.label,
-                    "radius": v.radius,
-                    "pair": list(v.pair),
-                    "distance": v.distance,
-                }
-                for v in result.violations
-            ],
-            separators=(",", ":"),
-        )
-    )
+    print(json.dumps([asdict(v) for v in result.violations], separators=(",", ":")))
     if result.missing:
         print(f"unassigned vertices: {sorted(result.missing)}", file=sys.stderr)
     if result.multiply_assigned:

@@ -74,28 +74,31 @@ class CubicComponentError(GraphError):
 class ColorOptions:
     """Knobs for ``color_graph``.
 
-    ``fallback_exact`` lets 3-regular components go to the exact oracle;
-    ``fallback_max_n`` caps the size of a 3-regular component sent to
-    it; ``exact_budget`` caps its backtracking nodes.  ``max_moves``
+    ``fallback_exact`` lets 3-regular components go to the exact oracle,
+    and ``exact_budget`` caps its backtracking nodes.  ``max_moves``
     overrides the exchange-step budget, which defaults to
     (m + 1)(sum of weights + 1) commits per run on a core with m edges;
     every commit strictly increases the potential, so exceeding the
-    default means the potential failed to increase.  Each commit's
-    potential change is always checked against a count over the vertices
-    it touched; ``validate`` adds the exchange search's O(n) checks: a
+    default means the potential failed to increase.
+
+    Three constants are fields that callers cannot set (``init=False``),
+    because the benchmark's replay reads them as ``options.<name>``.
+    ``validate`` keeps the exchange search's O(n) checks on: a
     from-scratch recount of the potential at the start and at every
-    cheap-move fixpoint, and the fixpoint structure checks.
+    cheap-move fixpoint, and the fixpoint structure checks.  (Each
+    commit's potential change is checked regardless.)
     ``restart_attempts`` bounds how many seeded greedy starts the
     exchange search may try when a run ends on an odd outside cycle
-    that admits no strict-increase swap.
+    that admits no strict-increase swap.  ``fallback_max_n`` caps the
+    size of a 3-regular component sent to the oracle.
     """
 
     fallback_exact: bool = False
     exact_budget: int = DEFAULT_BUDGET
-    fallback_max_n: int = 30
     max_moves: int | None = None
-    validate: bool = True
-    restart_attempts: int = 12
+    validate: bool = field(default=True, init=False)
+    restart_attempts: int = field(default=12, init=False)
+    fallback_max_n: int = field(default=30, init=False)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Supports the standard graph6 text encoding (bit-exact, including the
 long size forms and the optional ``>>graph6<<`` header), a line-based
 edge-list format with an optional "n m" header, and a JSON document for
-packing colorings shared by the CLI subcommands.
+packing colorings shared by the CLI subcommands.  Every reader takes
+``str``; callers decode bytes themselves.  ``coloring_to_json`` and
+``coloring_from_json`` are the document's one writer and one reader.
 """
 from __future__ import annotations
 
@@ -89,15 +91,8 @@ def _char_value(ch: str) -> int:
     return value
 
 
-def parse_graph6(data: str | bytes) -> Graph:
-    """Decode one graph6 line (optionally prefixed with its header)."""
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise BadCharError(f"not ASCII: {exc}") from None
-    else:
-        text = data
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line of text (optionally prefixed with its header)."""
     text = text.strip()
     if text.startswith(GRAPH6_HEADER):
         text = text[len(GRAPH6_HEADER) :]
@@ -184,8 +179,8 @@ def encode_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def coloring_to_dict(coloring: PackingColoring) -> dict:
-    return {
+def coloring_to_json(coloring: PackingColoring) -> str:
+    doc = {
         "n": coloring.n,
         "classes": [
             {
@@ -196,9 +191,14 @@ def coloring_to_dict(coloring: PackingColoring) -> dict:
             for c in coloring.classes
         ],
     }
+    return json.dumps(doc, separators=(",", ":"))
 
 
-def coloring_from_dict(doc) -> PackingColoring:
+def coloring_from_json(text: str) -> PackingColoring:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ColoringDocumentError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ColoringDocumentError("coloring document must be an object")
     n = doc.get("n")
@@ -224,15 +224,3 @@ def coloring_from_dict(doc) -> PackingColoring:
             raise ColoringDocumentError(f"class {i}: 'vertices' must be a list of ints")
         classes.append(ColorClass(label, radius, frozenset(vertices)))
     return PackingColoring(n, tuple(classes))
-
-
-def coloring_to_json(coloring: PackingColoring) -> str:
-    return json.dumps(coloring_to_dict(coloring), separators=(",", ":"))
-
-
-def coloring_from_json(text: str) -> PackingColoring:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ColoringDocumentError(f"invalid JSON: {exc}") from None
-    return coloring_from_dict(doc)

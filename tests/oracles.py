@@ -104,7 +104,6 @@ from spack.graph import (
 )
 from spack.graphio import (
     GRAPH6_HEADER,
-    BadCharError,
     TrailingBitsError,
     _char_value,
     _parse_size,
@@ -292,15 +291,8 @@ def load_corpus(max_n: int = 9, include_cubic: bool = True) -> list[Graph]:
     return out
 
 
-def reference_parse_graph6(data: str | bytes) -> Graph:
+def reference_parse_graph6(text: str) -> Graph:
     """Decode one graph6 line by testing every bit of its body in turn."""
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise BadCharError(f"not ASCII: {exc}") from None
-    else:
-        text = data
     text = text.strip()
     if text.startswith(GRAPH6_HEADER):
         text = text[len(GRAPH6_HEADER) :]

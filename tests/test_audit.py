@@ -153,6 +153,30 @@ def test_audit_rejects_broken_square_bipartition():
         audit_core_run(core, tampered)
 
 
+def _sound_outside_run():
+    g = random_subcubic(60, 89, seed=5, require_non_cubic=True)
+    comp = next(c for c in color_graph(g).components if c.core_run is not None)
+    core, run = induced(g, comp.core_vertices).graph, comp.core_run
+    assert run.square.h1 and run.square.h2 and run.final.s1
+    return core, run
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda sq, s: SquareBipartition(sq.h1 | {min(sq.h2)}, sq.h2),
+        lambda sq, s: SquareBipartition(sq.h1, sq.h2 - {min(sq.h2)}),
+        lambda sq, s: SquareBipartition(sq.h1 | {min(s.s1)}, sq.h2),
+    ],
+    ids=["h2_vertex_in_h1_too", "outside_vertex_dropped", "s_vertex_in_h1"],
+)
+def test_audit_rejects_square_parts_that_do_not_partition_the_outside(forge):
+    core, run = _sound_outside_run()
+    tampered = dataclasses.replace(run, square=forge(run.square, run.final))
+    with pytest.raises(AuditError, match="square bipartition does not partition the outside"):
+        audit_core_run(core, tampered)
+
+
 def test_audit_rejects_square_parts_within_distance_two():
     g = random_subcubic(30, 40, seed=2, require_non_cubic=True)
     comp = next(c for c in color_graph(g).components if c.core_run is not None)

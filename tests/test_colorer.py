@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -172,9 +173,11 @@ def test_cubic_component_oracle_refutes_petersen():
     assert exc.value.reason == "oracle-unsat"
 
 
-def test_cubic_component_size_cap():
+def test_cubic_component_size_cap(monkeypatch):
+    # prism(16) has 32 vertices, past the cap of 30: the oracle never runs.
+    monkeypatch.setattr(spack.colorer, "decide", lambda *args, **kw: pytest.fail("oracle ran"))
     with pytest.raises(CubicComponentError) as exc:
-        color_graph(K4, ColorOptions(fallback_exact=True, fallback_max_n=3))
+        color_graph(prism(16), ColorOptions(fallback_exact=True))
     assert exc.value.reason == "oracle-timeout"
 
 
@@ -216,10 +219,16 @@ def test_move_budget_option_propagates():
         color_graph(g, ColorOptions(max_moves=0))
 
 
-def test_color_graph_without_validation():
-    g = random_subcubic(40, 52, seed=3)
-    result = color_graph(g, ColorOptions(validate=False))
-    assert verify(g, result.coloring).ok
+def test_color_options_fix_validation_restarts_and_oracle_cap():
+    # Constants kept as fields: readable, never settable.  The search
+    # without validation stays covered through run_to_fixpoint.
+    options = ColorOptions()
+    assert (options.validate, options.restart_attempts, options.fallback_max_n) == (True, 12, 30)
+    for name in ("validate", "restart_attempts", "fallback_max_n"):
+        with pytest.raises(TypeError):
+            ColorOptions(**{name: getattr(options, name)})
+        with pytest.raises(ValueError):
+            dataclasses.replace(options, **{name: getattr(options, name)})
 
 
 def test_color_result_is_consistent_with_naive_oracle():

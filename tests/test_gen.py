@@ -10,6 +10,7 @@ from spack.gen import (
     FAMILIES,
     InfeasibleParamsError,
     _below,
+    _fill_edges,
     cycle,
     generate,
     path,
@@ -114,6 +115,35 @@ def test_random_subcubic_properties(n, data):
     assert len(components(g)) == 1
     assert all(g.degree(v) <= 3 for v in range(n))
     assert n - 1 <= g.edge_count <= m
+
+
+class _ZeroBits:
+    """A generator stub whose every draw is 0."""
+
+    def getrandbits(self, k):
+        return 0
+
+
+@pytest.mark.parametrize("n, m", [(6, 8), (8, 11), (10, 14), (7, 10)])
+def test_fill_edges_enumerates_pairs_when_rejection_fails(n, m):
+    # Every rejection draw picks the same pool vertex, so each extra edge
+    # comes from the enumerated pairs.
+    g = _fill_edges(n, m, _ZeroBits())
+    assert g == build_graph(n, list(g.edges()))
+    assert all(g.degree(v) <= 3 for v in range(n))
+    assert len(components(g)) == 1
+    if g.edge_count < m:
+        low = [v for v in range(n) if g.degree(v) <= 2]
+        assert all(v in g.adj[u] for u in low for v in low if u != v)
+    else:
+        assert g.edge_count == m
+
+
+def test_fill_edges_fallback_outputs_pinned():
+    assert _fill_edges(7, 10, _ZeroBits()).edge_count == 9  # saturated short of 10
+    assert list(_fill_edges(8, 11, _ZeroBits()).edges()) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4), (3, 5), (5, 6), (5, 7), (6, 7),
+    ]
 
 
 def test_random_subcubic_determinism():

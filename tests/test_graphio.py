@@ -23,9 +23,7 @@ from spack.graphio import (
     TrailingBitsError,
     _parse_size,
     _size_prefix,
-    coloring_from_dict,
     coloring_from_json,
-    coloring_to_dict,
     coloring_to_json,
     encode_edge_list,
     encode_graph6,
@@ -49,7 +47,6 @@ def test_graph6_p3():
 
 def test_graph6_header_and_whitespace_stripped():
     assert parse_graph6(">>graph6<<C~\n") == K4
-    assert parse_graph6(b"C~\n") == K4
 
 
 def test_graph6_empty_and_singleton():
@@ -87,8 +84,6 @@ def test_graph6_size_prefix_refuses_n_beyond_36_bits():
 def test_graph6_rejects_bad_bytes():
     with pytest.raises(BadCharError):
         parse_graph6("B" + chr(127))
-    with pytest.raises(BadCharError):
-        parse_graph6("été".encode("utf-8"))
     with pytest.raises(BadCharError, match=r"character '\\udcff' out of graph6 range"):
         parse_graph6("B\udcff")
     # In a long body the first character out of range is the one named.
@@ -148,7 +143,7 @@ def _decode_outcome(decode, data):
 
 MALFORMED_GRAPH6 = [
     "B" + chr(127),
-    "été".encode("utf-8"),
+    "été",
     "B>",
     "C~\x7f",
     "Bgg",
@@ -285,7 +280,7 @@ def test_edge_list_roundtrip():
 
 def test_coloring_json_roundtrip():
     coloring = make_coloring(5, [("1_a", 1, [4, 0]), ("2_a", 2, [1])])
-    doc = coloring_to_dict(coloring)
+    doc = json.loads(coloring_to_json(coloring))
     assert doc == {
         "n": 5,
         "classes": [
@@ -299,20 +294,17 @@ def test_coloring_json_roundtrip():
 def test_coloring_json_rejects_malformed_documents():
     with pytest.raises(ColoringDocumentError):
         coloring_from_json("not json")
-    with pytest.raises(ColoringDocumentError):
-        coloring_from_dict([])
-    with pytest.raises(ColoringDocumentError):
-        coloring_from_dict({"n": -1, "classes": []})
-    with pytest.raises(ColoringDocumentError):
-        coloring_from_dict({"n": 2, "classes": ()})
-    with pytest.raises(ColoringDocumentError):
-        coloring_from_dict({"n": 2, "classes": ["x"]})
-    with pytest.raises(ColoringDocumentError):
-        coloring_from_dict({"n": 2, "classes": [{"label": 3, "radius": 1, "vertices": []}]})
-    with pytest.raises(ColoringDocumentError):
-        coloring_from_dict({"n": 2, "classes": [{"label": "a", "radius": 0, "vertices": []}]})
-    with pytest.raises(ColoringDocumentError):
-        coloring_from_dict({"n": 2, "classes": [{"label": "a", "radius": 1, "vertices": [True]}]})
+    for doc in (
+        [],
+        {"n": -1, "classes": []},
+        {"n": 2, "classes": {}},
+        {"n": 2, "classes": ["x"]},
+        {"n": 2, "classes": [{"label": 3, "radius": 1, "vertices": []}]},
+        {"n": 2, "classes": [{"label": "a", "radius": 0, "vertices": []}]},
+        {"n": 2, "classes": [{"label": "a", "radius": 1, "vertices": [True]}]},
+    ):
+        with pytest.raises(ColoringDocumentError):
+            coloring_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -326,8 +318,6 @@ def test_coloring_json_rejects_malformed_documents():
 )
 def test_coloring_json_rejects_bools_as_integers(doc):
     # bool is a subclass of int, so JSON true/false must be refused by name
-    with pytest.raises(ColoringDocumentError):
-        coloring_from_dict(doc)
     with pytest.raises(ColoringDocumentError):
         coloring_from_json(json.dumps(doc))
 

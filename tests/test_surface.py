@@ -19,10 +19,17 @@ attribute in that non-test code.
 unused-import rule: every name a module of ``src/spack`` other than
 ``__init__.py`` binds by a module-level import must be read in that
 module.
+
+``test_every_private_helper_is_referenced`` catches what a deletion
+leaves behind: every private (``_``-prefixed, not dunder) module-level
+function or class of ``src/spack``, and every private method, must be
+named as an identifier somewhere in the package outside its own
+definition.
 """
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import spack
@@ -116,17 +123,21 @@ def _files_outside_tests() -> list[Path]:
     return files
 
 
+def _identifiers(tree: ast.AST) -> list[str]:
+    """Every name, attribute and imported name in ``tree``, with repeats."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name.rpartition(".")[2])
+    return out
+
+
 def _names_used_outside_tests() -> set[str]:
-    used: set[str] = set()
-    for path in _files_outside_tests():
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name.rpartition(".")[2])
-    return used
+    return {name for path in _files_outside_tests() for name in _identifiers(ast.parse(path.read_text()))}
 
 
 def test_every_public_name_has_a_caller():
@@ -198,3 +209,48 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     assert [dead for path in modules for dead in _unused_imports(path)] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Each private module-level function or class, and private method, of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                item
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and _is_private(item.name)
+            )
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+            yield node
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _orphaned_private_helpers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private definition named nowhere outside itself."""
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
+    total = Counter(name for tree in trees.values() for name in _identifiers(tree))
+    return [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in _private_definitions(tree)
+        if total[node.name] == _identifiers(node).count(node.name)
+    ]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert sum(1 for text in sources.values() for _ in _private_definitions(ast.parse(text))) > 40
+    assert _orphaned_private_helpers(sources) == []
+
+
+def test_the_private_helper_scan_sees_an_orphan():
+    sources = {
+        "a": "def _used():\n    return 1\n\n"
+        "def _recursive(k):\n    return _recursive(k - 1)\n\n"
+        "class C:\n    def _method(self):\n        return 0\n    def __init__(self):\n        pass\n",
+        "b": "from .a import _used\n\ndef public():\n    return _used()\n",
+    }
+    assert _orphaned_private_helpers(sources) == ["a._recursive", "a._method"]
