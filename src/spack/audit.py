@@ -33,7 +33,7 @@ from .exchange import (
     checked_commit,
     evaluate_move,
 )
-from .graph import Graph, induced
+from .graph import Graph, GraphError, induced
 from .verify import verify
 from .weights import compute_weights, inside_potential
 
@@ -54,7 +54,10 @@ class AuditReport:
 
 def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     """Replay one core run; raises AuditError on any discrepancy."""
-    w = compute_weights(core)
+    try:
+        w = compute_weights(core)
+    except GraphError as err:
+        raise AuditError(f"core: {err}") from err
     if tuple(w) != tuple(run.weights):
         raise AuditError("recorded weights differ from the core's own weights")
     side = list(run.initial.side)
@@ -106,6 +109,7 @@ def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
 
     Each core is re-derived from ``g`` and its recorded vertices alone;
     each run's classes, in host ids, must lie in the result's same-position classes.
+    Raises AuditError on any discrepancy, a forged core's vertices included.
     """
     report = AuditReport()
     classes = result.coloring.classes
@@ -113,7 +117,10 @@ def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
         run = comp.core_run
         if run is None:
             continue
-        sub = induced(g, comp.core_vertices)
+        try:
+            sub = induced(g, comp.core_vertices)
+        except GraphError as err:
+            raise AuditError(f"core: {err}") from err
         report.merge(audit_core_run(sub.graph, run))
         for i, c in enumerate(run.coloring.classes):
             held = classes[i].vertices if i < len(classes) else frozenset()

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from spack.audit import AuditError, AuditReport, audit_color_result, audit_core_run
-from spack.colorer import color_core, color_graph
+from spack.colorer import ColorOptions, color_core, color_graph
 from spack.exchange import OUTSIDE, MoveRecord, SquareBipartition, square_outside
 from spack.gen import path, random_subcubic
-from spack.graph import Graph, induced
+from spack.graph import EmptyGraphError, Graph, VertexOutOfRangeError, build_graph, induced
 from spack.verify import ColorClass, PackingColoring, verify
-from spack.weights import Potential, compute_weights
+from spack.weights import DisconnectedError, Potential, compute_weights
 from strategies import subcubic_graphs
 
 
@@ -283,6 +283,35 @@ def test_audit_rejects_invalid_final_coloring():
     broken = dataclasses.replace(result, coloring=PackingColoring(g.n, tuple(classes)))
     with pytest.raises(AuditError):
         audit_color_result(g, broken)
+
+
+def _with_a_k4(g):
+    """``g`` and a disjoint K4 on the vertices ``g.n .. g.n + 3``."""
+    k4 = [(g.n + a, g.n + b) for a in range(4) for b in range(a + 1, 4)]
+    return build_graph(g.n + 4, [*g.edges(), *k4])
+
+
+@pytest.mark.parametrize(
+    "forge, cause",
+    [
+        (lambda core, n: (), EmptyGraphError),
+        (lambda core, n: (0, 10**6), VertexOutOfRangeError),
+        # the K4 joins the core as a second component, with no light vertex
+        (lambda core, n: (*core, n, n + 1, n + 2, n + 3), DisconnectedError),
+    ],
+    ids=["empty", "out_of_range", "two_components"],
+)
+def test_audit_rejects_a_forged_core_with_an_audit_error(forge, cause):
+    g = random_subcubic(30, 40, seed=2, require_non_cubic=True)
+    host = _with_a_k4(g) if cause is DisconnectedError else g
+    result = color_graph(host, ColorOptions(fallback_exact=True))
+    components = list(result.components)
+    i, comp = next((i, c) for i, c in enumerate(components) if c.core_run is not None)
+    components[i] = dataclasses.replace(comp, core_vertices=forge(comp.core_vertices, g.n))
+    forged = dataclasses.replace(result, components=tuple(components))
+    with pytest.raises(AuditError, match="^core: ") as info:
+        audit_color_result(host, forged)
+    assert type(info.value.__cause__) is cause
 
 
 @settings(max_examples=40, deadline=None)

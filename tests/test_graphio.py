@@ -1,4 +1,5 @@
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -12,7 +13,7 @@ from oracles import (
     reference_encode_graph6,
     reference_parse_graph6,
 )
-from spack.gen import path, petersen
+from spack.gen import path, petersen, random_subcubic
 from spack.graph import DuplicateEdgeError, build_graph
 from spack.graphio import (
     BadCharError,
@@ -215,6 +216,48 @@ def test_graph6_decode_matches_per_bit_reference_on_arbitrary_text(data):
     # Mostly malformed lines: wrong lengths, bytes out of range, set
     # padding bits; the two decoders must agree on each outcome.
     assert _decode_outcome(parse_graph6, data) == _decode_outcome(reference_parse_graph6, data)
+
+
+@pytest.mark.parametrize("n", [63, 64, 1000, 2000])
+def test_graph6_decode_matches_per_bit_reference_on_long_dense_lines(n):
+    # (3n - 1) // 2 edges is the densest non-cubic subcubic graph; n = 63
+    # and 64 straddle the switch to the four-character size form
+    g = random_subcubic(n, (3 * n - 1) // 2, seed=n, require_non_cubic=True)
+    line = encode_graph6(g)
+    assert_canonical(parse_graph6(line))
+    assert parse_graph6(line) == reference_parse_graph6(line) == g
+
+
+def test_graph6_decode_matches_per_bit_reference_on_a_loose_graph_of_high_degree():
+    # about half of all pairs, so most body characters hold several set bits
+    rng = random.Random(7)
+    n = 101
+    g = build_graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+    assert max(map(len, g.adj)) > 60
+    line = encode_graph6(g)
+    assert_canonical(parse_graph6(line))
+    assert parse_graph6(line) == reference_parse_graph6(line) == g
+
+
+def _long_line_mutations():
+    # n = 1001 leaves two padding bits in the last character; n = 1000
+    # fills its last character exactly
+    line = encode_graph6(random_subcubic(1001, 1500, seed=3, require_non_cubic=True))
+    head, last = line[:-1], line[-1]
+    return {
+        "padding_bit": head + chr(((ord(last) - 63) | 1) + 63),
+        "del_character": head[:-5] + chr(127) + head[-4:] + last,
+        "non_ascii": head[:-2] + "é" + head[-1] + last,
+        "lone_surrogate": head + "\udcff",
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_long_line_mutations()))
+def test_graph6_decode_matches_per_bit_reference_on_long_malformed_lines(kind):
+    line = _long_line_mutations()[kind]
+    outcome = _decode_outcome(parse_graph6, line)
+    assert isinstance(outcome, tuple)
+    assert outcome == _decode_outcome(reference_parse_graph6, line)
 
 
 def test_edge_list_infers_size():

@@ -22,9 +22,9 @@ module.
 
 ``test_every_private_helper_is_referenced`` catches what a deletion
 leaves behind: every private (``_``-prefixed, not dunder) module-level
-function or class of ``src/spack``, and every private method, must be
-named as an identifier somewhere in the package outside its own
-definition.
+function, class or assigned name (a constant or table) of
+``src/spack``, and every private method, must be named as an
+identifier somewhere in the package outside its own definition.
 """
 from __future__ import annotations
 
@@ -212,16 +212,27 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def _private_definitions(tree: ast.Module):
-    """Each private module-level function or class, and private method, of ``tree``."""
+    """``(name, node)`` for each private definition of ``tree``.
+
+    That is each private module-level function, class or assigned name,
+    and each private method; ``node`` is the statement that defines it.
+    """
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             yield from (
-                item
+                (item.name, item)
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and _is_private(item.name)
             )
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
-            yield node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((name, node) for name in names if _is_private(name))
 
 
 def _is_private(name: str) -> bool:
@@ -233,10 +244,10 @@ def _orphaned_private_helpers(sources: dict[str, str]) -> list[str]:
     trees = {stem: ast.parse(text) for stem, text in sources.items()}
     total = Counter(name for tree in trees.values() for name in _identifiers(tree))
     return [
-        f"{stem}.{node.name}"
+        f"{stem}.{name}"
         for stem, tree in trees.items()
-        for node in _private_definitions(tree)
-        if total[node.name] == _identifiers(node).count(node.name)
+        for name, node in _private_definitions(tree)
+        if total[name] == _identifiers(node).count(name)
     ]
 
 
@@ -248,9 +259,10 @@ def test_every_private_helper_is_referenced():
 
 def test_the_private_helper_scan_sees_an_orphan():
     sources = {
-        "a": "def _used():\n    return 1\n\n"
+        "a": "_TABLE = (1, 2)\n_ORPHAN_TABLE: tuple = (3,)\n\n"
+        "def _used():\n    return _TABLE[0]\n\n"
         "def _recursive(k):\n    return _recursive(k - 1)\n\n"
         "class C:\n    def _method(self):\n        return 0\n    def __init__(self):\n        pass\n",
         "b": "from .a import _used\n\ndef public():\n    return _used()\n",
     }
-    assert _orphaned_private_helpers(sources) == ["a._recursive", "a._method"]
+    assert _orphaned_private_helpers(sources) == ["a._ORPHAN_TABLE", "a._recursive", "a._method"]
