@@ -2,10 +2,12 @@
 
 Re-executes a recorded exchange run from its recorded side list alone,
 under weights re-derived from the core (``weights.compute_weights``),
-which must equal the recorded ones; every move is validated and
-committed in place.  The list must hold 0, 1 or 2 for each core vertex;
-its neighbour counts are rebuilt from it, not read from the record, so
-a forged count can neither fail a sound run nor hide a fault.  The
+which must equal the recorded ones.  The list must hold 0, 1 or 2 for
+each core vertex; its neighbour counts are rebuilt from it, not read
+from the record, so a forged count can neither fail a sound run nor hide
+a fault.  Each move record must be a move that names core vertices (ints
+in 0..n-1), a side of 1 or 2 and, for a Deg3Exchange, a hub next to its
+entering vertex; it is then validated and committed in place.  The
 potential is recounted from scratch at the start and at the end of the
 replay; in between, every move goes through the search's own checked
 commit (``exchange.checked_commit``), whose touched check always runs:
@@ -27,7 +29,17 @@ from dataclasses import dataclass
 
 from .colorer import ColorResult, CoreRun, _layout
 from .exchange import (
+    Absorb,
+    BipartitionState,
+    CycleSwap,
+    Deg3Exchange,
+    ExchangeError,
+    Flip,
+    InvalidMoveError,
     InvalidStateError,
+    PathSwap,
+    SameSideExchange,
+    _hub_side,
     _state_from_sides,
     check_fixpoint_invariants,
     checked_commit,
@@ -40,6 +52,46 @@ from .weights import compute_weights, inside_potential
 
 class AuditError(ValueError):
     pass
+
+
+# The vertex ids and the side that each kind of move names.  The two
+# exchanges take the side of their leaving vertex and name none, so
+# they pass side 1.
+_NAMED = {
+    Absorb: lambda m: ((m.vertex,), m.side),
+    Flip: lambda m: ((m.vertex, *m.displaced), m.side),
+    Deg3Exchange: lambda m: ((m.hub, m.entering, m.leaving), 1),
+    SameSideExchange: lambda m: ((m.entering, m.leaving), 1),
+    CycleSwap: lambda m: ((*m.cycle, *m.displaced), m.side),
+    PathSwap: lambda m: ((*m.path, *m.displaced, *(() if m.cross is None else (m.cross,))), m.side),
+}
+
+
+def _check_record(core: Graph, w: list[int], state: BipartitionState, move: object) -> None:
+    """Raise InvalidMoveError unless ``move`` is well formed for ``state``.
+
+    It must be a move whose vertex ids are ints (not bools) in
+    0..n-1 and whose side is 1 or 2, and a Deg3Exchange's hub must be a
+    hub next to its entering vertex, as the search builds it; a record
+    could otherwise name a vertex through a negative index or carry a
+    hub label that its plan never reads.
+    """
+    named = _NAMED.get(type(move))
+    if named is None:
+        raise InvalidMoveError(f"{move!r} is not a move")
+    try:
+        ids, side = named(move)
+    except TypeError as err:
+        raise InvalidMoveError(f"{move!r}: {err}") from None
+    if type(side) is not int or side not in (1, 2):
+        raise InvalidMoveError(f"side {side!r} is not 1 or 2")
+    for v in ids:
+        if type(v) is not int or not 0 <= v < core.n:
+            raise InvalidMoveError(f"{v!r} is not a core vertex")
+    if type(move) is Deg3Exchange and not (
+        move.hub in core.adj[move.entering] and _hub_side(core, w, state, move.hub)
+    ):
+        raise InvalidMoveError(f"{move.hub} is not a hub next to {move.entering}")
 
 
 @dataclass
@@ -74,10 +126,10 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
             raise AuditError(f"move {i}: recorded before {record.before} != {state.potential}")
         if not record.after > record.before:
             raise AuditError(f"move {i}: potential did not strictly increase: {record}")
-        found = evaluate_move(core, w, state, record.move)
         try:
-            checked_commit(core, w, state, found)
-        except InvalidStateError as err:
+            _check_record(core, w, state, record.move)
+            checked_commit(core, w, state, evaluate_move(core, w, state, record.move))
+        except ExchangeError as err:
             raise AuditError(f"move {i}: {err}") from err
         if state.potential != record.after:
             raise AuditError(f"move {i}: recorded after {record.after} != {state.potential}")
@@ -117,6 +169,8 @@ def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
         run = comp.core_run
         if run is None:
             continue
+        if any(type(v) is not int for v in comp.core_vertices):
+            raise AuditError(f"core: {comp.core_vertices!r} holds an id that is not an int")
         try:
             sub = induced(g, comp.core_vertices)
         except GraphError as err:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from spack.audit import AuditError, AuditReport, audit_color_result, audit_core_run
 from spack.colorer import ColorOptions, color_core, color_graph
-from spack.exchange import OUTSIDE, MoveRecord, SquareBipartition, square_outside
+from spack.exchange import OUTSIDE, Flip, MoveRecord, SquareBipartition, square_outside
 from spack.gen import path, random_subcubic
 from spack.graph import EmptyGraphError, Graph, VertexOutOfRangeError, build_graph, induced
 from spack.verify import ColorClass, PackingColoring, verify
@@ -320,3 +320,110 @@ def test_audit_random_colorings(g):
     result = color_graph(g)
     report = audit_color_result(g, result)
     assert report.runs == sum(1 for c in result.components if c.core_run)
+
+
+def _with_move(g, index, forge):
+    """The coloring of ``g``, with record ``index`` of its first core run forged.
+
+    ``forge(move, n)`` returns the forged move, n being the core's size.
+    Returns the forged result, the core and the forged run.
+    """
+    result = color_graph(g)
+    components = list(result.components)
+    i, comp = next((i, c) for i, c in enumerate(components) if c.core_run is not None)
+    core = induced(g, comp.core_vertices).graph
+    moves = list(comp.core_run.moves)
+    moves[index] = dataclasses.replace(moves[index], move=forge(moves[index].move, core.n))
+    run = dataclasses.replace(comp.core_run, moves=tuple(moves))
+    components[i] = dataclasses.replace(comp, core_run=run)
+    return dataclasses.replace(result, components=tuple(components)), core, run
+
+
+@pytest.mark.parametrize(
+    "g, index, forge, message",
+    [
+        # SameSideExchange(entering=3, leaving=7) on a core of 30: -27 indexes vertex 3
+        (random_subcubic(30, 44, seed=0, require_non_cubic=True), 0,
+         lambda m, n: dataclasses.replace(m, entering=m.entering - n), "-27 is not a core vertex"),
+        # Deg3Exchange(hub=26, entering=93, leaving=28): hub 26 stays on its side
+        (random_subcubic(100, 149, seed=48, require_non_cubic=True), 15,
+         lambda m, n: dataclasses.replace(m, hub=0), "0 is not a hub next to 93"),
+        (random_subcubic(20, 26, seed=6), 0,
+         lambda m, n: dataclasses.replace(m, entering=10**6), "1000000 is not a core vertex"),
+        (random_subcubic(20, 26, seed=6), 0,
+         lambda m, n: dataclasses.replace(m, leaving=10**6), "1000000 is not a core vertex"),
+        # record 3 is an Absorb
+        (random_subcubic(60, 89, seed=2, require_non_cubic=True), 3,
+         lambda m, n: dataclasses.replace(m, side=5), "side 5 is not 1 or 2"),
+        (random_subcubic(60, 89, seed=2, require_non_cubic=True), 3,
+         lambda m, n: dataclasses.replace(m, side=0), "side 0 is not 1 or 2"),
+        (random_subcubic(60, 89, seed=2, require_non_cubic=True), 3,
+         lambda m, n: dataclasses.replace(m, side=True), "side True is not 1 or 2"),
+        (random_subcubic(20, 26, seed=6), 0, lambda m, n: (1, 2), r"\(1, 2\) is not a move"),
+        (random_subcubic(20, 26, seed=6), 0,
+         lambda m, n: Flip(m.entering, 1, 5), r"Flip\(vertex=15, side=1, displaced=5\): "),
+        # onto the other side, which holds a neighbour of the absorbed vertex
+        (random_subcubic(60, 89, seed=2, require_non_cubic=True), 3,
+         lambda m, n: dataclasses.replace(m, side=3 - m.side), "Absorb rejected: vertices 29 and 57"),
+    ],
+    ids=[
+        "negative_id", "hub_label", "entering_past_n", "leaving_past_n",
+        "side_5", "side_0", "side_true", "not_a_move", "displaced_not_a_tuple", "rejected_move",
+    ],
+)
+def test_audit_rejects_a_malformed_move_record(g, index, forge, message):
+    forged, core, run = _with_move(g, index, forge)
+    with pytest.raises(AuditError, match=f"^move {index}: {message}"):
+        audit_core_run(core, run)
+    with pytest.raises(AuditError, match=f"^move {index}: {message}"):
+        audit_color_result(g, forged)
+
+
+def test_audit_rejects_a_core_id_that_is_not_an_int():
+    g = random_subcubic(30, 40, seed=2, require_non_cubic=True)
+    result = color_graph(g)
+    components = list(result.components)
+    i, comp = next((i, c) for i, c in enumerate(components) if c.core_run is not None)
+    components[i] = dataclasses.replace(comp, core_vertices=tuple(map(float, comp.core_vertices)))
+    with pytest.raises(AuditError, match="^core: .* not an int"):
+        audit_color_result(g, dataclasses.replace(result, components=tuple(components)))
+
+
+def _forgeries(move, n):
+    """Each vertex id of ``move`` forged to -1 - v and to n + v, each side to 0 and 3, and a non-move."""
+    for f in dataclasses.fields(move):
+        value = getattr(move, f.name)
+        if f.name == "side":
+            yield from (dataclasses.replace(move, side=s) for s in (0, 3))
+        elif isinstance(value, tuple):
+            for j, v in enumerate(value):
+                for bad in (-1 - v, n + v):
+                    yield dataclasses.replace(move, **{f.name: (*value[:j], bad, *value[j + 1:])})
+        elif value is not None:
+            for bad in (-1 - value, n + value):
+                yield dataclasses.replace(move, **{f.name: bad})
+    yield (1, 2)
+
+
+def test_audit_rejects_every_forged_field_of_every_record(corpus_noncubic):
+    # The corpus commits Absorb, Flip and SameSideExchange only; the
+    # three random graphs add a CycleSwap, a Deg3Exchange and a PathSwap
+    # with a crossed endpoint.
+    extra = [random_subcubic(20, 29, seed=s, require_non_cubic=True) for s in (94, 117, 118)]
+    forgeries = 0
+    kinds = set()
+    for g in [*corpus_noncubic, *extra]:
+        for comp in color_graph(g).components:
+            run = comp.core_run
+            if run is None:
+                continue
+            core = induced(g, comp.core_vertices).graph
+            for k, record in enumerate(run.moves):
+                kinds.add(type(record.move).__name__)
+                for move in _forgeries(record.move, core.n):
+                    moves = (*run.moves[:k], dataclasses.replace(record, move=move), *run.moves[k + 1:])
+                    with pytest.raises(AuditError, match=f"^move {k}: "):
+                        audit_core_run(core, dataclasses.replace(run, moves=moves))
+                    forgeries += 1
+    assert kinds == {"Absorb", "Flip", "Deg3Exchange", "SameSideExchange", "CycleSwap", "PathSwap"}
+    assert forgeries > 500

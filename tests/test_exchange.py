@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spack.colorer
 import spack.exchange
 from spack.audit import AuditError, audit_core_run
-from spack.colorer import color_core, color_graph, peel
+from spack.colorer import ColorOptions, color_core, color_graph, peel
 from spack.exchange import (
     OUTSIDE,
     Absorb,
@@ -361,7 +362,7 @@ def test_default_move_budget_is_the_potential_bound(monkeypatch, corpus_noncubic
     monkeypatch.setattr(spack.exchange, "commit_move", lambda g, state, found: None)
     state = make_state(C4, W4, set(), set())
     with pytest.raises(MoveBudgetExceededError, match="move budget 25 exhausted"):
-        run_to_fixpoint(C4, W4, state, validate=False)
+        run_to_fixpoint(C4, W4, state)
 
 
 def test_fixpoint_invariants_flag_bad_states():
@@ -410,10 +411,27 @@ def test_restart_rescues_stuck_canonical_start(n, m, seed):
     sub = induced(g, core)
     w = compute_weights(sub.graph)
     with pytest.raises(StuckError) as exc:
-        color_core(sub.graph, w, restart_attempts=1)
+        run_to_fixpoint(sub.graph, w, initial_state(sub.graph, w))
     assert exc.value.cycle
     run = color_core(sub.graph, w)
     assert run.attempts == 2
+    # restart_attempts is read by nothing: one attempt is not enforced
+    assert color_core(sub.graph, w, restart_attempts=1).attempts == 2
+
+
+def test_color_core_makes_twelve_starts_then_raises_the_last_stuck(monkeypatch):
+    sub, w = _core(FAULT_GRAPH)
+    errors = []
+
+    def stuck(g, w, state, **kwargs):
+        errors.append(StuckError("stuck", state, ()))
+        raise errors[-1]
+
+    monkeypatch.setattr(spack.colorer, "run_to_fixpoint", stuck)
+    with pytest.raises(StuckError) as exc:
+        color_core(sub, w, restart_attempts=1)
+    assert len(errors) == ColorOptions().restart_attempts == 12
+    assert exc.value is errors[-1]
 
 
 def test_square_stage_raises_stuck_itself():
@@ -804,14 +822,15 @@ def test_validate_catches_a_bad_commit_at_that_commit(monkeypatch, corrupt, inde
 
 @pytest.mark.parametrize("index", [0, 5, 12])
 def test_touched_check_runs_without_validate(monkeypatch, index):
-    # validate=False drops only the O(n) recounts and fixpoint checks;
-    # the touched check still stops a bad commit at that commit.
+    # validate=False cannot switch the checks off: a side changed out of
+    # the plan, which the touched check cannot see, still fails the
+    # recount at the next fixpoint.
     sub, w = _core(FAULT_GRAPH)
-    wrapper, calls = _corrupt_at(index, _drop_last_assignment)
+    wrapper, calls = _corrupt_at(index, _move_far_vertex_outside)
     _patch_commit(monkeypatch, wrapper)
-    with pytest.raises(InvalidStateError, match="touched count"):
+    with pytest.raises(InvalidStateError, match="recount .* at the fixpoint after"):
         run_to_fixpoint(sub, w, initial_state(sub, w), validate=False)
-    assert len(calls) == index + 1
+    assert len(calls) > index
 
 
 @pytest.mark.parametrize("index", [0, 12])
@@ -848,7 +867,8 @@ def test_validate_recounts_the_start_state():
     start.potential = Potential(start.potential.edges + 1, start.potential.weight)
     with pytest.raises(InvalidStateError, match="at the start"):
         run_to_fixpoint(sub, w, start)
-    run_to_fixpoint(sub, w, start, validate=False)
+    with pytest.raises(InvalidStateError, match="at the start"):
+        run_to_fixpoint(sub, w, start, validate=False)
 
 
 def test_run_to_fixpoint_leaves_the_start_state_alone():
