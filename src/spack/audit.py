@@ -2,16 +2,18 @@
 
 Re-executes a recorded exchange run from its recorded side list alone,
 under weights re-derived from the core (``weights.compute_weights``),
-which must equal the recorded ones.  The list must hold 0, 1 or 2 for
-each core vertex; its neighbour counts are rebuilt from it, not read
-from the record, so a forged count can neither fail a sound run nor hide
-a fault.  Each move record must be a move that names core vertices (ints
-in 0..n-1), a side of 1 or 2 and, for a Deg3Exchange, a hub next to its
-entering vertex; it is then validated and committed in place.  The
-potential is recounted from scratch at the start and at the end of the
-replay; in between, every move goes through the search's own checked
-commit (``exchange.checked_commit``), whose touched check always runs:
-the potential change must equal a count over the vertices whose side it
+which must equal the recorded ones.  The list must hold an int (not a
+bool) 0, 1 or 2 for each core vertex; its neighbour counts are rebuilt
+from it, not read from the record, so a forged count can neither fail a
+sound run nor hide a fault.  A recorded field of the wrong type, which
+the replay cannot read, raises AuditError too.  Each move record must be
+a move that names core vertices (ints in 0..n-1), a side of 1 or 2 and,
+for a Deg3Exchange, a hub next to its entering vertex; it is then
+validated and committed in place.  The potential is recounted from
+scratch at the start and at the end of the replay; in between, every
+move goes through the search's own checked commit
+(``exchange.checked_commit``), whose touched check always runs: the
+potential change must equal a count over the vertices whose side it
 changed (``weights.touched_potential``), which equals a recount by
 induction from the first anchor.  The audit then re-checks the fixpoint
 structure on the replayed state and that the square parts partition its
@@ -105,55 +107,63 @@ class AuditReport:
 
 
 def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
-    """Replay one core run; raises AuditError on any discrepancy."""
+    """Replay one core run; raises AuditError on any discrepancy.
+
+    A field that the replay cannot read, because it is not of its
+    recorded type, is one: the TypeError or AttributeError it raises
+    becomes an AuditError here, at the run's boundary.
+    """
     try:
         w = compute_weights(core)
     except GraphError as err:
         raise AuditError(f"core: {err}") from err
-    if tuple(w) != tuple(run.weights):
-        raise AuditError("recorded weights differ from the core's own weights")
-    side = list(run.initial.side)
-    if len(side) != core.n or not {*side} <= {0, 1, 2}:
-        raise AuditError(f"initial state: not a side list of length {core.n} over 0, 1 and 2")
     try:
-        state = _state_from_sides(core, w, side)
-    except InvalidStateError as err:
-        raise AuditError(f"initial state: {err}") from err
-    if state.potential != run.initial.potential:
-        raise AuditError(f"initial potential {run.initial.potential} != recount {state.potential}")
-    for i, record in enumerate(run.moves):
-        if record.before != state.potential:
-            raise AuditError(f"move {i}: recorded before {record.before} != {state.potential}")
-        if not record.after > record.before:
-            raise AuditError(f"move {i}: potential did not strictly increase: {record}")
+        if tuple(w) != tuple(run.weights):
+            raise AuditError("recorded weights differ from the core's own weights")
+        side = list(run.initial.side)
+        if len(side) != core.n or not {*map(type, side)} <= {int} or not {*side} <= {0, 1, 2}:
+            raise AuditError(f"initial state: not a side list of length {core.n} over 0, 1 and 2")
         try:
-            _check_record(core, w, state, record.move)
-            checked_commit(core, w, state, evaluate_move(core, w, state, record.move))
-        except ExchangeError as err:
-            raise AuditError(f"move {i}: {err}") from err
-        if state.potential != record.after:
-            raise AuditError(f"move {i}: recorded after {record.after} != {state.potential}")
-    scratch = inside_potential(core, w, state.side)
-    if scratch != state.potential:
-        raise AuditError(f"final potential {state.potential} != recount {scratch}")
-    if state.side != run.final.side:
-        raise AuditError("replayed final state differs from recorded final state")
+            state = _state_from_sides(core, w, side)
+        except InvalidStateError as err:
+            raise AuditError(f"initial state: {err}") from err
+        if state.potential != run.initial.potential:
+            raise AuditError(f"initial potential {run.initial.potential} != recount {state.potential}")
+        for i, record in enumerate(run.moves):
+            if record.before != state.potential:
+                raise AuditError(f"move {i}: recorded before {record.before} != {state.potential}")
+            if not record.after > record.before:
+                raise AuditError(f"move {i}: potential did not strictly increase: {record}")
+            try:
+                _check_record(core, w, state, record.move)
+                checked_commit(core, w, state, evaluate_move(core, w, state, record.move))
+            except ExchangeError as err:
+                raise AuditError(f"move {i}: {err}") from err
+            if state.potential != record.after:
+                raise AuditError(f"move {i}: recorded after {record.after} != {state.potential}")
+        scratch = inside_potential(core, w, state.side)
+        if scratch != state.potential:
+            raise AuditError(f"final potential {state.potential} != recount {scratch}")
+        if state.side != run.final.side:
+            raise AuditError("replayed final state differs from recorded final state")
 
-    problems = check_fixpoint_invariants(core, w, state)
-    if problems:
-        raise AuditError("fixpoint structure violated: " + "; ".join(problems))
+        problems = check_fixpoint_invariants(core, w, state)
+        if problems:
+            raise AuditError("fixpoint structure violated: " + "; ".join(problems))
 
-    h1, h2 = run.square.h1, run.square.h2
-    if h1 & h2 or (h1 | h2) != state.outside:
-        raise AuditError("square bipartition does not partition the outside")
-    layout = _layout(core.n, (state.s1, state.s2, h1, h2))
-    outcome = verify(core, layout)
-    if outcome.violations:
-        a, b = outcome.violations[0].pair
-        raise AuditError(f"outside vertices {a} and {b} share a radius-2 part but are within distance 2")
-    if run.coloring != layout:
-        raise AuditError("run coloring is not the layout of its final sides and square parts")
-    return AuditReport(runs=1, moves=len(run.moves))
+        h1, h2 = run.square.h1, run.square.h2
+        if h1 & h2 or (h1 | h2) != state.outside or not {*map(type, h1 | h2)} <= {int}:
+            raise AuditError("square bipartition does not partition the outside")
+        layout = _layout(core.n, (state.s1, state.s2, h1, h2))
+        outcome = verify(core, layout)
+        if outcome.violations:
+            a, b = outcome.violations[0].pair
+            raise AuditError(f"outside vertices {a} and {b} share a radius-2 part but are within distance 2")
+        if run.coloring != layout:
+            raise AuditError("run coloring is not the layout of its final sides and square parts")
+        return AuditReport(runs=1, moves=len(run.moves))
+    except (TypeError, AttributeError) as err:
+        raise AuditError(f"core run: a recorded field has the wrong type: {err}") from err
 
 
 def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
@@ -169,8 +179,8 @@ def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
         run = comp.core_run
         if run is None:
             continue
-        if any(type(v) is not int for v in comp.core_vertices):
-            raise AuditError(f"core: {comp.core_vertices!r} holds an id that is not an int")
+        if type(comp.core_vertices) is not tuple or any(type(v) is not int for v in comp.core_vertices):
+            raise AuditError(f"core: {comp.core_vertices!r} is not a tuple or holds an id that is not an int")
         try:
             sub = induced(g, comp.core_vertices)
         except GraphError as err:

@@ -33,12 +33,12 @@ a strict potential increase are validated before any commit, so a proof
 edge case can only ever surface as a ``StuckError`` diagnostic, never as
 a corrupt state.  Each move is evaluated once, by one walk that checks
 both; the search commits the evaluated plan in place.  ``evaluate_move``
-and ``commit_move`` are that validation and that commit for a move given
-from outside.  The search and the audit's replay both commit through
-``checked_commit``, which checks every commit on the vertices it touches
-(``weights.touched_potential``) rather than by an O(n) recount; the
-from-scratch recount, which always runs, anchors that check at the
-start and at every cheap-move fixpoint.
+is that one validation of every move, the search's own and any given
+from outside, and ``commit_move`` that commit.  The search and the
+audit's replay both commit through ``checked_commit``, which checks
+every commit on the vertices it touches (``weights.touched_potential``)
+rather than by an O(n) recount; the from-scratch recount, which always
+runs, anchors that check at the start and at every cheap-move fixpoint.
 
 ``initial_state`` builds its greedy side list once and hands it to
 ``_state_from_sides``, the from-scratch count the audit also runs on a
@@ -400,12 +400,6 @@ def checked_commit(g: Graph, w: list[int], state: BipartitionState, found: Candi
     return changed
 
 
-def _try_move(g, w, state, move) -> Candidate | None:
-    plan = _move_plan(g, state, move)
-    new_potential, _ = _evaluate_plan(g, w, state, plan)
-    return None if new_potential is None else Candidate(move, plan, new_potential)
-
-
 # Each cheap kind has a rule, by which the worklist flags, and a builder.
 # A rule returns 0 where it fails, else the side s its move is about, and
 # ``build(g, w, state, v, s)`` returns the one move that s promises.  The
@@ -566,19 +560,20 @@ class _Worklist:
     def next_move(self) -> Candidate | None:
         """The move at the first set flag of the highest-priority kind, or None.
 
-        Raises InvalidStateError when the kind's builder makes no move
-        there or its move fails validation, which the invariant rules out.
+        Raises InvalidStateError, from the evaluator's InvalidMoveError,
+        when the rule fails there, the kind's builder makes no move or its
+        move fails validation, which the invariant rules out.
         """
         g, w, state = self.g, self.w, self.state
         for (build, rule, _, _), flags in zip(_CHEAP_KINDS, self.flags):
             v = flags.find(1)
             if v >= 0:
                 s = rule(g, w, state, v)
-                move = s and build(g, w, state, v, s)
-                found = move and _try_move(g, w, state, move)
-                if not found:
-                    raise InvalidStateError(f"{build.__name__} found no move at flagged vertex {v}")
-                return found
+                try:
+                    return evaluate_move(g, w, state, s and build(g, w, state, v, s))
+                except InvalidMoveError as err:
+                    message = f"{build.__name__} found no move at flagged vertex {v}"
+                    raise InvalidStateError(message) from err
         return None
 
     def touch(self, changed: list[int]) -> None:
@@ -653,9 +648,15 @@ def _swap_candidates_for_cycle(
     every S-neighbor the entrants would otherwise conflict with, so
     independence holds by construction.  Long arcs come first; the
     caller validates each candidate against the potential and applies
-    the first strict increase.  A k-cycle yields at most 6k(k - 1)
-    candidates (k - 1 arc lengths, k starts, two sides, three crossing
-    choices), so trying them all needs no cap.
+    the first strict increase.
+
+    Each candidate comes once, with no record of those already given.
+    An arc shorter than the cycle is fixed by its start, and its three
+    crossing choices differ.  The full cycle enters the same vertices
+    from every start, with the same genuine pairs, so start 0 offers
+    every crossing choice and each later start up to k - 2 only its own
+    first vertex.  A k-cycle thus yields at most 6k(k - 2) + 2k + 2
+    candidates, so trying them all needs no cap.
     """
     k = len(cycle)
 
@@ -669,28 +670,25 @@ def _swap_candidates_for_cycle(
             out.update(u for u in g.adj[x] if state.side[u] == target)
         return tuple(sorted(out))
 
-    seen: set[tuple[frozenset[int], int, int | None]] = set()
     for length in range(k, 1, -1):
-        for start in range(k):
+        full = length == k
+        for start in range(k - 1 if full else k):
             idx = [(start + t) % k for t in range(length)]
             arc = tuple(cycle[i] for i in idx)
             # Consecutive entrants joined by a genuine graph edge can
             # only coexist when the pair straddles the two sides, i.e.
             # when one of them is the crossed endpoint.
             pairs = [(arc[t], arc[t + 1]) for t in range(length - 1) if genuine(idx[t], idx[t + 1])]
-            if length == k and genuine(start - 1, start):
+            if full and genuine(start - 1, start):
                 pairs.append((arc[-1], arc[0]))
+            crosses = (arc[0],) if full and start else (None, arc[-1], arc[0])
 
             for side in (1, 2):
-                for cross in (None, arc[-1], arc[0]):
+                for cross in crosses:
                     if any(cross not in pair for pair in pairs):
                         continue
-                    key = (frozenset(arc), side, cross)
-                    if key in seen:
-                        continue
-                    seen.add(key)
                     displaced = displaced_for(arc, side, cross)
-                    if length == k and cross is None:
+                    if full and cross is None:
                         yield CycleSwap(cycle, displaced, side)
                     else:
                         yield PathSwap(arc, displaced, side, cross)
@@ -716,9 +714,10 @@ def _find_square_swap(
         return SquareBipartition(h1, h2)
     cycle = tuple(order[i] for i in result.vertices)
     for candidate in _swap_candidates_for_cycle(g, state, cycle):
-        found = _try_move(g, w, state, candidate)
-        if found:
-            return found
+        try:
+            return evaluate_move(g, w, state, candidate)
+        except InvalidMoveError:
+            continue
     raise StuckError(f"no validated swap for the odd outside cycle {cycle}", state, cycle)
 
 

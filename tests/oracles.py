@@ -15,8 +15,11 @@ the same moves in the same order.  Its square stage builds the outside
 square from the distance matrix and 2-colours it by its own BFS.  On an
 odd square it takes the library's certificate, the one cycle the
 search tries, only after checking that it is a chordless odd cycle of
-that square, and validates the library's swap candidates for it with
-``apply_move``.
+that square, and validates its own swap candidates for it with
+``apply_move``: ``reference_swap_candidates``, the library's generator
+as it was when it kept a set of the candidates already given, kept
+verbatim, so a differential test can show that the once-each
+enumeration yields the same candidates in the same order.
 
 ``reference_decide`` is the second exception: the exact oracle as it
 was before the iterative search, a recursive backtracking over the
@@ -57,7 +60,7 @@ import sys
 from collections import deque
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from spack.exact import (
     DEFAULT_BUDGET,
@@ -73,6 +76,7 @@ from spack.exchange import (
     Absorb,
     BipartitionState,
     Candidate,
+    CycleSwap,
     Deg3Exchange,
     FixpointResult,
     Flip,
@@ -81,14 +85,13 @@ from spack.exchange import (
     Move,
     MoveBudgetExceededError,
     MoveRecord,
+    PathSwap,
     SameSideExchange,
     SquareBipartition,
     StuckError,
     _hub_side,
     _other,
     _state_from_sides,
-    _swap_candidates_for_cycle,
-    _try_move,
     check_fixpoint_invariants,
     commit_move,
     evaluate_move,
@@ -440,6 +443,14 @@ def apply_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> B
     return out
 
 
+def _try_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> Candidate | None:
+    """``evaluate_move``, or None where it raises InvalidMoveError."""
+    try:
+        return evaluate_move(g, w, state, move)
+    except InvalidMoveError:
+        return None
+
+
 def _find_absorb(g: Graph, state: BipartitionState) -> Absorb | None:
     for x in range(g.n):
         if state.side[x] != OUTSIDE:
@@ -525,6 +536,59 @@ def _find_same_side_exchange(g: Graph, w: list[int], state: BipartitionState) ->
     return None
 
 
+def reference_swap_candidates(
+    g: Graph, state: BipartitionState, cycle: tuple[int, ...]
+) -> Iterator[Move]:
+    """Candidate Cycle/Path swaps for one chordless odd outside cycle.
+
+    Each candidate enters a contiguous arc of the cycle onto one side
+    (optionally sending one endpoint to the opposite side) and displaces
+    every S-neighbor the entrants would otherwise conflict with, so
+    independence holds by construction.  Long arcs come first; the
+    caller validates each candidate against the potential and applies
+    the first strict increase.  A k-cycle yields at most 6k(k - 1)
+    candidates (k - 1 arc lengths, k starts, two sides, three crossing
+    choices), so trying them all needs no cap.
+    """
+    k = len(cycle)
+
+    def genuine(i: int, j: int) -> bool:
+        return g.has_edge(cycle[i % k], cycle[j % k])
+
+    def displaced_for(arc: tuple[int, ...], side: int, cross: int | None) -> tuple[int, ...]:
+        out = set()
+        for x in arc:
+            target = _other(side) if x == cross else side
+            out.update(u for u in g.adj[x] if state.side[u] == target)
+        return tuple(sorted(out))
+
+    seen: set[tuple[frozenset[int], int, int | None]] = set()
+    for length in range(k, 1, -1):
+        for start in range(k):
+            idx = [(start + t) % k for t in range(length)]
+            arc = tuple(cycle[i] for i in idx)
+            # Consecutive entrants joined by a genuine graph edge can
+            # only coexist when the pair straddles the two sides, i.e.
+            # when one of them is the crossed endpoint.
+            pairs = [(arc[t], arc[t + 1]) for t in range(length - 1) if genuine(idx[t], idx[t + 1])]
+            if length == k and genuine(start - 1, start):
+                pairs.append((arc[-1], arc[0]))
+
+            for side in (1, 2):
+                for cross in (None, arc[-1], arc[0]):
+                    if any(cross not in pair for pair in pairs):
+                        continue
+                    key = (frozenset(arc), side, cross)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    displaced = displaced_for(arc, side, cross)
+                    if length == k and cross is None:
+                        yield CycleSwap(cycle, displaced, side)
+                    else:
+                        yield PathSwap(arc, displaced, side, cross)
+
+
 def _reference_square_stage(
     g: Graph, w: list[int], state: BipartitionState, dist: list[list[float]]
 ) -> SquareBipartition | Move:
@@ -568,7 +632,7 @@ def _reference_square_stage(
         for j in range(i + 1, k):
             consecutive = j == i + 1 or (i == 0 and j == k - 1)
             assert (dist[cycle[i]][cycle[j]] <= 2) == consecutive, (cycle, i, j)
-    for move in _swap_candidates_for_cycle(g, state, cycle):
+    for move in reference_swap_candidates(g, state, cycle):
         try:
             apply_move(g, w, state, move)
         except InvalidMoveError:

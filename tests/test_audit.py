@@ -427,3 +427,56 @@ def test_audit_rejects_every_forged_field_of_every_record(corpus_noncubic):
                     forgeries += 1
     assert kinds == {"Absorb", "Flip", "Deg3Exchange", "SameSideExchange", "CycleSwap", "PathSwap"}
     assert forgeries > 500
+
+
+def _run_with(comp, **fields):
+    """``comp`` with its core run's ``fields`` replaced."""
+    return dataclasses.replace(comp, core_run=dataclasses.replace(comp.core_run, **fields))
+
+
+def _state_with_side(state, forge):
+    return dataclasses.replace(state, side=[forge(s) for s in state.side])
+
+
+@pytest.mark.parametrize(
+    "seed, forge, message",
+    [
+        (6, lambda c: _run_with(c, moves=(dataclasses.replace(c.core_run.moves[0], after=None), *c.core_run.moves[1:])),
+         "^core run: "),
+        (6, lambda c: _run_with(c, moves=(
+            dataclasses.replace(c.core_run.moves[0], after=Potential(None, None)), *c.core_run.moves[1:])),
+         "^core run: "),
+        (6, lambda c: _run_with(c, moves=(c.core_run.moves[0].move, *c.core_run.moves[1:])), "^core run: "),
+        (6, lambda c: _run_with(c, moves=None), "^core run: "),
+        (6, lambda c: _run_with(c, weights=None), "^core run: "),
+        (6, lambda c: _run_with(c, initial=None), "^core run: "),
+        (6, lambda c: _run_with(c, initial=_state_with_side(c.core_run.initial, float)), "^initial state: "),
+        (6, lambda c: _run_with(c, initial=_state_with_side(c.core_run.initial, lambda s: s == 1 or s)),
+         "^initial state: "),
+        (6, lambda c: _run_with(c, final=None), "^core run: "),
+        (6, lambda c: _run_with(c, square=None), "^core run: "),
+        (6, lambda c: _run_with(c, square=dataclasses.replace(c.core_run.square, h1=list(c.core_run.square.h1))),
+         "^core run: "),
+        # vertex 1 is in h1, and True == 1
+        (0, lambda c: _run_with(c, square=dataclasses.replace(
+            c.core_run.square, h1=frozenset(v if v != 1 else True for v in c.core_run.square.h1))),
+         "square bipartition does not partition"),
+        (6, lambda c: dataclasses.replace(c, core_vertices=None), "^core: None is not a tuple"),
+        (6, lambda c: dataclasses.replace(c, core_run=5), "^core run: "),
+    ],
+    ids=[
+        "after_none", "after_of_nones", "bare_move", "moves_none", "weights_none", "initial_none",
+        "side_floats", "side_true_for_1", "final_none", "square_none", "h1_a_list", "h1_true_for_1",
+        "core_vertices_none", "core_run_not_a_run",
+    ],
+)
+def test_audit_rejects_every_malformed_run_field(seed, forge, message):
+    # Beside the record forgeries above: each field of the first core
+    # run, or of its component, forged to a value of the wrong type.
+    g = random_subcubic(20, 26, seed=seed)
+    result = color_graph(g)
+    components = list(result.components)
+    i, comp = next((i, c) for i, c in enumerate(components) if c.core_run is not None)
+    components[i] = forge(comp)
+    with pytest.raises(AuditError, match=message):
+        audit_color_result(g, dataclasses.replace(result, components=tuple(components)))

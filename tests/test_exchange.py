@@ -12,6 +12,7 @@ from spack.colorer import ColorOptions, color_core, color_graph, peel
 from spack.exchange import (
     OUTSIDE,
     Absorb,
+    BipartitionState,
     Candidate,
     CycleSwap,
     Deg3Exchange,
@@ -32,7 +33,6 @@ from spack.exchange import (
     _hub_side,
     _same_side_move,
     _swap_candidates_for_cycle,
-    _try_move,
     check_fixpoint_invariants,
     commit_move,
     evaluate_move,
@@ -44,6 +44,7 @@ from spack.gen import cycle, path, prism, random_subcubic
 from spack.graph import bipartition_or_odd_cycle, build_graph, induced
 from spack.weights import Potential, compute_weights, inside_potential, touched_potential
 from oracles import (
+    _try_move,
     apply_move,
     assert_canonical,
     distance_matrix,
@@ -51,6 +52,7 @@ from oracles import (
     reference_bipartition_or_odd_cycle,
     reference_deg3_exchange_at,
     reference_run_to_fixpoint,
+    reference_swap_candidates,
 )
 from strategies import subcubic_graphs
 
@@ -304,17 +306,19 @@ def test_swap_candidates_are_deduplicated():
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
 def test_swap_candidates_bounded_by_cycle_length(k):
-    # k - 1 arc lengths, k starts, two sides and three crossing choices
-    # bound the candidates of a k-cycle by 6k(k - 1), so the square stage
-    # tries them all.  The even vertices of C_2k form a k-cycle of its
-    # square with no genuine edge (every crossing choice survives); C_k
-    # itself has a genuine edge between every consecutive pair.
+    # k - 2 shorter arc lengths, k starts, two sides and three crossing
+    # choices, and for the full cycle three choices at start 0 and one
+    # at each of starts 1..k-2, bound the candidates of a k-cycle by
+    # 6k(k - 2) + 2k + 2, so the square stage tries them all.  The even
+    # vertices of C_2k form a k-cycle of its square with no genuine edge
+    # (every crossing choice survives); C_k itself has a genuine edge
+    # between every consecutive pair.
     sparse = cycle(2 * k)
     dense = cycle(k)
     for g, cyc in ((sparse, tuple(range(0, 2 * k, 2))), (dense, tuple(range(k)))):
         state = make_state(g, [1] * g.n, set(), set())
         candidates = list(_swap_candidates_for_cycle(g, state, cyc))
-        assert 0 < len(candidates) <= 6 * k * (k - 1)
+        assert 0 < len(candidates) <= 6 * k * (k - 2) + 2 * k + 2
 
 
 def test_run_to_fixpoint_c4_from_empty():
@@ -463,6 +467,38 @@ def test_square_certificate_matches_reference_on_stuck_states(n, m, seed):
     certificate = bipartition_or_odd_cycle(sq)
     assert certificate == reference_bipartition_or_odd_cycle(sq)
     assert exc.value.cycle == tuple(order[i] for i in certificate.vertices)
+
+
+def _random_triple(rng):
+    """A random graph, side list and k-cycle of distinct vertices, k odd in 3..9.
+
+    Each step of the cycle follows a graph edge when it can, or else
+    jumps, so genuine consecutive pairs fall anywhere on the cycle, the
+    closing pair included.  The swap generator reads only the sides.
+    """
+    n = rng.randint(10, 24)
+    g = random_subcubic(n, rng.randint(n, 3 * n // 2), seed=rng.randrange(10**6))
+    side = [rng.randrange(3) for _ in range(n)]
+    k = rng.choice((3, 5, 7, 9))
+    walk = [rng.randrange(n)]
+    while len(walk) < k:
+        free = [u for u in g.adj[walk[-1]] if u not in walk]
+        if not free or rng.random() < 0.3:
+            free = [u for u in range(n) if u not in walk]
+        walk.append(rng.choice(free))
+    return g, BipartitionState(side, [], Potential(0, 0)), tuple(walk)
+
+
+def test_swap_candidates_match_the_reference():
+    rng = random.Random(31)
+    triples = [_random_triple(rng) for _ in range(400)]
+    for n, m, seed in [(14, 20, 1336), (17, 25, 758), (79, 118, 3763), (100, 148, 722), (105, 157, 9000345)]:
+        sub, w = _core(random_subcubic(n, m, seed=seed))
+        with pytest.raises(StuckError) as exc:
+            run_to_fixpoint(sub, w, initial_state(sub, w))
+        triples.append((sub, exc.value.state, exc.value.cycle))
+    for g, state, cyc in triples:
+        assert list(_swap_candidates_for_cycle(g, state, cyc)) == list(reference_swap_candidates(g, state, cyc))
 
 
 def test_square_stage_returns_bipartition_at_clean_fixpoint():
@@ -693,18 +729,24 @@ def test_next_move_raises_at_a_flagged_hub_without_a_move():
     # S-neighbours, 6 and 7, so the trade loses an inside edge.  With
     # weights w2, no neighbour of hub 0 is lighter, so there is no trade
     # to build.  With the Absorb and Flip flags cleared by hand, the
-    # flagged hub that yields no move is reported, not skipped.
+    # flagged hub that yields no move is reported, not skipped, with the
+    # evaluator's reason as its cause.
     g = build_graph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 6), (4, 7)])
     w1, w2 = [3, 2, 3, 3, 1, 1, 1, 1], [1] * 8
-    for w, built in ((w1, Deg3Exchange(0, 1, 4)), (w2, None)):
+    for w, built, reason in (
+        (w1, Deg3Exchange(0, 1, 4), "Deg3Exchange rejected"),
+        (w2, None, "unknown move None"),
+    ):
         state = make_state(g, w, {0, 4}, {6, 7})
         work = _Worklist(g, w, state)
         absorb, flip, hubs, _ = work.flags
         assert hubs[0] and _hub_move(g, w, state, 0, 1) == built
         assert _evaluate(_hub_move, _hub_side, g, w, state, 0) is None
         absorb[:] = flip[:] = bytes(g.n)
-        with pytest.raises(InvalidStateError, match="_hub_move found no move at flagged vertex 0"):
+        with pytest.raises(InvalidStateError, match="_hub_move found no move at flagged vertex 0") as exc:
             work.next_move()
+        assert type(exc.value.__cause__) is InvalidMoveError
+        assert str(exc.value.__cause__).startswith(reason)
 
 
 def _core(g):
