@@ -20,14 +20,18 @@ structure on the replayed state and that the square parts partition its
 outside, and verifies the ``colorer._layout`` of the final sides and
 those parts on the core, without the search's outside square, so a fault
 in ``exchange.square_outside`` cannot pass both.  The run's coloring
-must equal that layout, and its classes, in host ids, lie within the
-result's classes at the same positions.  Used by the test suite to
-certify that every committed move strictly increased the potential and
-that every terminal state satisfies the structural invariants.
+must equal that layout, with int ids, and its classes, in host ids, lie
+within the result's classes at the same positions.  The result's
+coloring must be the layout of its own vertex sets on the graph's
+vertices, with int ids, and verify; an error ``verify`` raises on it
+becomes an AuditError.  Used by the test suite to certify that every
+committed move strictly increased the potential and that every terminal
+state satisfies the structural invariants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .colorer import ColorResult, CoreRun, _layout
 from .exchange import (
@@ -48,12 +52,17 @@ from .exchange import (
     evaluate_move,
 )
 from .graph import Graph, GraphError, induced
-from .verify import verify
+from .verify import PackingColoring, verify
 from .weights import compute_weights, inside_potential
 
 
 class AuditError(ValueError):
     pass
+
+
+def _int_ids(coloring: PackingColoring) -> bool:
+    """True when every vertex id in ``coloring`` is an int (not a bool, which equals 0 or 1)."""
+    return {*map(type, chain.from_iterable(c.vertices for c in coloring.classes))} <= {int}
 
 
 # The vertex ids and the side that each kind of move names.  The two
@@ -159,7 +168,7 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
         if outcome.violations:
             a, b = outcome.violations[0].pair
             raise AuditError(f"outside vertices {a} and {b} share a radius-2 part but are within distance 2")
-        if run.coloring != layout:
+        if run.coloring != layout or not _int_ids(run.coloring):
             raise AuditError("run coloring is not the layout of its final sides and square parts")
         return AuditReport(runs=1, moves=len(run.moves))
     except (TypeError, AttributeError) as err:
@@ -169,28 +178,41 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
 def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
     """Audit every core run inside a coloring result and verify its coloring.
 
-    Each core is re-derived from ``g`` and its recorded vertices alone;
-    each run's classes, in host ids, must lie in the result's same-position classes.
-    Raises AuditError on any discrepancy, a forged core's vertices included.
+    The result's coloring must be the ``colorer._layout`` of its own
+    vertex sets: ``g.n`` vertices and the classes of CLASS_LABELS and
+    CLASS_RADII, in that order, holding int (not bool) ids.  Each core
+    is re-derived from ``g`` and its recorded vertices alone; each run's
+    classes, in host ids, must lie in the result's same-position classes.
+    Raises AuditError on any discrepancy, a forged core's vertices
+    included, and on a coloring that ``verify`` rejects or cannot read.
     """
     report = AuditReport()
-    classes = result.coloring.classes
+    try:
+        coloring = result.coloring
+        layout = _layout(g.n, [c.vertices for c in coloring.classes])
+    except (TypeError, AttributeError) as err:
+        raise AuditError(f"result coloring: {err}") from err
+    if coloring != layout or not _int_ids(coloring):
+        raise AuditError(f"result coloring is not the (1,1,2,2) layout on {g.n} vertices with int ids")
     for comp in result.components:
         run = comp.core_run
         if run is None:
             continue
-        if type(comp.core_vertices) is not tuple or any(type(v) is not int for v in comp.core_vertices):
+        if type(comp.core_vertices) is not tuple or not {*map(type, comp.core_vertices)} <= {int}:
             raise AuditError(f"core: {comp.core_vertices!r} is not a tuple or holds an id that is not an int")
         try:
             sub = induced(g, comp.core_vertices)
         except GraphError as err:
             raise AuditError(f"core: {err}") from err
         report.merge(audit_core_run(sub.graph, run))
-        for i, c in enumerate(run.coloring.classes):
-            held = classes[i].vertices if i < len(classes) else frozenset()
-            if not held.issuperset(map(sub.to_host.__getitem__, c.vertices)):
+        # the replay made run.coloring a layout, of as many classes as the result
+        for c, held in zip(run.coloring.classes, coloring.classes):
+            if not held.vertices.issuperset(map(sub.to_host.__getitem__, c.vertices)):
                 raise AuditError(f"core class {c.label} at {comp.vertices[0]} is not in the result")
-    outcome = verify(g, result.coloring)
+    try:
+        outcome = verify(g, coloring)
+    except GraphError as err:  # an id outside 0..n-1
+        raise AuditError(f"result coloring: {err}") from err
     if not outcome.ok:
         raise AuditError(
             f"coloring fails verification: {len(outcome.violations)} violations, "

@@ -29,7 +29,7 @@ from .graphio import (
     parse_edge_list,
     parse_graph6,
 )
-from .verify import ColoringError, derive_subdivision_coloring, verify
+from .verify import ColoringError, InvalidInputColoringError, derive_subdivision_coloring, verify
 
 SEED_ENV = "SPACK_SEED"
 
@@ -160,6 +160,13 @@ def _cmd_subdivide(args) -> int:
     lift = None
     if args.with_coloring is not None:
         coloring = coloring_from_json(_read_text(args.with_coloring))
+        # the lift only relabels, so outside input is verified here, first
+        checked = verify(g, coloring)
+        if not checked.ok:
+            raise InvalidInputColoringError(
+                f"input coloring does not verify: {len(checked.violations)} violation(s), "
+                f"missing={checked.missing}, multiply_assigned={checked.multiply_assigned}"
+            )
         lift = derive_subdivision_coloring(g, coloring)
     sub, _ = subdivide(g)
     print(encode_graph6(sub))

@@ -65,7 +65,13 @@ class RadiusMismatchError(ColoringError):
 
 
 class InvalidInputColoringError(ColoringError):
-    """A derivation step was handed a coloring that does not verify."""
+    """A derivation step was handed a coloring it cannot derive from.
+
+    ``derive_subdivision_coloring`` raises it for a coloring of another
+    n or with radii not drawn from (1, 1, 2, 2), ``extend_coloring`` for
+    one without two radius-1 classes, and ``spack subdivide`` for an
+    input coloring that does not verify on its graph.
+    """
 
 
 @dataclass(frozen=True)
@@ -268,19 +274,31 @@ def verify_sequence_shape(coloring: PackingColoring, seq: tuple[int, ...]) -> No
 
 
 def derive_subdivision_coloring(g: Graph, coloring: PackingColoring) -> PackingColoring:
-    """Lift a verified (1,1,2,2)-shaped coloring of g to its subdivision.
+    """Lift a (1,1,2,2)-shaped coloring of g to its subdivision, by relabelling only.
 
     Every subdivision vertex forms the radius-1 class; the original
     radius-1 classes become radii 2 and 3 (in input order) and the
     radius-2 classes become radii 4 and 5.  Distances double under
     subdivision, which is exactly the slack these new radii need.
+
+    The lift does not verify the coloring on g; the one verify of S(G)
+    that certifies it checks the coloring of g as well.  Lemma: when
+    ``verify(g, coloring)`` returns, ``verify(S(G), lift)`` reports
+    exactly its violations, with the same labels and pairs, each radius
+    lifted and each distance doubled (in the same order when the input
+    lists its radius-1 classes first), and the same ``missing`` and
+    ``multiply_assigned``.  Vertices of g at distance d in g are at
+    distance 2d in S(G); each class keeps its vertex set, and its radius
+    r becomes 2r or 2r + 1, which admit the same even distances; and the
+    class of edge vertices, pairwise at distance 2 or more, is clean.
+    When ``verify(g, coloring)`` raises on an id outside 0..n-1, the
+    S(G) verify raises too or reports that id as multiply assigned.
+
+    Raises InvalidInputColoringError when the coloring is for another n
+    or its radii are not drawn from (1, 1, 2, 2).
     """
-    result = verify(g, coloring)
-    if not result.ok:
-        raise InvalidInputColoringError(
-            f"input coloring does not verify: {len(result.violations)} violation(s), "
-            f"missing={result.missing}, multiply_assigned={result.multiply_assigned}"
-        )
+    if coloring.n != g.n:
+        raise InvalidInputColoringError(f"coloring is for n={coloring.n}, graph has n={g.n}")
     ones = [cls for cls in coloring.classes if cls.radius == 1]
     twos = [cls for cls in coloring.classes if cls.radius == 2]
     if len(ones) > 2 or len(twos) > 2 or len(ones) + len(twos) != len(coloring.classes):

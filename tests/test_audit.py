@@ -480,3 +480,59 @@ def test_audit_rejects_every_malformed_run_field(seed, forge, message):
     components[i] = forge(comp)
     with pytest.raises(AuditError, match=message):
         audit_color_result(g, dataclasses.replace(result, components=tuple(components)))
+
+
+def _with_classes(coloring, forge):
+    """``coloring`` with each class replaced by ``forge(class)``."""
+    return PackingColoring(coloring.n, tuple(map(forge, coloring.classes)))
+
+
+def _vertex_1_as(value):
+    """A class forgery putting ``value`` in place of vertex 1."""
+    return lambda c: dataclasses.replace(c, vertices=frozenset(value if v == 1 else v for v in c.vertices))
+
+
+def _run_coloring_with_true_for_1(result):
+    components = list(result.components)
+    i, comp = next((i, c) for i, c in enumerate(components) if c.core_run is not None)
+    components[i] = _run_with(comp, coloring=_with_classes(comp.core_run.coloring, _vertex_1_as(True)))
+    return dataclasses.replace(result, components=tuple(components))
+
+
+def _with_coloring(forge):
+    return lambda result: dataclasses.replace(result, coloring=forge(result.coloring))
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (_with_coloring(lambda c: _with_classes(c, lambda k: dataclasses.replace(k, radius=1))),
+         "^result coloring is not the"),
+        (_with_coloring(lambda c: PackingColoring(c.n, (
+            *c.classes[:2], dataclasses.replace(c.classes[2], radius=1), c.classes[3]))),
+         "^result coloring is not the"),
+        (_with_coloring(lambda c: _with_classes(c, lambda k: dataclasses.replace(k, label=k.label.upper()))),
+         "^result coloring is not the"),
+        (_with_coloring(lambda c: PackingColoring(c.n, (*c.classes, ColorClass("2_c", 2, frozenset())))),
+         "^result coloring is not the"),
+        (_with_coloring(lambda c: _with_classes(c, _vertex_1_as(True))), "^result coloring is not the"),
+        (_run_coloring_with_true_for_1, "run coloring is not the layout"),
+        (_with_coloring(lambda c: PackingColoring(c.n + 1, c.classes)), "^result coloring is not the"),
+        (_with_coloring(lambda c: PackingColoring(c.n, (
+            *c.classes[:3], dataclasses.replace(c.classes[3], vertices=c.classes[3].vertices | {10**6})))),
+         "^result coloring: class '2_b' mentions vertex 1000000 outside"),
+        (_with_coloring(lambda c: _with_classes(c, _vertex_1_as(1.0))), "^result coloring is not the"),
+        (_with_coloring(lambda c: PackingColoring(c.n, None)), "^result coloring: "),
+        (_with_coloring(lambda c: None), "^result coloring: "),
+    ],
+    ids=[
+        "all_radius_1", "2_a_radius_1", "relabelled", "fifth_class", "true_for_1", "run_true_for_1",
+        "n_plus_one", "vertex_out_of_range", "float_id", "classes_none", "coloring_none",
+    ],
+)
+def test_audit_rejects_every_malformed_result_coloring(forge, message):
+    g = random_subcubic(20, 26, seed=0)
+    result = color_graph(g)
+    assert audit_color_result(g, result).runs
+    with pytest.raises(AuditError, match=message):
+        audit_color_result(g, forge(result))

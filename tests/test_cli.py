@@ -297,26 +297,43 @@ def test_subdivide_with_lifted_coloring(monkeypatch, capsys, tmp_path):
     assert verify(expected, lifted).ok
 
 
-def test_subdivide_invalid_coloring_prints_nothing(monkeypatch, capsys, tmp_path):
-    # The triangle's two radius-1 classes hold adjacent vertices 0 and 1.
-    bad = {
-        "n": 3,
-        "classes": [
-            {"label": "1_a", "radius": 1, "vertices": [0, 1]},
-            {"label": "1_b", "radius": 1, "vertices": [2]},
-        ],
-    }
+def _classes(*classes):
+    """JSON class documents from (label, radius, vertices) triples."""
+    return [{"label": label, "radius": r, "vertices": vs} for label, r, vs in classes]
+
+
+_DOES_NOT_VERIFY = "error: input coloring does not verify: 1 violation(s), missing=[], multiply_assigned=[]\n"
+
+
+@pytest.mark.parametrize(
+    "graph, doc, expected_err",
+    [
+        # the triangle's two radius-1 classes hold adjacent vertices 0 and 1
+        (cycle(3), {"n": 3, "classes": _classes(("1_a", 1, [0, 1]), ("1_b", 1, [2]))}, _DOES_NOT_VERIFY),
+        (cycle(3),
+         {"n": 4, "classes": _classes(("1_a", 1, [0]), ("1_b", 1, [1]), ("2_a", 2, [2]), ("2_b", 2, [3]))},
+         "error: coloring is for n=4, graph has n=3\n"),
+        (cycle(3), {"n": 3, "classes": _classes(("1_a", 1, [0]), ("1_b", 1, [1]), ("2_a", 2, [2, 7]))},
+         "error: class '2_a' mentions vertex 7 outside 0..2\n"),
+        # verify runs before the shape check, so the clash is reported first
+        (cycle(3), {"n": 3, "classes": _classes(("1_a", 1, [0]), ("3", 3, [1, 2]))}, _DOES_NOT_VERIFY),
+        (path(3), {"n": 3, "classes": _classes(("1", 1, [0, 2]), ("3", 3, [1]))},
+         "error: expected radii drawn from (1, 1, 2, 2), got (1, 3)\n"),
+    ],
+    ids=["clash", "n_4", "vertex_out_of_range", "radius_3_clash", "wrong_shape"],
+)
+def test_subdivide_invalid_coloring_prints_nothing(monkeypatch, capsys, tmp_path, graph, doc, expected_err):
     coloring_path = tmp_path / "bad.json"
-    coloring_path.write_text(json.dumps(bad))
+    coloring_path.write_text(json.dumps(doc))
     code, out, err = run_cli(
         monkeypatch,
         capsys,
         ["subdivide", "--with-coloring", str(coloring_path)],
-        stdin=encode_graph6(cycle(3)) + "\n",
+        stdin=encode_graph6(graph) + "\n",
     )
     assert code == 2
     assert out == ""
-    assert "does not verify" in err
+    assert err == expected_err
 
 
 def test_subdivide_plain(monkeypatch, capsys):

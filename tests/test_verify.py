@@ -157,12 +157,60 @@ def test_derive_subdivision_c5():
 
 
 def test_derive_subdivision_rejects_invalid_input():
+    # The lift only relabels: a clashing coloring of C3 lifts, and the
+    # verify of S(G) reports its clash at twice the distance.  A coloring
+    # for another n is refused.
     g = cycle(3)
     clashing = make_coloring(
         3, [("1_a", 1, [0, 1]), ("1_b", 1, []), ("2_a", 2, [2]), ("2_b", 2, [])]
     )
-    with pytest.raises(InvalidInputColoringError):
-        derive_subdivision_coloring(g, clashing)
+    lifted = derive_subdivision_coloring(g, clashing)
+    assert verify(subdivide(g)[0], lifted).violations == [Violation("1_a", 2, (0, 1), 2)]
+    wide = make_coloring(4, [("1_a", 1, [0]), ("1_b", 1, [1]), ("2_a", 2, [2]), ("2_b", 2, [3])])
+    with pytest.raises(InvalidInputColoringError, match="^coloring is for n=4, graph has n=3$"):
+        derive_subdivision_coloring(g, wide)
+
+
+def _random_subcubic_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Random edges of a subcubic graph on n vertices, connected or not."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rng.shuffle(pairs)
+    degree = [0] * n
+    edges = []
+    for a, b in pairs[: rng.randint(0, len(pairs))]:
+        if degree[a] < 3 and degree[b] < 3:
+            degree[a] += 1
+            degree[b] += 1
+            edges.append((a, b))
+    return edges
+
+
+def test_lift_verify_repeats_the_verify_of_g_with_distances_doubled():
+    # The lemma in derive_subdivision_coloring's docstring, on random
+    # partitions into the four classes, some vertices in none and some
+    # in two: the S(G) verify of the lift reports each violation of G's
+    # verify, in order, with its radius lifted and its distance doubled,
+    # and the same missing and multiply assigned vertices.
+    rng = random.Random(32)
+    invalid = 0
+    for _ in range(2000):
+        n = rng.randint(2, 16)
+        g = build_graph(n, _random_subcubic_edges(rng, n))
+        sets = [set() for _ in range(4)]
+        for v in range(n):
+            for i in rng.choices(range(4), k=rng.choice((0, 1, 1, 1, 1, 1, 1, 2))):
+                sets[i].add(v)
+        coloring = make_coloring(n, list(zip(("1_a", "1_b", "2_a", "2_b"), (1, 1, 2, 2), sets)))
+        lifted = derive_subdivision_coloring(g, coloring)
+        radius = {cls.label: cls.radius for cls in lifted.classes}
+        on_g = verify(g, coloring)
+        on_sg = verify(subdivide(g)[0], lifted)
+        assert on_sg.violations == [
+            Violation(v.label, radius[v.label], v.pair, 2 * v.distance) for v in on_g.violations
+        ]
+        assert (on_sg.missing, on_sg.multiply_assigned) == (on_g.missing, on_g.multiply_assigned)
+        invalid += not on_g.ok
+    assert 1000 < invalid < 2000
 
 
 def test_derive_subdivision_rejects_wrong_shape():
