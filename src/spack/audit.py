@@ -2,31 +2,34 @@
 
 Re-executes a recorded exchange run from its recorded side list alone,
 under weights re-derived from the core (``weights.compute_weights``),
-which must equal the recorded ones.  The list must hold an int (not a
-bool) 0, 1 or 2 for each core vertex; its neighbour counts are rebuilt
-from it, not read from the record, so a forged count can neither fail a
-sound run nor hide a fault.  A recorded field of the wrong type, which
-the replay cannot read, raises AuditError too.  Each move record must be
-a move that names core vertices (ints in 0..n-1), a side of 1 or 2 and,
-for a Deg3Exchange, a hub next to its entering vertex; it is then
-validated and committed in place.  The potential is recounted from
-scratch at the start and at the end of the replay; in between, every
-move goes through the search's own checked commit
-(``exchange.checked_commit``), whose touched check always runs: the
-potential change must equal a count over the vertices whose side it
-changed (``weights.touched_potential``), which equals a recount by
-induction from the first anchor.  The audit then re-checks the fixpoint
-structure on the replayed state and that the square parts partition its
-outside, and verifies the ``colorer._layout`` of the final sides and
-those parts on the core, without the search's outside square, so a fault
-in ``exchange.square_outside`` cannot pass both.  The run's coloring
-must equal that layout, with int ids, and its classes, in host ids, lie
-within the result's classes at the same positions.  The result's
-coloring must be the layout of its own vertex sets on the graph's
-vertices, with int ids, and verify; an error ``verify`` raises on it
-becomes an AuditError.  Used by the test suite to certify that every
-committed move strictly increased the potential and that every terminal
-state satisfies the structural invariants.
+which must equal the recorded ones.  The replay goes through the
+search's own checks, which reject malformed input themselves:
+``exchange._state_from_sides`` takes the side list only when it holds an
+int (not a bool) 0, 1 or 2 for each core vertex, and rebuilds its
+neighbour counts from it, not from the record, so a forged count can
+neither fail a sound run nor hide a fault; ``exchange.evaluate_move``
+takes a move record only when it is a move that names core vertices
+(ints in 0..n-1), a side of 1 or 2 and, for a Deg3Exchange, a hub next
+to its entering vertex, and validates it before it is committed in
+place.  A recorded field of the wrong type, which the replay cannot
+read, raises AuditError too.  The potential is recounted from scratch at
+the start and at the end of the replay; in between, every move goes
+through the search's own checked commit (``exchange.checked_commit``),
+whose touched check always runs: the potential change must equal a count
+over the vertices whose side it changed (``weights.touched_potential``),
+which equals a recount by induction from the first anchor.  The replayed
+final sides and potential must equal the recorded ones.  The audit then
+re-checks the fixpoint structure on the replayed state and that the
+square parts partition its outside, and verifies the ``colorer._layout``
+of the final sides and those parts on the core, without the search's
+outside square, so a fault in ``exchange.square_outside`` cannot pass
+both.  The run's coloring must equal that layout, with int ids, and its
+classes, in host ids, lie within the result's classes at the same
+positions.  The result's coloring must be the layout of its own vertex
+sets on the graph's vertices, with int ids, and verify; an error
+``verify`` raises on it becomes an AuditError.  Used by the test suite
+to certify that every committed move strictly increased the potential
+and that every terminal state satisfies the structural invariants.
 """
 from __future__ import annotations
 
@@ -35,17 +38,8 @@ from itertools import chain
 
 from .colorer import ColorResult, CoreRun, _layout
 from .exchange import (
-    Absorb,
-    BipartitionState,
-    CycleSwap,
-    Deg3Exchange,
     ExchangeError,
-    Flip,
-    InvalidMoveError,
     InvalidStateError,
-    PathSwap,
-    SameSideExchange,
-    _hub_side,
     _state_from_sides,
     check_fixpoint_invariants,
     checked_commit,
@@ -63,46 +57,6 @@ class AuditError(ValueError):
 def _int_ids(coloring: PackingColoring) -> bool:
     """True when every vertex id in ``coloring`` is an int (not a bool, which equals 0 or 1)."""
     return {*map(type, chain.from_iterable(c.vertices for c in coloring.classes))} <= {int}
-
-
-# The vertex ids and the side that each kind of move names.  The two
-# exchanges take the side of their leaving vertex and name none, so
-# they pass side 1.
-_NAMED = {
-    Absorb: lambda m: ((m.vertex,), m.side),
-    Flip: lambda m: ((m.vertex, *m.displaced), m.side),
-    Deg3Exchange: lambda m: ((m.hub, m.entering, m.leaving), 1),
-    SameSideExchange: lambda m: ((m.entering, m.leaving), 1),
-    CycleSwap: lambda m: ((*m.cycle, *m.displaced), m.side),
-    PathSwap: lambda m: ((*m.path, *m.displaced, *(() if m.cross is None else (m.cross,))), m.side),
-}
-
-
-def _check_record(core: Graph, w: list[int], state: BipartitionState, move: object) -> None:
-    """Raise InvalidMoveError unless ``move`` is well formed for ``state``.
-
-    It must be a move whose vertex ids are ints (not bools) in
-    0..n-1 and whose side is 1 or 2, and a Deg3Exchange's hub must be a
-    hub next to its entering vertex, as the search builds it; a record
-    could otherwise name a vertex through a negative index or carry a
-    hub label that its plan never reads.
-    """
-    named = _NAMED.get(type(move))
-    if named is None:
-        raise InvalidMoveError(f"{move!r} is not a move")
-    try:
-        ids, side = named(move)
-    except TypeError as err:
-        raise InvalidMoveError(f"{move!r}: {err}") from None
-    if type(side) is not int or side not in (1, 2):
-        raise InvalidMoveError(f"side {side!r} is not 1 or 2")
-    for v in ids:
-        if type(v) is not int or not 0 <= v < core.n:
-            raise InvalidMoveError(f"{v!r} is not a core vertex")
-    if type(move) is Deg3Exchange and not (
-        move.hub in core.adj[move.entering] and _hub_side(core, w, state, move.hub)
-    ):
-        raise InvalidMoveError(f"{move.hub} is not a hub next to {move.entering}")
 
 
 @dataclass
@@ -129,11 +83,8 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     try:
         if tuple(w) != tuple(run.weights):
             raise AuditError("recorded weights differ from the core's own weights")
-        side = list(run.initial.side)
-        if len(side) != core.n or not {*map(type, side)} <= {int} or not {*side} <= {0, 1, 2}:
-            raise AuditError(f"initial state: not a side list of length {core.n} over 0, 1 and 2")
         try:
-            state = _state_from_sides(core, w, side)
+            state = _state_from_sides(core, w, list(run.initial.side))
         except InvalidStateError as err:
             raise AuditError(f"initial state: {err}") from err
         if state.potential != run.initial.potential:
@@ -144,7 +95,6 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
             if not record.after > record.before:
                 raise AuditError(f"move {i}: potential did not strictly increase: {record}")
             try:
-                _check_record(core, w, state, record.move)
                 checked_commit(core, w, state, evaluate_move(core, w, state, record.move))
             except ExchangeError as err:
                 raise AuditError(f"move {i}: {err}") from err
@@ -153,7 +103,7 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
         scratch = inside_potential(core, w, state.side)
         if scratch != state.potential:
             raise AuditError(f"final potential {state.potential} != recount {scratch}")
-        if state.side != run.final.side:
+        if state.side != run.final.side or state.potential != run.final.potential:
             raise AuditError("replayed final state differs from recorded final state")
 
         problems = check_fixpoint_invariants(core, w, state)

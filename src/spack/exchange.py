@@ -34,17 +34,22 @@ edge case can only ever surface as a ``StuckError`` diagnostic, never as
 a corrupt state.  Each move is evaluated once, by one walk that checks
 both; the search commits the evaluated plan in place.  ``evaluate_move``
 is that one validation of every move, the search's own and any given
-from outside, and ``commit_move`` that commit.  The search and the
-audit's replay both commit through ``checked_commit``, which checks
-every commit on the vertices it touches (``weights.touched_potential``)
-rather than by an O(n) recount; the from-scratch recount, which always
-runs, anchors that check at the start and at every cheap-move fixpoint.
+from outside, and ``commit_move`` that commit.  It first rejects a
+malformed move (``_move_plan``): one that is no move, that names an id
+outside 0..n-1 or a side other than 1 or 2, or whose Deg3Exchange hub
+is no hub next to its entering vertex; so the audit's replay keeps no
+checker of its own.  The search and the audit's replay both commit
+through ``checked_commit``, which checks every commit on the vertices it
+touches (``weights.touched_potential``) rather than by an O(n) recount;
+the from-scratch recount, which always runs, anchors that check at the
+start and at every cheap-move fixpoint.
 
 ``initial_state`` builds its greedy side list once and hands it to
 ``_state_from_sides``, the from-scratch count the audit also runs on a
-recorded side list: every neighbor count, the independence of both sides
-and the potential are counted again from the side list, so the start
-state is validated as any state from outside is.
+recorded side list: it rejects a list that is not one int 0, 1 or 2 per
+vertex, and every neighbor count, the independence of both sides and
+the potential are counted again from the side list, so the start state
+is validated as any state from outside is.
 """
 from __future__ import annotations
 
@@ -227,8 +232,11 @@ class FixpointResult:
 def _state_from_sides(g: Graph, w: list[int], side: list[int]) -> BipartitionState:
     """The state on ``side``, its neighbor counts and potential counted from scratch.
 
-    Raises InvalidStateError unless both sides are independent.
+    Raises InvalidStateError unless ``side`` holds an int (not a bool)
+    0, 1 or 2 for each vertex of ``g`` and both sides are independent.
     """
+    if len(side) != g.n or not {*map(type, side)} <= {int} or not {*side} <= {0, 1, 2}:
+        raise InvalidStateError(f"not a side list of length {g.n} over 0, 1 and 2")
     nbr = [[0] * g.n for _ in range(3)]
     adj = g.adj
     for v, s in enumerate(side):
@@ -289,36 +297,65 @@ def _other(side: int) -> int:
     return 3 - side
 
 
-def _move_plan(g: Graph, state: BipartitionState, move: Move) -> list[tuple[int, int]]:
-    """Expand a move into (vertex, new side) assignments."""
+# The vertex ids and the side that each kind of move names.  The two
+# exchanges take the side of their leaving vertex and name none, so
+# they pass side 1.
+_NAMED = {
+    Absorb: lambda m: ((m.vertex,), m.side),
+    Flip: lambda m: ((m.vertex, *m.displaced), m.side),
+    Deg3Exchange: lambda m: ((m.hub, m.entering, m.leaving), 1),
+    SameSideExchange: lambda m: ((m.entering, m.leaving), 1),
+    CycleSwap: lambda m: ((*m.cycle, *m.displaced), m.side),
+    PathSwap: lambda m: ((*m.path, *m.displaced, *(() if m.cross is None else (m.cross,))), m.side),
+}
+
+
+def _move_plan(g: Graph, w: list[int], state: BipartitionState, move: Move) -> list[tuple[int, int]]:
+    """Expand a move into (vertex, new side) assignments.
+
+    Raises InvalidMoveError unless ``move`` is a move whose fields can
+    be read, whose vertex ids are ints (not bools) in 0..n-1 and whose
+    side is 1 or 2, all checked before any id indexes ``state``, and,
+    for a Deg3Exchange, whose hub is a hub (``_hub_side``) next to its
+    entering vertex, as the search builds it; a move from outside could
+    otherwise name a vertex through a negative index or carry a hub
+    label that its plan never reads.
+    """
+    named = _NAMED.get(type(move))
+    if named is None:
+        raise InvalidMoveError(f"{move!r} is not a move")
+    try:
+        ids, s = named(move)
+    except TypeError as err:
+        raise InvalidMoveError(f"{move!r}: {err}") from None
+    if type(s) is not int or s not in (1, 2):
+        raise InvalidMoveError(f"side {s!r} is not 1 or 2")
+    n = g.n
+    for v in ids:
+        if type(v) is not int or not 0 <= v < n:
+            raise InvalidMoveError(f"{v!r} is not a core vertex")
     if isinstance(move, Absorb):
-        return [(move.vertex, move.side)]
+        return [(move.vertex, s)]
     if isinstance(move, Flip):
-        plan = [(u, _other(move.side)) for u in move.displaced]
-        plan.append((move.vertex, move.side))
+        plan = [(u, _other(s)) for u in move.displaced]
+        plan.append((move.vertex, s))
         return plan
     if isinstance(move, Deg3Exchange):
+        if not (move.hub in g.adj[move.entering] and _hub_side(g, w, state, move.hub)):
+            raise InvalidMoveError(f"{move.hub} is not a hub next to {move.entering}")
         target = state.side[move.leaving]
-        plan = []
-        if state.side[move.hub] == target:
-            if state.s_degree(move.hub) != 0:
-                raise InvalidMoveError("hub is not isolated inside S")
-            plan.append((move.hub, _other(target)))
+        plan = [(move.hub, _other(target))] if state.side[move.hub] == target else []
         plan.append((move.leaving, OUTSIDE))
         plan.append((move.entering, target))
         return plan
     if isinstance(move, SameSideExchange):
         target = state.side[move.leaving]
         return [(move.leaving, OUTSIDE), (move.entering, target)]
-    if isinstance(move, (CycleSwap, PathSwap)):
-        entering = move.cycle if isinstance(move, CycleSwap) else move.path
-        cross = move.cross if isinstance(move, PathSwap) else None
-        plan = [(y, OUTSIDE) for y in move.displaced]
-        plan.extend(
-            (x, _other(move.side) if x == cross else move.side) for x in entering
-        )
-        return plan
-    raise InvalidMoveError(f"unknown move {move!r}")
+    entering = move.cycle if isinstance(move, CycleSwap) else move.path
+    cross = move.cross if isinstance(move, PathSwap) else None
+    plan = [(y, OUTSIDE) for y in move.displaced]
+    plan.extend((x, _other(s) if x == cross else s) for x in entering)
+    return plan
 
 
 def _evaluate_plan(
@@ -354,10 +391,11 @@ def _evaluate_plan(
 def evaluate_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> Candidate:
     """Validate a move against the state without changing it.
 
-    Raises InvalidMoveError when independence would break or the
-    potential would not strictly increase.
+    Raises InvalidMoveError when the move is malformed (``_move_plan``),
+    independence would break or the potential would not strictly
+    increase.
     """
-    plan = _move_plan(g, state, move)
+    plan = _move_plan(g, w, state, move)
     new_potential, reason = _evaluate_plan(g, w, state, plan)
     if new_potential is None:
         raise InvalidMoveError(f"{type(move).__name__} rejected: {reason}")

@@ -454,6 +454,8 @@ def _state_with_side(state, forge):
         (6, lambda c: _run_with(c, initial=_state_with_side(c.core_run.initial, lambda s: s == 1 or s)),
          "^initial state: "),
         (6, lambda c: _run_with(c, final=None), "^core run: "),
+        (6, lambda c: _run_with(c, final=dataclasses.replace(c.core_run.final, potential=Potential(999, 999))),
+         "^replayed final state differs from recorded final state$"),
         (6, lambda c: _run_with(c, square=None), "^core run: "),
         (6, lambda c: _run_with(c, square=dataclasses.replace(c.core_run.square, h1=list(c.core_run.square.h1))),
          "^core run: "),
@@ -466,7 +468,7 @@ def _state_with_side(state, forge):
     ],
     ids=[
         "after_none", "after_of_nones", "bare_move", "moves_none", "weights_none", "initial_none",
-        "side_floats", "side_true_for_1", "final_none", "square_none", "h1_a_list", "h1_true_for_1",
+        "side_floats", "side_true_for_1", "final_none", "final_potential_forged", "square_none", "h1_a_list", "h1_true_for_1",
         "core_vertices_none", "core_run_not_a_run",
     ],
 )

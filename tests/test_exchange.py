@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import spack.colorer
 import spack.exchange
-from spack.audit import AuditError, audit_core_run
+from spack.audit import AuditError, audit_color_result, audit_core_run
 from spack.colorer import ColorOptions, color_core, color_graph, peel
 from spack.exchange import (
     OUTSIDE,
@@ -32,6 +33,7 @@ from spack.exchange import (
     _hub_move,
     _hub_side,
     _same_side_move,
+    _state_from_sides,
     _swap_candidates_for_cycle,
     check_fixpoint_invariants,
     commit_move,
@@ -42,6 +44,7 @@ from spack.exchange import (
 )
 from spack.gen import cycle, path, prism, random_subcubic
 from spack.graph import bipartition_or_odd_cycle, build_graph, induced
+from spack.graphio import parse_graph6
 from spack.weights import Potential, compute_weights, inside_potential, touched_potential
 from oracles import (
     _try_move,
@@ -197,14 +200,87 @@ def test_evaluate_move_rejects_malformed_moves():
     w = [3, 2, 1, 1, 1, 1]
     # The hub 0 sits on the leaving vertex's side next to 3 on the other.
     state = make_state(g, w, {0, 4}, {3, 5})
-    with pytest.raises(InvalidMoveError, match="hub is not isolated inside S"):
+    with pytest.raises(InvalidMoveError, match="^0 is not a hub next to 1$"):
         evaluate_move(g, w, state, Deg3Exchange(hub=0, entering=1, leaving=4))
-    with pytest.raises(InvalidMoveError, match="unknown move"):
+    with pytest.raises(InvalidMoveError, match=r"^\(1, 2\) is not a move$"):
         evaluate_move(g, w, state, (1, 2))
     # A Flip that displaces its own vertex assigns it twice.
     state = make_state(C4, W4, {0}, {2})
     with pytest.raises(InvalidMoveError, match="plan assigns a vertex twice"):
         evaluate_move(C4, W4, state, Flip(vertex=1, side=1, displaced=(0, 1)))
+
+
+def _malformed(move, n):
+    """Each malformed variant of ``move``, with the start of the message ``evaluate_move`` gives it.
+
+    Every vertex id forged to -1 - v and to n + v, the side to 0, 3 and
+    True, ``displaced`` to an int, a Deg3Exchange's hub to its entering
+    vertex, and a tuple in place of the move.
+    """
+    for f in dataclasses.fields(move):
+        value = getattr(move, f.name)
+        if f.name == "side":
+            for s in (0, 3, True):
+                yield dataclasses.replace(move, side=s), f"side {s!r} is not 1 or 2$"
+        elif isinstance(value, tuple):
+            for j, v in enumerate(value):
+                for bad in (-1 - v, n + v):
+                    forged = (*value[:j], bad, *value[j + 1:])
+                    yield dataclasses.replace(move, **{f.name: forged}), f"{bad} is not a core vertex$"
+        elif value is not None:
+            for bad in (-1 - value, n + value):
+                yield dataclasses.replace(move, **{f.name: bad}), f"{bad} is not a core vertex$"
+        if f.name == "displaced":
+            forged = dataclasses.replace(move, displaced=n)
+            yield forged, re.escape(f"{forged!r}: ")
+        if f.name == "hub":
+            yield dataclasses.replace(move, hub=move.entering), f"{move.entering} is not a hub next to {move.entering}$"
+    yield (1, 2), r"\(1, 2\) is not a move$"
+
+
+def test_evaluate_move_rejects_every_malformed_move():
+    # Replays each committed move of four runs that commit every kind,
+    # the crossed PathSwap included, through the exchange module alone;
+    # before each commit, every malformed variant of the move is
+    # rejected with its reason, and the state is left as it was.
+    graphs = [random_subcubic(12, 16, seed=23, require_non_cubic=True)]
+    graphs += [random_subcubic(20, 29, seed=s, require_non_cubic=True) for s in (94, 117, 118)]
+    kinds, forgeries = set(), 0
+    for g in graphs:
+        sub, w = _core(g)
+        run = color_core(sub, w)
+        state = run.initial.copy()
+        for record in run.moves:
+            kinds.add(type(record.move).__name__)
+            before = state.copy()
+            for move, message in _malformed(record.move, sub.n):
+                with pytest.raises(InvalidMoveError, match=f"^{message}"):
+                    evaluate_move(sub, w, state, move)
+                forgeries += 1
+            assert (state.side, state.nbr, state.potential) == (before.side, before.nbr, before.potential)
+            commit_move(sub, state, evaluate_move(sub, w, state, record.move))
+        assert state.side == run.final.side
+    assert kinds == {"Absorb", "Flip", "Deg3Exchange", "SameSideExchange", "CycleSwap", "PathSwap"}
+    assert forgeries > 100
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda side: side + [OUTSIDE],
+        lambda side: side[:-1],
+        lambda side: [3 if s == 2 else s for s in side],
+        lambda side: [-1 if s == OUTSIDE else s for s in side],
+        lambda side: [float(s) for s in side],
+        lambda side: [True if s == 1 else s for s in side],
+    ],
+    ids=["one_too_long", "one_too_short", "side_3", "side_minus_1", "side_floats", "side_true_for_1"],
+)
+def test_state_from_sides_rejects_a_malformed_side_list(forge):
+    side = [1, 2, 1, 2, OUTSIDE]
+    assert _state_from_sides(C5, W5, side).potential == Potential(3, 4)
+    with pytest.raises(InvalidStateError, match="^not a side list of length 5 over 0, 1 and 2$"):
+        _state_from_sides(C5, W5, forge(side))
 
 
 def test_evaluate_move_names_the_first_conflicting_pair():
@@ -384,6 +460,27 @@ def test_fixpoint_invariants_flag_bad_states():
     g = prism(3)
     problems = check_fixpoint_invariants(g, [1] * g.n, make_state(g, [1] * g.n, {0}, set()))
     assert "S-vertex 0 has 3 outside neighbors" in problems
+
+
+@pytest.mark.parametrize(
+    "text, n, m, kinds",
+    [
+        ("JuO`OgH@_@_", 11, 16, ["SameSideExchange", "PathSwap"]),
+        ("KuO`OgH@_@_@", 12, 17, ["SameSideExchange", "PathSwap"]),
+        ("KuO`OgH@?C?E", 12, 16, ["SameSideExchange", "PathSwap", "SameSideExchange", "SameSideExchange"]),
+    ],
+)
+def test_the_square_stage_runs_up_to_twelve_vertices(text, n, m, kinds):
+    # Of the 27,413 connected non-cubic subcubic graphs with n <= 12,
+    # these three alone commit a square-stage swap; each has an
+    # 11-vertex core, colours on its first attempt and audits clean.
+    g = parse_graph6(text)
+    assert (g.n, sum(1 for _ in g.edges())) == (n, m)
+    result = color_graph(g)
+    [run] = [c.core_run for c in result.components if c.core_run is not None]
+    assert run.attempts == 1 and len(run.initial.side) == 11
+    assert [type(r.move).__name__ for r in run.moves] == kinds
+    assert audit_color_result(g, result).moves == len(kinds)
 
 
 def test_cross_path_swap_regression():
@@ -735,7 +832,7 @@ def test_next_move_raises_at_a_flagged_hub_without_a_move():
     w1, w2 = [3, 2, 3, 3, 1, 1, 1, 1], [1] * 8
     for w, built, reason in (
         (w1, Deg3Exchange(0, 1, 4), "Deg3Exchange rejected"),
-        (w2, None, "unknown move None"),
+        (w2, None, "None is not a move"),
     ):
         state = make_state(g, w, {0, 4}, {6, 7})
         work = _Worklist(g, w, state)
