@@ -9,10 +9,12 @@ int (not a bool) 0, 1 or 2 for each core vertex, and rebuilds its
 neighbour counts from it, not from the record, so a forged count can
 neither fail a sound run nor hide a fault; ``exchange.evaluate_move``
 takes a move record only when it is a move that names core vertices
-(ints in 0..n-1), a side of 1 or 2 and, for a Deg3Exchange, a hub next
-to its entering vertex, and validates it before it is committed in
-place.  A recorded field of the wrong type, which the replay cannot
-read, raises AuditError too.  The potential is recounted from scratch at
+(ints in 0..n-1), a side of 1 or 2, for a Deg3Exchange a hub next to
+its entering vertex and for a PathSwap a cross that is None or an end of
+its path, and validates it before it is committed in place.  The run's
+``attempts`` must be an int (not a bool) in 1 ..
+``colorer._RESTART_ATTEMPTS``.  A recorded field of the wrong type,
+which the replay cannot read, raises AuditError too.  The potential is recounted from scratch at
 the start and at the end of the replay; in between, every move goes
 through the search's own checked commit (``exchange.checked_commit``),
 whose touched check always runs: the potential change must equal a count
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .colorer import ColorResult, CoreRun, _layout
+from .colorer import _RESTART_ATTEMPTS, ColorResult, CoreRun, _layout
 from .exchange import (
     ExchangeError,
     InvalidStateError,
@@ -81,6 +83,9 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
     except GraphError as err:
         raise AuditError(f"core: {err}") from err
     try:
+        attempts = run.attempts
+        if type(attempts) is not int or not 1 <= attempts <= _RESTART_ATTEMPTS:
+            raise AuditError(f"core run: attempts {attempts!r} is not an int in 1..{_RESTART_ATTEMPTS}")
         if tuple(w) != tuple(run.weights):
             raise AuditError("recorded weights differ from the core's own weights")
         try:

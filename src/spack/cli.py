@@ -2,15 +2,18 @@
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain failure (uncolorable component, UNSAT, verification failure),
-2 malformed input or parameters, 3 search budget exhausted.  Graph
-input defaults to graph6 on stdin; ``-`` means stdin anywhere a file is
-expected.
+2 malformed input or parameters, 3 search budget exhausted: the
+``--budget`` of ``exact`` or ``chi-rho``, or the exchange search's move
+budget, which the potential argument says cannot run out.  The one
+setting of ``color``'s search is ``--fallback-exact``; its oracle runs
+with the default node budget.  No subcommand reads an environment
+variable.  Graph input defaults to graph6 on stdin; ``-`` means stdin
+anywhere a file is expected.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -30,8 +33,6 @@ from .graphio import (
     parse_graph6,
 )
 from .verify import ColoringError, InvalidInputColoringError, derive_subdivision_coloring, verify
-
-SEED_ENV = "SPACK_SEED"
 
 
 def _read_text(path: str) -> str:
@@ -72,12 +73,7 @@ def _emit_graph(g, fmt: str) -> None:
 
 def _cmd_color(args) -> int:
     g = _read_graph(args)
-    options = ColorOptions(
-        fallback_exact=args.fallback_exact,
-        exact_budget=args.exact_budget,
-        max_moves=args.max_moves,
-    )
-    result = color_graph(g, options)
+    result = color_graph(g, ColorOptions(fallback_exact=args.fallback_exact))
     if args.trace:
         for run in result.components:
             core = run.core_run
@@ -118,7 +114,7 @@ def _cmd_verify(args) -> int:
 
 
 def _count(text: str) -> int:
-    """An argparse type for budgets and move caps: a non-negative integer."""
+    """An argparse type for node budgets: a non-negative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -176,14 +172,8 @@ def _cmd_subdivide(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = args.seed
-    if seed is None and SEED_ENV in os.environ:
-        try:
-            seed = int(os.environ[SEED_ENV])
-        except ValueError:
-            raise FormatError(f"{SEED_ENV} must be an integer") from None
     g = generate(
-        args.family, n=args.n, m=args.m, seed=seed, require_non_cubic=args.non_cubic
+        args.family, n=args.n, m=args.m, seed=args.seed, require_non_cubic=args.non_cubic
     )
     _emit_graph(g, args.out_format)
     return 0
@@ -200,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(sp)
     sp.add_argument("--fallback-exact", action="store_true",
                     help="hand 3-regular components to the exact oracle")
-    sp.add_argument("--exact-budget", type=_count, default=DEFAULT_BUDGET)
-    sp.add_argument("--max-moves", type=_count, default=None)
     sp.add_argument("--trace", action="store_true", help="log moves to stderr")
     sp.add_argument("--json", action="store_true",
                     help="prefix output with the input graph6 line")

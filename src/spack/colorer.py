@@ -73,27 +73,27 @@ class CubicComponentError(GraphError):
 
 @dataclass(frozen=True)
 class ColorOptions:
-    """Knobs for ``color_graph``.
+    """The one setting of ``color_graph``, and five constants.
 
-    ``fallback_exact`` lets 3-regular components go to the exact oracle,
-    and ``exact_budget`` caps its backtracking nodes.  ``max_moves``
-    overrides the exchange-step budget, which defaults to
-    (m + 1)(sum of weights + 1) commits per run on a core with m edges;
-    every commit strictly increases the potential, so exceeding the
-    default means the potential failed to increase.
+    ``fallback_exact`` lets 3-regular components go to the exact oracle.
 
-    Three constants are fields that callers cannot set (``init=False``),
+    The constants are fields that callers cannot set (``init=False``),
     only because the benchmark's replay reads them as ``options.<name>``.
-    ``validate`` is True: the exchange search always recounts the
-    potential and checks the fixpoint structure (``run_to_fixpoint``).
+    ``exact_budget`` is the oracle's default node budget
+    (``exact.DEFAULT_BUDGET``), and ``fallback_max_n`` caps the size of
+    a 3-regular component sent to the oracle; ``spack exact --budget``
+    runs the oracle on such a component with any other budget.
+    ``max_moves`` is None: the exchange-step budget is always
+    (m + 1)(sum of weights + 1) commits per run on a core with m edges
+    (``run_to_fixpoint``).  ``validate`` is True: the exchange search
+    always recounts the potential and checks the fixpoint structure.
     ``restart_attempts`` is the number of starts ``color_core`` always
-    allows.  ``fallback_max_n`` caps the size of a 3-regular component
-    sent to the oracle.
+    allows.
     """
 
     fallback_exact: bool = False
-    exact_budget: int = DEFAULT_BUDGET
-    max_moves: int | None = None
+    exact_budget: int = field(default=DEFAULT_BUDGET, init=False)
+    max_moves: int | None = field(default=None, init=False)
     validate: bool = field(default=True, init=False)
     restart_attempts: int = field(default=_RESTART_ATTEMPTS, init=False)
     fallback_max_n: int = field(default=30, init=False)
@@ -226,16 +226,18 @@ def color_core(
     restarts from a seeded greedy state (deterministic seeds 1, 2, ...),
     and only after 12 starts in all does the last StuckError escape.
 
-    Nothing reads ``validate`` or ``restart_attempts``: the search always
-    validates and always allows 12 starts.  The two keywords are kept
-    only because the benchmark's replay passes them (as True and 12).
+    Nothing reads ``max_moves``, ``validate`` or ``restart_attempts``:
+    the search always takes the potential's bound as its step budget
+    (``run_to_fixpoint``), always validates and always allows 12 starts.
+    The three keywords are kept only because the benchmark's replay
+    passes them (as None, True and 12).
     """
     w = list(w)
     last_stuck: StuckError | None = None
     for attempt in range(_RESTART_ATTEMPTS):
         start = initial_state(g, w, seed=None if attempt == 0 else attempt)
         try:
-            fixed = run_to_fixpoint(g, w, start, max_moves=max_moves)
+            fixed = run_to_fixpoint(g, w, start)
         except StuckError as stuck:
             last_stuck = stuck
             continue
@@ -309,7 +311,7 @@ def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
             if not comp_core:  # a tree peels to nothing
                 continue
             sub = induced(g, comp_core)
-            run.core_run = color_core(sub.graph, compute_weights(sub.graph), max_moves=options.max_moves)
+            run.core_run = color_core(sub.graph, compute_weights(sub.graph))
             classes = run.core_run.coloring.classes
         for target, c in zip(sets, classes):
             # sub is g only for a lone component that peels nothing: host ids already

@@ -36,10 +36,11 @@ both; the search commits the evaluated plan in place.  ``evaluate_move``
 is that one validation of every move, the search's own and any given
 from outside, and ``commit_move`` that commit.  It first rejects a
 malformed move (``_move_plan``): one that is no move, that names an id
-outside 0..n-1 or a side other than 1 or 2, or whose Deg3Exchange hub
-is no hub next to its entering vertex; so the audit's replay keeps no
-checker of its own.  The search and the audit's replay both commit
-through ``checked_commit``, which checks every commit on the vertices it
+outside 0..n-1 or a side other than 1 or 2, whose Deg3Exchange hub
+is no hub next to its entering vertex, or whose PathSwap cross is no
+end of its path; so the audit's replay keeps no checker of its own.
+The search and the audit's replay both commit through
+``checked_commit``, which checks every commit on the vertices it
 touches (``weights.touched_potential``) rather than by an O(n) recount;
 the from-scratch recount, which always runs, anchors that check at the
 start and at every cheap-move fixpoint.
@@ -315,11 +316,12 @@ def _move_plan(g: Graph, w: list[int], state: BipartitionState, move: Move) -> l
 
     Raises InvalidMoveError unless ``move`` is a move whose fields can
     be read, whose vertex ids are ints (not bools) in 0..n-1 and whose
-    side is 1 or 2, all checked before any id indexes ``state``, and,
-    for a Deg3Exchange, whose hub is a hub (``_hub_side``) next to its
-    entering vertex, as the search builds it; a move from outside could
-    otherwise name a vertex through a negative index or carry a hub
-    label that its plan never reads.
+    side is 1 or 2, all checked before any id indexes ``state``, whose
+    hub, for a Deg3Exchange, is a hub (``_hub_side``) next to its
+    entering vertex, and whose ``cross``, for a PathSwap, is None or an
+    end of its path, as the search builds them; a move from outside
+    could otherwise name a vertex through a negative index or carry a
+    hub or cross label that its plan never reads.
     """
     named = _NAMED.get(type(move))
     if named is None:
@@ -353,6 +355,8 @@ def _move_plan(g: Graph, w: list[int], state: BipartitionState, move: Move) -> l
         return [(move.leaving, OUTSIDE), (move.entering, target)]
     entering = move.cycle if isinstance(move, CycleSwap) else move.path
     cross = move.cross if isinstance(move, PathSwap) else None
+    if cross is not None and not (entering and cross in (entering[0], entering[-1])):
+        raise InvalidMoveError(f"cross {cross} is not an end of path {entering}")
     plan = [(y, OUTSIDE) for y in move.displaced]
     plan.extend((x, _other(s) if x == cross else s) for x in entering)
     return plan
@@ -820,22 +824,23 @@ def run_to_fixpoint(
     are the from-scratch ``inside_potential`` recount on the start state
     and at every cheap-move fixpoint (the last of which is the state
     returned), and the structural fixpoint invariants are checked next
-    to each.  A fault raises InvalidStateError within the run.  Nothing
-    reads ``validate``: these checks always run, and the keyword is kept
-    only because the benchmark's replay passes it (as True).
+    to each.  A fault raises InvalidStateError within the run.
 
-    ``max_moves`` defaults to (m + 1)(sum of w + 1) commits.  Every
-    commit strictly increases the potential (inside edges, inside
-    weight) in lexicographic order, and both parts are integers in
-    [0, m] and [0, sum of w], so a run that exceeds the default means
-    the potential failed to increase.
+    The step budget is (m + 1)(sum of w + 1) commits.  Every commit
+    strictly increases the potential (inside edges, inside weight) in
+    lexicographic order, and both parts are integers in [0, m] and
+    [0, sum of w], so a run that exceeds the budget means the potential
+    failed to increase.  Nothing reads ``max_moves`` or ``validate``:
+    the budget is always this bound and the checks always run, and the
+    two keywords are kept only because the benchmark's replay passes
+    them (as None and True).
 
     Raises StuckError when the square's odd-cycle certificate resists
     every candidate swap and MoveBudgetExceededError when the step
     budget runs out; both indicate a bug or an unhandled configuration,
     never a corrupted state.
     """
-    budget = (g.edge_count + 1) * (sum(w) + 1) if max_moves is None else max_moves
+    budget = (g.edge_count + 1) * (sum(w) + 1)
     records: list[MoveRecord] = []
     state = state.copy()
     work = _Worklist(g, w, state)

@@ -465,11 +465,14 @@ def _state_with_side(state, forge):
          "square bipartition does not partition"),
         (6, lambda c: dataclasses.replace(c, core_vertices=None), "^core: None is not a tuple"),
         (6, lambda c: dataclasses.replace(c, core_run=5), "^core run: "),
+        *[(6, lambda c, a=a: _run_with(c, attempts=a), f"^core run: attempts {a!r} is not an int in 1..12$")
+          for a in (0, -3, 13, "x", True, None)],
     ],
     ids=[
         "after_none", "after_of_nones", "bare_move", "moves_none", "weights_none", "initial_none",
         "side_floats", "side_true_for_1", "final_none", "final_potential_forged", "square_none", "h1_a_list", "h1_true_for_1",
         "core_vertices_none", "core_run_not_a_run",
+        "attempts_0", "attempts_minus_3", "attempts_13", "attempts_str", "attempts_true", "attempts_none",
     ],
 )
 def test_audit_rejects_every_malformed_run_field(seed, forge, message):

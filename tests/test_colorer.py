@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spack.colorer
+import spack.exchange
 
 from oracles import make_coloring, naive_packing_colorable
 from spack.colorer import (
@@ -21,7 +22,7 @@ from spack.colorer import (
     extend_coloring,
     peel,
 )
-from spack.exact import DEFAULT_BUDGET, class_labels
+from spack.exact import DEFAULT_BUDGET, DecisionOutcome, Status, class_labels
 from spack.exchange import MoveBudgetExceededError, StuckError, initial_state
 from spack.gen import cycle, path, petersen, prism, random_subcubic, random_tree
 from spack.graph import DegreeExceededError, build_graph, components, induced, is_cubic
@@ -181,10 +182,11 @@ def test_cubic_component_size_cap(monkeypatch):
     assert exc.value.reason == "oracle-timeout"
 
 
-def test_cubic_component_node_budget():
+def test_cubic_component_node_budget(monkeypatch):
     # The oracle's own BUDGET verdict, not the size cap, gives the timeout.
+    monkeypatch.setattr(spack.colorer, "decide", lambda *args, **kw: DecisionOutcome(Status.BUDGET, None, 0))
     with pytest.raises(CubicComponentError) as exc:
-        color_graph(prism(3), ColorOptions(fallback_exact=True, exact_budget=0))
+        color_graph(prism(3), ColorOptions(fallback_exact=True))
     assert exc.value.reason == "oracle-timeout"
 
 
@@ -213,17 +215,25 @@ def test_petersen_plus_isolated_vertex_still_fails():
         color_graph(g, ColorOptions(fallback_exact=True))
 
 
-def test_move_budget_option_propagates():
+def test_move_budget_option_propagates(monkeypatch):
+    # A commit that changes nothing exhausts the potential's bound on the
+    # moves; the colorer does not restart on it.
+    monkeypatch.setattr(spack.exchange, "commit_move", lambda g, state, found: None)
     g = random_subcubic(53, 73, seed=178)
     with pytest.raises(MoveBudgetExceededError):
-        color_graph(g, ColorOptions(max_moves=0))
+        color_graph(g)
 
 
 def test_color_options_fix_validation_restarts_and_oracle_cap():
     # Constants kept as fields: readable, never settable.  The search
     # without validation stays covered through run_to_fixpoint.
+    assert tuple(f.name for f in dataclasses.fields(ColorOptions) if f.init) == ("fallback_exact",)
     options = ColorOptions()
     assert (options.validate, options.restart_attempts, options.fallback_max_n) == (True, 12, 30)
+    assert (options.max_moves, options.exact_budget) == (None, DEFAULT_BUDGET)
+    for name in ("max_moves", "exact_budget"):
+        with pytest.raises(TypeError):
+            ColorOptions(**{name: 0})
     for name in ("validate", "restart_attempts", "fallback_max_n"):
         with pytest.raises(TypeError):
             ColorOptions(**{name: getattr(options, name)})

@@ -215,7 +215,8 @@ def _malformed(move, n):
 
     Every vertex id forged to -1 - v and to n + v, the side to 0, 3 and
     True, ``displaced`` to an int, a Deg3Exchange's hub to its entering
-    vertex, and a tuple in place of the move.
+    vertex, a PathSwap's cross to the lowest vertex off the ends of its
+    path, and a tuple in place of the move.
     """
     for f in dataclasses.fields(move):
         value = getattr(move, f.name)
@@ -235,6 +236,9 @@ def _malformed(move, n):
             yield forged, re.escape(f"{forged!r}: ")
         if f.name == "hub":
             yield dataclasses.replace(move, hub=move.entering), f"{move.entering} is not a hub next to {move.entering}$"
+        if f.name == "cross":
+            off = min(set(range(n)) - {move.path[0], move.path[-1]})
+            yield dataclasses.replace(move, cross=off), re.escape(f"cross {off} is not an end of path {move.path}") + "$"
     yield (1, 2), r"\(1, 2\) is not a move$"
 
 
@@ -262,6 +266,14 @@ def test_evaluate_move_rejects_every_malformed_move():
         assert state.side == run.final.side
     assert kinds == {"Absorb", "Flip", "Deg3Exchange", "SameSideExchange", "CycleSwap", "PathSwap"}
     assert forgeries > 100
+    # A cross that no end of the path names, on a path of one vertex or
+    # none, is rejected; without it the same swap validates.
+    w = [1, 1, 1, 1, 2]
+    state = make_state(C5, w, {0, 2}, {1, 3})
+    assert evaluate_move(C5, w, state, PathSwap((4,), (0,), 1)).potential == Potential(3, 5)
+    for path in ((4,), ()):
+        with pytest.raises(InvalidMoveError, match=re.escape(f"cross 2 is not an end of path {path}") + "$"):
+            evaluate_move(C5, w, state, PathSwap(path, (0,), 1, cross=2))
 
 
 @pytest.mark.parametrize(
@@ -420,12 +432,6 @@ def test_run_to_fixpoint_records_match_moves():
         replay = apply_move(sub.graph, w, replay, record.move)
         assert record.after == replay.potential
     assert replay.side == result.state.side
-
-
-def test_move_budget_exhaustion():
-    state = make_state(C4, W4, set(), set())
-    with pytest.raises(MoveBudgetExceededError):
-        run_to_fixpoint(C4, W4, state, max_moves=2)
 
 
 def test_default_move_budget_is_the_potential_bound(monkeypatch, corpus_noncubic):

@@ -71,3 +71,12 @@ def test_build_corpus_matches_committed_corpus(tmp_path):
     written = out.read_text().split()
     assert len(written) == 113
     assert sorted(written) == sorted(line for line in committed if parse_graph6(line).n <= 7)
+
+
+def test_code_lines_lists_every_module_and_their_sum():
+    done = _run("code_lines.py")
+    assert done.returncode == 0, done.stderr
+    *rows, total = [line.split() for line in done.stdout.splitlines()]
+    assert [name for _, name in rows] == sorted(p.name for p in (ROOT / "src" / "spack").glob("*.py"))
+    assert total[1] == "total"
+    assert int(total[0]) == sum(int(count) for count, _ in rows) > 0

@@ -20,6 +20,10 @@ unused-import rule: every name a module of ``src/spack`` other than
 ``__init__.py`` binds by a module-level import must be read in that
 module.
 
+``test_no_module_reads_the_environment`` keeps the package's settings
+in its parameters: no module of ``src/spack`` names ``os.environ`` or
+``os.getenv``.
+
 ``test_every_private_helper_is_referenced`` catches what a deletion
 leaves behind: every private (``_``-prefixed, not dunder) module-level
 function, class or assigned name (a constant or table) of
@@ -209,6 +213,17 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     assert [dead for path in modules for dead in _unused_imports(path)] == []
+
+
+def test_no_module_reads_the_environment():
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.alias) and node.name in ("environ", "getenv"))
+    ]
+    assert readers == []
 
 
 def _private_definitions(tree: ast.Module):
