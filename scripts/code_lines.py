@@ -6,12 +6,9 @@ docstrings do not count.  A line that a multi-line token spans, such as
 a triple-quoted string that is not a docstring, counts once for each
 line it covers.  Prints one line per module, ``<count> <file>``, in file
 name order, then ``<total> total``.
-
-Usage: python scripts/code_lines.py [PACKAGE_DIR]   (default: src/spack)
 """
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import tokenize
@@ -44,11 +41,8 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("package", nargs="?", type=Path, default=PACKAGE, help="directory of modules to count")
-    args = parser.parse_args()
     total = 0
-    for path in sorted(args.package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text())
         total += count
         print(f"{count:5d} {path.name}")

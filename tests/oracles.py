@@ -646,7 +646,6 @@ def reference_run_to_fixpoint(
     w: list[int],
     state: BipartitionState,
     *,
-    max_moves: int | None = None,
     validate: bool = True,
 ) -> FixpointResult:
     """Drive the state to a fixpoint whose outside square is bipartite.
@@ -661,7 +660,7 @@ def reference_run_to_fixpoint(
     MoveBudgetExceededError when the step budget runs out; both indicate
     a bug or an unhandled configuration, never a corrupted state.
     """
-    budget = (g.edge_count + 1) * (sum(w) + 1) if max_moves is None else max_moves
+    budget = (g.edge_count + 1) * (sum(w) + 1)
     records: list[MoveRecord] = []
     dist = distance_matrix(g)
 

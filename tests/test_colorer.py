@@ -183,11 +183,19 @@ def test_cubic_component_size_cap(monkeypatch):
 
 
 def test_cubic_component_node_budget(monkeypatch):
-    # The oracle's own BUDGET verdict, not the size cap, gives the timeout.
-    monkeypatch.setattr(spack.colorer, "decide", lambda *args, **kw: DecisionOutcome(Status.BUDGET, None, 0))
+    # The oracle's own BUDGET verdict, not the size cap, gives the timeout;
+    # the oracle runs with its default node budget.
+    budgets = []
+
+    def out_of_budget(g, seq, *, budget):
+        budgets.append(budget)
+        return DecisionOutcome(Status.BUDGET, None, 0)
+
+    monkeypatch.setattr(spack.colorer, "decide", out_of_budget)
     with pytest.raises(CubicComponentError) as exc:
         color_graph(prism(3), ColorOptions(fallback_exact=True))
     assert exc.value.reason == "oracle-timeout"
+    assert budgets == [DEFAULT_BUDGET]
 
 
 def _stuck_core(g, w, **_):
@@ -229,8 +237,7 @@ def test_color_options_fix_validation_restarts_and_oracle_cap():
     # without validation stays covered through run_to_fixpoint.
     assert tuple(f.name for f in dataclasses.fields(ColorOptions) if f.init) == ("fallback_exact",)
     options = ColorOptions()
-    assert (options.validate, options.restart_attempts, options.fallback_max_n) == (True, 12, 30)
-    assert (options.max_moves, options.exact_budget) == (None, DEFAULT_BUDGET)
+    assert (options.validate, options.restart_attempts, options.fallback_max_n, options.max_moves) == (True, 12, 30, None)
     for name in ("max_moves", "exact_budget"):
         with pytest.raises(TypeError):
             ColorOptions(**{name: 0})
