@@ -13,9 +13,12 @@ takes a move record only when it is a move that names core vertices
 its entering vertex and for a PathSwap a cross that is None or an end of
 its path, and validates it before it is committed in place.  The run's
 ``attempts`` must be an int (not a bool) in 1 ..
-``colorer._RESTART_ATTEMPTS``.  A recorded field of the wrong type,
-which the replay cannot read, raises AuditError too.  The potential is recounted from scratch at
-the start and at the end of the replay; in between, every move goes
+``colorer._RESTART_ATTEMPTS``, and the recorded side list must be the
+greedy start of that attempt, ``exchange._start_sides`` under the seed
+``colorer.color_core`` gives it (None for attempt 1, k - 1 for attempt
+k).  A recorded field of the wrong type, which the replay cannot read,
+raises AuditError too.  The potential is recounted from scratch at the
+start and at the end of the replay; in between, every move goes
 through the search's own checked commit (``exchange.checked_commit``),
 whose touched check always runs: the potential change must equal a count
 over the vertices whose side it changed (``weights.touched_potential``),
@@ -42,6 +45,7 @@ from .colorer import _RESTART_ATTEMPTS, ColorResult, CoreRun, _layout
 from .exchange import (
     ExchangeError,
     InvalidStateError,
+    _start_sides,
     _state_from_sides,
     check_fixpoint_invariants,
     checked_commit,
@@ -94,6 +98,12 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
             raise AuditError(f"initial state: {err}") from err
         if state.potential != run.initial.potential:
             raise AuditError(f"initial potential {run.initial.potential} != recount {state.potential}")
+        try:
+            start = _start_sides(core, w, None if attempts == 1 else attempts - 1)
+        except ExchangeError as err:
+            raise AuditError(f"core run: {err}") from err
+        if state.side != start:
+            raise AuditError(f"core run: initial state is not the start of attempt {attempts}")
         for i, record in enumerate(run.moves):
             if record.before != state.potential:
                 raise AuditError(f"move {i}: recorded before {record.before} != {state.potential}")

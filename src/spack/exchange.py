@@ -21,12 +21,16 @@ neighbor in S.  A flag is set exactly where its rule holds.  Where the
 first three rules hold their built moves provably raise the potential,
 and a hub is tried only once no Absorb or Flip rule holds anywhere, when
 its built move provably raises the potential too (the hub lemma, at
-``_Worklist``), so every set flag yields a move.  A commit changes the
-sides of a few vertices, and the rules read sides within distance 1, 2,
-2 and 1 of v, so each flag is recomputed within its rule's radius of a
-changed vertex and nowhere else.  The worklist thus returns the same
-move, in the same order, as a full scan of the kinds in priority order
-and the vertices in ascending id.
+``_Worklist``), so every set flag yields a move.  The three outside
+rules have one evaluator, ``_outside_sides``, which answers them all
+from one read of an outside vertex's neighbors; the hub rule is the one
+rule of S.  One re-flag pass sets all four flags of a vertex from the
+evaluator of its side of the split.  A commit changes the sides of a
+few vertices, and the rules read sides within distance 1, 2, 2 and 1 of
+v, so after each commit the pass runs once on the vertices within
+distance 2 of a changed one and nowhere else.  The worklist thus
+returns the same move, in the same order, as a full scan of the kinds
+in priority order and the vertices in ascending id.
 
 Every candidate move goes through checked application: independence and
 a strict potential increase are validated before any commit, so a proof
@@ -45,7 +49,8 @@ touches (``weights.touched_potential``) rather than by an O(n) recount;
 the from-scratch recount, which always runs, anchors that check at the
 start and at every cheap-move fixpoint.
 
-``initial_state`` builds its greedy side list once and hands it to
+``initial_state`` builds its greedy side list once (``_start_sides``,
+which the audit also runs to rebuild a run's start) and hands it to
 ``_state_from_sides``, the from-scratch count the audit also runs on a
 recorded side list: it rejects a list that is not one int 0, 1 or 2 per
 vertex, and every neighbor count, the independence of both sides and
@@ -57,7 +62,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .graph import Bipartition, Graph, bipartition_or_odd_cycle, min_degree
 from .weights import Potential, inside_potential, touched_potential
@@ -238,36 +243,44 @@ def _state_from_sides(g: Graph, w: list[int], side: list[int]) -> BipartitionSta
     """
     if len(side) != g.n or not {*map(type, side)} <= {int} or not {*side} <= {0, 1, 2}:
         raise InvalidStateError(f"not a side list of length {g.n} over 0, 1 and 2")
-    nbr = [[0] * g.n for _ in range(3)]
-    adj = g.adj
+    n, adj = g.n, g.adj
+    nbr = [[0] * n for _ in range(3)]
     for v, s in enumerate(side):
+        counts = nbr[s]
         for u in adj[v]:
-            t = side[u]
-            if t == s != OUTSIDE:
-                raise InvalidStateError(f"side containing {v} is not independent ({u}-{v})")
-            nbr[t][v] += 1
+            counts[u] += 1
+    for v, s in enumerate(side):
+        if s and nbr[s][v]:
+            u = next(u for u in adj[v] if side[u] == s)
+            raise InvalidStateError(f"side containing {v} is not independent ({u}-{v})")
     return BipartitionState(side, nbr, inside_potential(g, w, side))
 
 
 def initial_state(g: Graph, w: list[int], seed: int | None = None) -> BipartitionState:
-    """Greedy bipartition to start the exchange from.
+    """Greedy bipartition to start the exchange from: the state on ``_start_sides``.
 
-    With ``seed=None`` vertices are placed by descending weight (ties by
-    id), each landing on a side where it has no placed neighbor yet and
-    preferring the side that yields more cross edges; vertices blocked on
-    both sides start outside.  A seed shuffles the placement order and
-    the side choice instead, giving a different deterministic start for
-    restarting out of the rare fixpoint whose leftover odd cycle admits
-    no strict-increase swap.
-
-    The side list built here is the state's own; its neighbor counts,
+    The side list built there is the state's own; its neighbor counts,
     independence and potential are still counted from scratch, as the
     audit counts them on a recorded side list.
+    """
+    return _state_from_sides(g, w, _start_sides(g, w, seed))
+
+
+def _start_sides(g: Graph, w: list[int], seed: int | None) -> list[int]:
+    """The greedy side list that the search starts from.
+
+    With ``seed=None`` vertices are placed by descending weight (ties by
+    id), each landing on side 1 when it has no placed neighbor there, else
+    on side 2 when it has none there; vertices blocked on both sides
+    start outside.  A seed shuffles the placement order and picks among
+    the open sides instead, giving a different deterministic start for
+    restarting out of the rare fixpoint whose leftover odd cycle admits
+    no strict-increase swap.  The audit rebuilds a run's start here.
     """
     if min_degree(g) < 2:
         raise MinDegreeError("initial_state needs minimum degree 2")
     side = [OUTSIDE] * g.n
-    placed = [None, [0] * g.n, [0] * g.n]  # placed[s][v]: neighbors of v placed on side s
+    placed = [None, [0] * g.n, [0] * g.n]  # placed[s][v]: 1 once a neighbor of v is placed on side s
     on1, on2 = placed[1], placed[2]
     adj = g.adj
     rng = None if seed is None else random.Random(seed)
@@ -278,20 +291,19 @@ def initial_state(g: Graph, w: list[int], seed: int | None = None) -> Bipartitio
         order = list(range(g.n))
         rng.shuffle(order)
     for v in order:
-        gain1 = on2[v] if on1[v] == 0 else -1
-        gain2 = on1[v] if on2[v] == 0 else -1
-        if gain1 < 0 and gain2 < 0:
-            continue
-        if rng is None:
-            choice = 1 if gain1 >= gain2 else 2
+        if not on1[v]:
+            options = (1, 2) if not on2[v] else (1,)
+        elif not on2[v]:
+            options = (2,)
         else:
-            options = [s for s, gain in ((1, gain1), (2, gain2)) if gain >= 0]
-            choice = rng.choice(options)
+            continue
+        # a seeded start draws even when one side is open: each draw moves its stream
+        choice = options[0] if rng is None else rng.choice(options)
         side[v] = choice
-        counts = placed[choice]
+        marks = placed[choice]
         for u in adj[v]:
-            counts[u] += 1
-    return _state_from_sides(g, w, side)
+            marks[u] = 1
+    return side
 
 
 def _other(side: int) -> int:
@@ -422,11 +434,11 @@ def commit_move(g: Graph, state: BipartitionState, found: Candidate) -> None:
 def checked_commit(g: Graph, w: list[int], state: BipartitionState, found: Candidate) -> list[int]:
     """Commit ``found`` and check it on the vertices whose side it changes.
 
-    Only those vertices C can change the potential, so the cached
-    potential must move by exactly ``touched_potential(after, C) -
-    touched_potential(before, C)``, which reads the side list alone, not
-    the plan's delta arithmetic.  Raises InvalidStateError otherwise;
-    returns C.
+    Only those vertices C can change the potential, so the cached inside
+    edges and inside weight must each move by exactly the change of
+    ``touched_potential(state, C)`` from before the commit to after it,
+    which reads the side list alone, not the plan's delta arithmetic.
+    Raises InvalidStateError otherwise; returns C.
     """
     side = state.side
     changed = [v for v, s in found.plan if side[v] != s]
@@ -434,58 +446,78 @@ def checked_commit(g: Graph, w: list[int], state: BipartitionState, found: Candi
     was = touched_potential(g, w, side, changed)
     commit_move(g, state, found)
     now = touched_potential(g, w, side, changed)
-    if state.potential - before != now - was:
+    after = state.potential
+    if (
+        after.edges - before.edges != now.edges - was.edges
+        or after.weight - before.weight != now.weight - was.weight
+    ):
         raise InvalidStateError(
-            f"potential {before} -> {state.potential} disagrees with the touched count "
+            f"potential {before} -> {after} disagrees with the touched count "
             f"{was} -> {now} after {found.move}"
         )
     return changed
 
 
 # Each cheap kind has a rule, by which the worklist flags, and a builder.
-# A rule returns 0 where it fails, else the side s its move is about, and
+# The three rules of outside vertices are answered together, by
+# ``_outside_sides``, and the hub rule by ``_hub_side``; a rule's answer
+# is 0 where it fails, else the side s its move is about, and
 # ``build(g, w, state, v, s)`` returns the one move that s promises.  The
-# built moves validate where their rules hold (each rule's docstring gives
-# the count), the hub move once no Absorb or Flip rule holds (the hub
+# built moves validate where their rules hold (``_outside_sides`` gives
+# the counts), the hub move once no Absorb or Flip rule holds (the hub
 # lemma at ``_Worklist``).
 
 
-def _absorb_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
-    """Absorb's rule: the first side where outside x has no neighbor, or 0.
+def _outside_sides(g: Graph, w: list[int], state: BipartitionState, x: int) -> tuple[int, int, int]:
+    """The Absorb, Flip and SameSideExchange rules at x: the side of each rule's move, or 0.
 
-    Reads sides within distance 1.  Absorbing x there adds w[x] >= 1 to
-    the inside weight and loses no inside edge.
+    All three fail unless x is outside, and they read the neighbor
+    counts of x and, once each, the side and counts of its neighbors.
+
+    * Absorb: the first side where x has no neighbor.  Absorbing x there
+      adds w[x] >= 1 to the inside weight and loses no inside edge.
+      Reads sides within distance 1.
+    * Flip: the first side s where x has neighbors and none has a
+      neighbor across.  Those neighbors had no inside edge (s is
+      independent and nothing across touches them); after the flip each
+      has one to x, so the inside edges grow by at least one.  Reads
+      sides within distance 2.
+    * SameSideExchange: the side of the lone S-neighbor x3 of x, when x
+      has three neighbors in S split 2 + 1 across the sides and x3, the
+      one alone on its side, has S-degree at most 1 or is lighter than
+      x.  x3 has at most two S-neighbors (x is outside), so x taking its
+      place gains 2 - s_degree(x3) >= 0 inside edges, and w[x] - w[x3]
+      > 0 weight when that gain is 0.  Reads sides within distance 2.
     """
-    if state.side[x] != OUTSIDE:
-        return 0
-    nbr = state.nbr
-    return 1 if nbr[1][x] == 0 else 2 if nbr[2][x] == 0 else 0
+    side = state.side
+    if side[x] != OUTSIDE:
+        return 0, 0, 0
+    in1, in2 = state.nbr[1], state.nbr[2]
+    on1, on2 = in1[x], in2[x]
+    flip1, flip2 = on1 > 0, on2 > 0
+    lone = -1  # x3 once the loop is done, when x's S-neighbors split 2 + 1
+    for u in g.adj[x]:
+        t = side[u]
+        if t == 1:
+            flip1 = flip1 and not in2[u]
+            if on1 == 1:
+                lone = u
+        elif t == 2:
+            flip2 = flip2 and not in1[u]
+            if on2 == 1:
+                lone = u
+    exchange = 0
+    if on1 + on2 == 3 and on1 and on2 and (in1[lone] + in2[lone] <= 1 or w[lone] < w[x]):
+        exchange = side[lone]
+    return (
+        1 if on1 == 0 else 2 if on2 == 0 else 0,
+        1 if flip1 else 2 if flip2 else 0,
+        exchange,
+    )
 
 
 def _absorb_move(g: Graph, w: list[int], state: BipartitionState, x: int, s: int) -> Absorb:
     return Absorb(x, s)
-
-
-def _flip_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
-    """Flip's rule: the first side s where outside x has neighbors and none has a neighbor across, or 0.
-
-    Reads sides within distance 2.  Those neighbors had no inside edge
-    (s is independent and nothing across touches them); after the flip
-    each has one to x, so the inside edges grow by at least one.
-    """
-    side = state.side
-    if side[x] != OUTSIDE:
-        return 0
-    nbr = state.nbr
-    for s in (1, 2):
-        if nbr[s][x]:
-            across = nbr[_other(s)]
-            for u in g.adj[x]:
-                if side[u] == s and across[u]:
-                    break
-            else:
-                return s
-    return 0
 
 
 def _flip_move(g: Graph, w: list[int], state: BipartitionState, x: int, s: int) -> Flip:
@@ -513,56 +545,27 @@ def _hub_move(g: Graph, w: list[int], state: BipartitionState, z: int, s: int) -
     return None
 
 
-def _exchange_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
-    """SameSideExchange's rule: the side of the lone S-neighbor x3 of outside x, or 0.
-
-    It holds when x has three neighbors in S split 2 + 1 across the
-    sides and x3, the one alone on its side, has S-degree at most 1 or
-    is lighter than x.  Reads sides within distance 2.  x3 has at most
-    two S-neighbors (x is outside), so x taking its place gains
-    2 - s_degree(x3) >= 0 inside edges, and w[x] - w[x3] > 0 weight when
-    that gain is 0.
-    """
-    side = state.side
-    if side[x] != OUTSIDE:
-        return 0
-    in1, in2 = state.nbr[1], state.nbr[2]
-    if in1[x] + in2[x] != 3 or in1[x] == 3 or in2[x] == 3:
-        return 0  # fewer than three S-neighbors, or absorbable rather than exchangeable
-    s = 1 if in1[x] == 1 else 2
-    for x3 in g.adj[x]:
-        if side[x3] == s:
-            return s if in1[x3] + in2[x3] <= 1 or w[x3] < w[x] else 0
-
-
 def _same_side_move(g: Graph, w: list[int], state: BipartitionState, x: int, s: int) -> SameSideExchange:
     return SameSideExchange(x, next(u for u in g.adj[x] if state.side[u] == s))
 
 
-# The cheap move kinds in priority order: (build, rule, at_outside, the
-# radius within which the rule reads sides).  A commit can change a
-# rule's answer only for vertices that close to a vertex whose side
-# changed.  A rule holds only at outside vertices (``at_outside``) or
-# only at vertices of S.
-_CHEAP_KINDS = (
-    (_absorb_move, _absorb_side, True, 1),
-    (_flip_move, _flip_side, True, 2),
-    (_hub_move, _hub_side, False, 1),
-    (_same_side_move, _exchange_side, True, 2),
-)
-_REACH = max(radius for *_, radius in _CHEAP_KINDS)
+# The cheap move kinds in priority order: (build, the index of the kind's
+# flag array).  The flags of the three outside rules come first, in the
+# order ``_outside_sides`` answers them, and the hub's last.
+_HUB = 3
+_CHEAP_KINDS = ((_absorb_move, 0), (_flip_move, 1), (_hub_move, _HUB), (_same_side_move, 2))
 
 
 class _Worklist:
     """Dirty flags per cheap move kind over one search's graph, weights and state.
 
-    Between commits ``flags[k][v]`` is set exactly where the kind-k rule
-    holds at v, and the first set flag of the highest-priority kind
-    with one set yields a move.  That move is therefore the first move
-    of the full scan (kinds in priority order, vertices in ascending
-    id).  For Absorb, Flip and SameSideExchange the rule's docstring
-    gives the count that makes the built move validate; for
-    Deg3Exchange it is the hub lemma.
+    Between commits ``flags[k][v]`` is set exactly where the rule of the
+    kind with flag index k holds at v, and the first set flag of the
+    highest-priority kind with one set yields a move.  That move is
+    therefore the first move of the full scan (kinds in priority order,
+    vertices in ascending id).  For Absorb, Flip and SameSideExchange
+    ``_outside_sides`` gives the count that makes the built move
+    validate; for Deg3Exchange it is the hub lemma.
 
     Hub lemma: a hub z is tried only when no Absorb or Flip rule holds,
     and then ``_hub_move``'s trade validates.  z has degree 3, so its
@@ -575,29 +578,18 @@ class _Worklist:
     side, changes the inside edges by 2 - s_degree(y) >= 0 and raises
     the weight by w[x] - w[y] = 1.
 
-    The flags start as the rules, each tried at every vertex of its own
-    side of the split; ``touch`` keeps them so after each commit.
+    One re-flag pass (``_reflag``) sets all four flags of each vertex
+    it visits from one evaluation of that vertex's side of the split:
+    an outside vertex from one ``_outside_sides`` call, a vertex of S
+    from the hub rule.  The flags start as this pass over every vertex;
+    ``touch`` runs it after each commit on the vertices within distance
+    2 of a changed one.
     """
 
     def __init__(self, g: Graph, w: list[int], state: BipartitionState):
         self.g, self.w, self.state = g, w, state
-        self.flags = [bytearray(g.n) for _ in _CHEAP_KINDS]
-        # at[d]: (flags, rule, at_outside) of each kind whose radius is at least d
-        self.at = [
-            [
-                (flags, rule, at_outside)
-                for (_, rule, at_outside, radius), flags in zip(_CHEAP_KINDS, self.flags)
-                if d <= radius
-            ]
-            for d in range(_REACH + 1)
-        ]
-        side = state.side
-        outside = list(itertools.compress(range(g.n), map(OUTSIDE.__eq__, side)))
-        inside = list(itertools.compress(range(g.n), side))
-        for (_, rule, at_outside, _), flags in zip(_CHEAP_KINDS, self.flags):
-            for v in outside if at_outside else inside:
-                if rule(g, w, state, v):
-                    flags[v] = 1
+        self.flags = [bytearray(g.n) for _ in range(4)]  # absorb, flip, same-side, hub
+        self._reflag(range(g.n))
 
     def next_move(self) -> Candidate | None:
         """The move at the first set flag of the highest-priority kind, or None.
@@ -607,10 +599,10 @@ class _Worklist:
         move fails validation, which the invariant rules out.
         """
         g, w, state = self.g, self.w, self.state
-        for (build, rule, _, _), flags in zip(_CHEAP_KINDS, self.flags):
-            v = flags.find(1)
+        for build, k in _CHEAP_KINDS:
+            v = self.flags[k].find(1)
             if v >= 0:
-                s = rule(g, w, state, v)
+                s = _hub_side(g, w, state, v) if k == _HUB else _outside_sides(g, w, state, v)[k]
                 try:
                     return evaluate_move(g, w, state, s and build(g, w, state, v, s))
                 except InvalidMoveError as err:
@@ -621,36 +613,37 @@ class _Worklist:
     def touch(self, changed: list[int]) -> None:
         """Re-flag around ``changed``, the vertices whose sides the last commit changed.
 
-        A walk by layers gives the vertices at each distance d from
-        ``changed``, for d up to ``_REACH``.  For each kind whose rule
-        reads as far as d, the layer's flags are recomputed from the
-        rule in the committed state.
+        Flip and SameSideExchange read sides within distance 2 of their
+        vertex, Absorb and the hub rule within distance 1, so a rule's
+        answer can have changed only within distance 2 of ``changed``.
+        The pass runs on that ball; where a rule reads less far, it
+        gives its unchanged answer.
         """
         adj = self.g.adj
-        seen = set(changed)
-        layer = changed
-        for d, kinds in enumerate(self.at):
-            self._set(kinds, layer)
-            if d == _REACH:
-                break
-            after = []
-            for v in layer:
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        after.append(u)
-            layer = after
+        ball = set(changed)
+        for v in changed:
+            for u in adj[v]:
+                ball.add(u)
+                ball.update(adj[u])
+        self._reflag(ball)
 
-    def _set(self, kinds, layer) -> None:
-        """Recompute each (flags, rule, at_outside) of ``kinds`` on one layer.
+    def _reflag(self, vertices: Iterable[int]) -> None:
+        """Set all four flags of each of ``vertices`` from the rules in the current state.
 
-        A flag is set where the rule holds and its vertex is outside or
-        in S as ``at_outside`` says, and cleared elsewhere in ``layer``.
+        At an outside vertex the hub flag is clear and the other three
+        are ``_outside_sides``; at a vertex of S those three are clear
+        and the hub flag is ``_hub_side``'s test, read inline.
         """
-        g, w, state, side = self.g, self.w, self.state, self.state.side
-        for flags, rule, at_outside in kinds:
-            for v in layer:
-                flags[v] = (side[v] == OUTSIDE) == at_outside and rule(g, w, state, v) != 0
+        g, w, state = self.g, self.w, self.state
+        side, adj, around = state.side, g.adj, state.nbr[OUTSIDE]
+        absorb, flip, same, hub = self.flags
+        for v in vertices:
+            if side[v] == OUTSIDE:
+                a, f, e = _outside_sides(g, w, state, v)
+                absorb[v], flip[v], same[v], hub[v] = a > 0, f > 0, e > 0, 0
+            else:
+                absorb[v] = flip[v] = same[v] = 0
+                hub[v] = len(adj[v]) == 3 == around[v]
 
 
 def square_outside(g: Graph, state: BipartitionState) -> tuple[Graph, tuple[int, ...]]:
@@ -774,25 +767,29 @@ def check_fixpoint_invariants(g: Graph, w: list[int], state: BipartitionState) -
     """
     problems: list[str] = []
     side, nbr = state.side, state.nbr
-    for x in range(g.n):
-        if side[x] != OUTSIDE:
-            continue
+    in1, in2, around = nbr[1], nbr[2], nbr[OUTSIDE]
+    across = (None, in2, in1)  # across[s][u]: u's neighbors on the side opposite s
+    for x in itertools.compress(range(g.n), map(OUTSIDE.__eq__, side)):
+        linked = [False] * 3  # linked[s]: x has a side-s neighbor with a neighbor across
+        for u in g.adj[x]:
+            s = side[u]
+            if s and across[s][u]:
+                linked[s] = True
         for s in (1, 2):
-            witnesses = [u for u in g.adj[x] if side[u] == s and nbr[_other(s)][u] > 0]
-            if not witnesses:
+            if not linked[s]:
                 problems.append(f"outside vertex {x} has no side-{s} neighbor linked across")
-        if nbr[OUTSIDE][x] > 1:
-            problems.append(f"outside vertex {x} has {nbr[OUTSIDE][x]} outside neighbors")
-        if state.s_degree(x) == 3 and 1 in (nbr[1][x], nbr[2][x]):
-            lone_side = 1 if nbr[1][x] == 1 else 2
+        if around[x] > 1:
+            problems.append(f"outside vertex {x} has {around[x]} outside neighbors")
+        if in1[x] + in2[x] == 3 and 1 in (in1[x], in2[x]):
+            lone_side = 1 if in1[x] == 1 else 2
             x3 = next(u for u in g.adj[x] if side[u] == lone_side)
             if state.s_degree(x3) != 2:
                 problems.append(f"lone neighbor {x3} of {x} has S-degree {state.s_degree(x3)}")
             elif w[x3] < w[x]:
                 problems.append(f"lone neighbor {x3} of {x} is lighter ({w[x3]} < {w[x]})")
-    for z in range(g.n):
-        if side[z] != OUTSIDE and nbr[OUTSIDE][z] > 2:
-            problems.append(f"S-vertex {z} has {nbr[OUTSIDE][z]} outside neighbors")
+    for z in itertools.compress(range(g.n), side):
+        if around[z] > 2:
+            problems.append(f"S-vertex {z} has {around[z]} outside neighbors")
     return problems
 
 

@@ -11,12 +11,16 @@ Two facts drive the exchange search:
 The potential of a bipartition compares edge count first and total
 weight second, so any move that adds an edge, or keeps edges and adds
 weight, is strict progress.  ``inside_potential`` counts it from
-scratch over a side list; ``touched_potential`` counts only the part
-that a side change of given vertices can move.
+scratch over a side list, from the outside vertices alone: the inside
+edges are m minus the degree sum of the outside plus the edges with
+both ends outside, and the inside weight is the total weight minus the
+outside weight.  ``touched_potential`` counts only the part that a side
+change of given vertices can move.
 """
 from __future__ import annotations
 
 from itertools import chain, compress
+from operator import not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import EmptyGraphError, Graph, GraphError, bfs
@@ -35,9 +39,6 @@ class Potential(NamedTuple):
 
     edges: int
     weight: int
-
-    def __sub__(self, other: "Potential") -> "Potential":
-        return Potential(self.edges - other.edges, self.weight - other.weight)
 
 
 def compute_weights(g: Graph) -> list[int]:
@@ -60,13 +61,17 @@ def compute_weights(g: Graph) -> list[int]:
 def inside_potential(g: Graph, w: list[int], inside: Sequence[int]) -> Potential:
     """Potential of the vertices v with ``inside[v]`` truthy, from scratch.
 
-    ``inside`` may be an exchange state's side list (0 = outside).  Each
-    edge with both ends inside is seen once from either end, so the
-    adjacency walk over the inside vertices counts it twice.
+    ``inside`` may be an exchange state's side list (0 = outside).  It
+    is counted over the outside O, the smaller part at a fixpoint: an
+    edge leaves the inside edges when an end is in O, and the degree sum
+    of O counts the edges with both ends in O twice, so the inside edges
+    are m - (degree sum of O) + (edges within O), and the inside weight
+    is sum(w) - (weight of O).
     """
-    mask = list(map(bool, inside))
-    ends = sum(map(mask.__getitem__, chain.from_iterable(compress(g.adj, mask))))
-    return Potential(ends // 2, sum(compress(w, mask)))
+    out = list(map(not_, inside))
+    rows = list(compress(g.adj, out))
+    within = sum(map(out.__getitem__, chain.from_iterable(rows))) // 2
+    return Potential(g.edge_count - sum(map(len, rows)) + within, sum(w) - sum(compress(w, out)))
 
 
 def touched_potential(

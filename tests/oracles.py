@@ -47,6 +47,15 @@ parent and colour lists.  It shares only ``_shorten_to_chordless``, so
 a differential test can pin that depth parity gives the same parts and
 the same odd-cycle certificate, which the move trails depend on.
 
+``_absorb_side``, ``_flip_side`` and ``_exchange_side`` are the
+library's Absorb, Flip and SameSideExchange rules as they were before
+``exchange._outside_sides`` answered the three together, one function
+per rule, kept verbatim: the worklist tests check every flag against
+each rule on its own.  ``reference_inside_potential`` is the library's
+from-scratch potential count as it was before it counted from the
+outside vertices, a walk over the inside ones, kept verbatim, so a
+differential test can pin the two counts together.
+
 The module also holds the helpers only tests need: the two weight
 predicates, a set-based state constructor, a copy-on-write move
 application, a coloring constructor and a check that a graph built
@@ -59,6 +68,7 @@ import math
 import sys
 from collections import deque
 from functools import lru_cache
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -418,6 +428,18 @@ def reference_potential(g: Graph, w: list[int], side) -> Potential:
     )
 
 
+def reference_inside_potential(g: Graph, w: list[int], inside) -> Potential:
+    """Potential of the vertices v with ``inside[v]`` truthy, from scratch.
+
+    ``inside`` may be an exchange state's side list (0 = outside).  Each
+    edge with both ends inside is seen once from either end, so the
+    adjacency walk over the inside vertices counts it twice.
+    """
+    mask = list(map(bool, inside))
+    ends = sum(map(mask.__getitem__, chain.from_iterable(compress(g.adj, mask))))
+    return Potential(ends // 2, sum(compress(w, mask)))
+
+
 def make_state(g: Graph, w: list[int], s1, s2) -> BipartitionState:
     """Assemble and validate a state from explicit side sets."""
     a, b = frozenset(s1), frozenset(s2)
@@ -449,6 +471,62 @@ def _try_move(g: Graph, w: list[int], state: BipartitionState, move: Move) -> Ca
         return evaluate_move(g, w, state, move)
     except InvalidMoveError:
         return None
+
+
+def _absorb_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
+    """Absorb's rule: the first side where outside x has no neighbor, or 0.
+
+    Reads sides within distance 1.  Absorbing x there adds w[x] >= 1 to
+    the inside weight and loses no inside edge.
+    """
+    if state.side[x] != OUTSIDE:
+        return 0
+    nbr = state.nbr
+    return 1 if nbr[1][x] == 0 else 2 if nbr[2][x] == 0 else 0
+
+
+def _flip_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
+    """Flip's rule: the first side s where outside x has neighbors and none has a neighbor across, or 0.
+
+    Reads sides within distance 2.  Those neighbors had no inside edge
+    (s is independent and nothing across touches them); after the flip
+    each has one to x, so the inside edges grow by at least one.
+    """
+    side = state.side
+    if side[x] != OUTSIDE:
+        return 0
+    nbr = state.nbr
+    for s in (1, 2):
+        if nbr[s][x]:
+            across = nbr[_other(s)]
+            for u in g.adj[x]:
+                if side[u] == s and across[u]:
+                    break
+            else:
+                return s
+    return 0
+
+
+def _exchange_side(g: Graph, w: list[int], state: BipartitionState, x: int) -> int:
+    """SameSideExchange's rule: the side of the lone S-neighbor x3 of outside x, or 0.
+
+    It holds when x has three neighbors in S split 2 + 1 across the
+    sides and x3, the one alone on its side, has S-degree at most 1 or
+    is lighter than x.  Reads sides within distance 2.  x3 has at most
+    two S-neighbors (x is outside), so x taking its place gains
+    2 - s_degree(x3) >= 0 inside edges, and w[x] - w[x3] > 0 weight when
+    that gain is 0.
+    """
+    side = state.side
+    if side[x] != OUTSIDE:
+        return 0
+    in1, in2 = state.nbr[1], state.nbr[2]
+    if in1[x] + in2[x] != 3 or in1[x] == 3 or in2[x] == 3:
+        return 0  # fewer than three S-neighbors, or absorbable rather than exchangeable
+    s = 1 if in1[x] == 1 else 2
+    for x3 in g.adj[x]:
+        if side[x3] == s:
+            return s if in1[x3] + in2[x3] <= 1 or w[x3] < w[x] else 0
 
 
 def _find_absorb(g: Graph, state: BipartitionState) -> Absorb | None:

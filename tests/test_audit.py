@@ -487,6 +487,37 @@ def test_audit_rejects_every_malformed_run_field(seed, forge, message):
         audit_color_result(g, dataclasses.replace(result, components=tuple(components)))
 
 
+def test_audit_checks_the_start_against_the_recorded_attempt():
+    # Attempt k starts from the greedy start under the seed color_core
+    # gives it (None for attempt 1, k - 1 after).  The first core run of
+    # this graph is an attempt 1; recorded as any later attempt, its
+    # start is not that attempt's.
+    g = random_subcubic(20, 26, seed=6)
+    result = color_graph(g)
+    components = list(result.components)
+    i, comp = next((i, c) for i, c in enumerate(components) if c.core_run is not None)
+    assert comp.core_run.attempts == 1
+    audit_color_result(g, result)
+    for attempts in range(2, 13):
+        components[i] = _run_with(comp, attempts=attempts)
+        message = f"^core run: initial state is not the start of attempt {attempts}$"
+        with pytest.raises(AuditError, match=message):
+            audit_color_result(g, dataclasses.replace(result, components=tuple(components)))
+    # Runs whose canonical start gets stuck restart once and audit clean
+    # from their seeded start, but not as attempt 1 or 3.
+    for n, m, seed in ((105, 157, 9000345), (79, 118, 3763), (100, 148, 722)):
+        g = random_subcubic(n, m, seed=seed)
+        result = color_graph(g)
+        audit_color_result(g, result)
+        components = list(result.components)
+        i, comp = next((i, c) for i, c in enumerate(components) if c.core_run is not None)
+        assert comp.core_run.attempts == 2
+        for attempts in (1, 3):
+            components[i] = _run_with(comp, attempts=attempts)
+            with pytest.raises(AuditError, match=f"start of attempt {attempts}$"):
+                audit_color_result(g, dataclasses.replace(result, components=tuple(components)))
+
+
 def _with_classes(coloring, forge):
     """``coloring`` with each class replaced by ``forge(class)``."""
     return PackingColoring(coloring.n, tuple(map(forge, coloring.classes)))

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import random
 import re
 
@@ -28,10 +29,12 @@ from spack.exchange import (
     StuckError,
     _CHEAP_KINDS,
     _Worklist,
-    _exchange_side,
+    _absorb_move,
     _find_square_swap,
+    _flip_move,
     _hub_move,
     _hub_side,
+    _outside_sides,
     _same_side_move,
     _state_from_sides,
     _swap_candidates_for_cycle,
@@ -47,6 +50,9 @@ from spack.graph import bipartition_or_odd_cycle, build_graph, induced
 from spack.graphio import parse_graph6
 from spack.weights import Potential, compute_weights, inside_potential, touched_potential
 from oracles import (
+    _absorb_side,
+    _exchange_side,
+    _flip_side,
     _try_move,
     apply_move,
     assert_canonical,
@@ -61,6 +67,17 @@ from strategies import subcubic_graphs
 
 C4, C5 = cycle(4), cycle(5)
 W4, W5 = [1, 1, 1, 1], [1, 1, 1, 1, 1]
+
+# The cheap kinds in priority order as (build, rule, the radius within
+# which the rule reads sides); the three outside rules are the oracles'
+# one-rule-per-kind functions, which ``_outside_sides`` answers together.
+KINDS = (
+    (_absorb_move, _absorb_side, 1),
+    (_flip_move, _flip_side, 2),
+    (_hub_move, _hub_side, 1),
+    (_same_side_move, _exchange_side, 2),
+)
+FLAG_OF = dict(_CHEAP_KINDS)  # build -> the index of its kind's flag array
 
 
 def _evaluate(build, rule, g, w, state, v):
@@ -700,7 +717,8 @@ def _worklist_checks(g, seeds=(None,)):
             nonlocal checks
             graph, state = self.g, self.state
             hubs_fire = not any(1 in flags for flags in self.flags[:2])
-            for (build, rule, *_), flags in zip(_CHEAP_KINDS, self.flags):
+            for build, rule, _ in KINDS:
+                flags = self.flags[FLAG_OF[build]]
                 for v in range(graph.n):
                     where = (build.__name__, v)
                     assert bool(flags[v]) == bool(rule(graph, w, state, v)), where
@@ -757,7 +775,7 @@ def test_hub_moves_match_the_reference_on_dense_graphs():
                 nonlocal hubs, several
                 graph, state = self.g, self.state
                 if not any(1 in flags for flags in self.flags[:2]):
-                    for z in (v for v, flag in enumerate(self.flags[2]) if flag):
+                    for z in (v for v, flag in enumerate(self.flags[FLAG_OF[_hub_move]]) if flag):
                         found = _evaluate(_hub_move, _hub_side, graph, w, state, z)
                         reference = reference_deg3_exchange_at(graph, w, state, z)
                         assert found is not None and found.move == reference.move, (n, z)
@@ -785,9 +803,9 @@ def test_cheap_move_radii_are_exact():
     # (1, 2, 3, 2), and across the sample each radius is reached, so none
     # could be smaller.  The weights break the weight facts, so this also
     # shows that every builder returns where its rule holds.
-    reads = [radius for *_, radius in _CHEAP_KINDS]
+    reads = [radius for *_, radius in KINDS]
     evaluator_radii = (1, 2, 3, 2)
-    reached = [[0, 0] for _ in _CHEAP_KINDS]
+    reached = [[0, 0] for _ in KINDS]
     for trial in range(1000):
         rng = random.Random(trial)
         n = rng.randint(6, 24)
@@ -814,7 +832,7 @@ def test_cheap_move_radii_are_exact():
             for x in (side, changed)
         )
         dist = distance_matrix(g)[c]
-        for k, (build, rule, *_) in enumerate(_CHEAP_KINDS):
+        for k, (build, rule, _) in enumerate(KINDS):
             for v in range(n):
                 if rule(g, w, before, v) != rule(g, w, after, v):
                     assert dist[v] <= reads[k], (trial, rule.__name__, v)
@@ -823,6 +841,33 @@ def test_cheap_move_radii_are_exact():
                     assert dist[v] <= evaluator_radii[k], (trial, build.__name__, v)
                     reached[k][1] = max(reached[k][1], int(dist[v]))
     assert reached == [list(pair) for pair in zip(reads, evaluator_radii)]
+
+
+def test_outside_sides_are_the_three_outside_rules():
+    # One call answers Absorb, Flip and SameSideExchange at a vertex:
+    # on random valid states, with weights that break the weight facts,
+    # it must give each rule's side, not only whether it holds, at every
+    # vertex, inside or outside, and each rule must answer both sides
+    # somewhere in the sample.
+    seen = [set(), set(), set()]
+    for trial in range(1000):
+        rng = random.Random(trial)
+        n = rng.randint(4, 24)
+        cap = min(3 * n // 2 - (1 if n % 2 == 0 else 0), n * (n - 1) // 2)
+        g = random_subcubic(n, rng.randint(n - 1, cap), seed=trial, require_non_cubic=True)
+        w = [rng.randint(1, 3) for _ in range(n)]
+        side = [0] * n
+        for v in rng.sample(range(n), n):
+            s = rng.choice((0, 1, 2))
+            if s and all(side[u] != s for u in g.adj[v]):
+                side[v] = s
+        state = _state_from_sides(g, w, side)
+        for v in range(n):
+            expected = tuple(rule(g, w, state, v) for rule in (_absorb_side, _flip_side, _exchange_side))
+            assert _outside_sides(g, w, state, v) == expected, (trial, v)
+            for answers, s in zip(seen, expected):
+                answers.add(s)
+    assert seen == [{0, 1, 2}] * 3
 
 
 def test_next_move_raises_at_a_flagged_hub_without_a_move():
@@ -842,7 +887,8 @@ def test_next_move_raises_at_a_flagged_hub_without_a_move():
     ):
         state = make_state(g, w, {0, 4}, {6, 7})
         work = _Worklist(g, w, state)
-        absorb, flip, hubs, _ = work.flags
+        absorb, flip = work.flags[FLAG_OF[_absorb_move]], work.flags[FLAG_OF[_flip_move]]
+        hubs = work.flags[FLAG_OF[_hub_move]]
         assert hubs[0] and _hub_move(g, w, state, 0, 1) == built
         assert _evaluate(_hub_move, _hub_side, g, w, state, 0) is None
         absorb[:] = flip[:] = bytes(g.n)
@@ -891,7 +937,7 @@ def _assert_local_check_matches_recount(g):
         full_now = inside_potential(graph, w, state.side)
         local_now = touched_potential(graph, w, state.side, changed)
         assert state.potential == full_now
-        assert full_now - full == local_now - local
+        assert [*map(operator.sub, full_now, full)] == [*map(operator.sub, local_now, local)]
         assert state.nbr == make_state(graph, w, state.s1, state.s2).nbr
         commits.append(found.move)
 

@@ -1,10 +1,17 @@
 import random
+from operator import sub
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import check_weight_recurrence, check_weight_smoothness, distance_matrix
+from oracles import (
+    check_weight_recurrence,
+    check_weight_smoothness,
+    distance_matrix,
+    reference_inside_potential,
+)
+from spack.colorer import color_graph
 from spack.gen import cycle, petersen
 from spack.graph import EmptyGraphError, build_graph, induced
 from spack.weights import (
@@ -141,10 +148,51 @@ def test_touched_potential_moves_with_the_recount(g, data):
     changed = [v for v in range(g.n) if before[v] != after[v]]
     extra = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3))
     touched = changed + extra  # C may hold unchanged vertices too
-    assert inside_potential(g, w, after) - inside_potential(g, w, before) == (
-        touched_potential(g, w, after, touched) - touched_potential(g, w, before, touched)
-    )
+    assert [*map(sub, inside_potential(g, w, after), inside_potential(g, w, before))] == [
+        *map(sub, touched_potential(g, w, after, touched), touched_potential(g, w, before, touched))
+    ]
     assert touched_potential(g, w, after, range(g.n)) == inside_potential(g, w, after)
+
+
+def test_outside_count_matches_the_inside_walk_on_random_side_lists():
+    # ``inside_potential`` counts from the outside vertices; the
+    # reference walks the inside ones.  Graphs of 0 to 40 vertices with
+    # random edges up to degree 3 (isolated vertices included), random
+    # weights, and side lists that are random, all outside or all inside.
+    isolated = 0
+    for trial in range(2000):
+        rng = random.Random(trial)
+        n = trial % 41
+        degree = [0] * n
+        edges = set()
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v and degree[u] < 3 and degree[v] < 3 and (min(u, v), max(u, v)) not in edges:
+                edges.add((min(u, v), max(u, v)))
+                degree[u] += 1
+                degree[v] += 1
+        g = build_graph(n, edges)
+        w = [rng.randint(1, 9) for _ in range(n)]
+        for side in ([rng.choice((0, 1, 2)) for _ in range(n)], [0] * n, [rng.choice((1, 2)) for _ in range(n)]):
+            assert inside_potential(g, w, side) == reference_inside_potential(g, w, side), (trial, side)
+        isolated += 0 in degree
+    assert isolated > 1000
+
+
+def test_outside_count_matches_the_inside_walk_on_corpus_runs(corpus_noncubic):
+    # The start and the fixpoint of every core run of the non-cubic corpus.
+    runs = 0
+    for g in corpus_noncubic:
+        for comp in color_graph(g).components:
+            run = comp.core_run
+            if run is None:
+                continue
+            core = induced(g, comp.core_vertices).graph
+            for state in (run.initial, run.final):
+                assert inside_potential(core, list(run.weights), state.side) == state.potential
+                assert state.potential == reference_inside_potential(core, list(run.weights), state.side)
+            runs += 1
+    assert runs > 0
 
 
 def test_potential_lexicographic_order():
