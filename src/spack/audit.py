@@ -24,11 +24,23 @@ whose touched check always runs: the potential change must equal a count
 over the vertices whose side it changed (``weights.touched_potential``),
 which equals a recount by induction from the first anchor.  The replayed
 final sides and potential must equal the recorded ones.  The audit then
-re-checks the fixpoint structure on the replayed state and that the
-square parts partition its outside, and verifies the ``colorer._layout``
-of the final sides and those parts on the core, without the search's
-outside square, so a fault in ``exchange.square_outside`` cannot pass
-both.  The run's coloring must equal that layout, with int ids, and its
+re-checks the fixpoint structure on the replayed state.
+
+By then the replay has proved most of the final layout.  The side list
+held one int 0, 1 or 2 per vertex at the start, and every commit writes
+only those values, so the two sides and the outside partition the core.
+Both sides were independent at the start, and every commit passed
+``exchange._evaluate_plan``, which rejects a mover that would share a
+side with a neighbour, so both are still independent: that is all a
+radius-1 verify of them would check.  What is left is checked here:
+the square parts must partition the outside, and each part goes
+through ``verify._class_violations``, the per-class step of ``verify``,
+as a radius-2 class on the core, without the search's outside square,
+so a fault in ``exchange.square_outside`` cannot pass both.  The run's
+coloring must equal the ``colorer._layout`` of the final sides and
+those parts, compared field by field without building it (its type,
+``n``, four classes of the labels and radii in order, sets of int
+ids, each id range-checked before it indexes the side list), and its
 classes, in host ids, lie within the result's classes at the same
 positions.  The result's coloring must be the layout of its own vertex
 sets on the graph's vertices, with int ids, and verify; an error
@@ -41,8 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .colorer import _RESTART_ATTEMPTS, ColorResult, CoreRun, _layout
+from .colorer import _RESTART_ATTEMPTS, CLASS_LABELS, CLASS_RADII, ColorResult, CoreRun, _layout
 from .exchange import (
+    OUTSIDE,
     ExchangeError,
     InvalidStateError,
     _start_sides,
@@ -52,7 +65,7 @@ from .exchange import (
     evaluate_move,
 )
 from .graph import Graph, GraphError, induced
-from .verify import PackingColoring, verify
+from .verify import ColorClass, PackingColoring, _class_violations, verify
 from .weights import compute_weights, inside_potential
 
 
@@ -60,9 +73,45 @@ class AuditError(ValueError):
     pass
 
 
+_LAYOUT_SHAPE = list(zip(CLASS_LABELS, CLASS_RADII))
+
+
 def _int_ids(coloring: PackingColoring) -> bool:
     """True when every vertex id in ``coloring`` is an int (not a bool, which equals 0 or 1)."""
     return {*map(type, chain.from_iterable(c.vertices for c in coloring.classes))} <= {int}
+
+
+def _holds_side(members, side: list[int], s: int) -> bool:
+    """True when the set ``members`` of int ids is exactly the vertices v with ``side[v] == s``.
+
+    The range check comes before any lookup: a negative id would index
+    ``side`` from its end.
+    """
+    if len(members) != side.count(s):
+        return False
+    if members and not 0 <= min(members) <= max(members) < len(side):
+        return False
+    return list(map(side.__getitem__, members)).count(s) == len(members)
+
+
+def _is_run_layout(coloring: PackingColoring, side: list[int], parts) -> bool:
+    """True when ``coloring`` equals ``colorer._layout`` of the sides and ``parts``, with int ids.
+
+    That is: a PackingColoring on ``len(side)`` vertices whose classes
+    are a tuple of four ColorClasses, of CLASS_LABELS and CLASS_RADII in
+    order, holding sets of int (not bool) ids; the radius-1 classes are
+    the vertices on side 1 and on side 2, and the radius-2 classes are
+    ``parts``.  Compared field by field, with no layout built.
+    """
+    if type(coloring) is not PackingColoring or coloring.n != len(side) or type(coloring.classes) is not tuple:
+        return False
+    classes = coloring.classes
+    if {*map(type, classes)} != {ColorClass} or [(c.label, c.radius) for c in classes] != _LAYOUT_SHAPE:
+        return False
+    ones, twos, *squares = sets = [c.vertices for c in classes]
+    if not {*map(type, sets)} <= {set, frozenset} or squares != [*parts] or not _int_ids(coloring):
+        return False
+    return _holds_side(ones, side, 1) and _holds_side(twos, side, 2)
 
 
 @dataclass
@@ -126,14 +175,15 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
             raise AuditError("fixpoint structure violated: " + "; ".join(problems))
 
         h1, h2 = run.square.h1, run.square.h2
-        if h1 & h2 or (h1 | h2) != state.outside or not {*map(type, h1 | h2)} <= {int}:
+        if h1 & h2 or not {*map(type, h1 | h2)} <= {int} or not _holds_side(h1 | h2, state.side, OUTSIDE):
             raise AuditError("square bipartition does not partition the outside")
-        layout = _layout(core.n, (state.s1, state.s2, h1, h2))
-        outcome = verify(core, layout)
-        if outcome.violations:
-            a, b = outcome.violations[0].pair
-            raise AuditError(f"outside vertices {a} and {b} share a radius-2 part but are within distance 2")
-        if run.coloring != layout or not _int_ids(run.coloring):
+        # the replay kept both sides independent, so only the square parts can clash
+        for label, r, part in zip(CLASS_LABELS[2:], CLASS_RADII[2:], (h1, h2)):
+            close = _class_violations(core, label, r, part)
+            if close:
+                a, b = close[0].pair
+                raise AuditError(f"outside vertices {a} and {b} share a radius-2 part but are within distance 2")
+        if not _is_run_layout(run.coloring, state.side, (h1, h2)):
             raise AuditError("run coloring is not the layout of its final sides and square parts")
         return AuditReport(runs=1, moves=len(run.moves))
     except (TypeError, AttributeError) as err:
@@ -172,7 +222,9 @@ def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
         report.merge(audit_core_run(sub.graph, run))
         # the replay made run.coloring a layout, of as many classes as the result
         for c, held in zip(run.coloring.classes, coloring.classes):
-            if not held.vertices.issuperset(map(sub.to_host.__getitem__, c.vertices)):
+            # a core of every vertex is g itself, with the identity map
+            core_ids = c.vertices if sub.graph is g else map(sub.to_host.__getitem__, c.vertices)
+            if not held.vertices.issuperset(core_ids):
                 raise AuditError(f"core class {c.label} at {comp.vertices[0]} is not in the result")
     try:
         outcome = verify(g, coloring)

@@ -213,6 +213,12 @@ def coloring_to_json(coloring: PackingColoring) -> str:
 
 
 def coloring_from_json(text: str) -> PackingColoring:
+    """Read a coloring document.
+
+    Raises ColoringDocumentError on a malformed document, a class that
+    lists one vertex twice included: a class is a set, and collapsing
+    the repeat would hide the error.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -240,5 +246,12 @@ def coloring_from_json(text: str) -> PackingColoring:
             not isinstance(v, int) or isinstance(v, bool) for v in vertices
         ):
             raise ColoringDocumentError(f"class {i}: 'vertices' must be a list of ints")
-        classes.append(ColorClass(label, radius, frozenset(vertices)))
+        members = frozenset(vertices)
+        if len(members) != len(vertices):
+            seen: set[int] = set()
+            for v in vertices:
+                if v in seen:
+                    raise ColoringDocumentError(f"class {i}: vertex {v} is listed twice")
+                seen.add(v)
+        classes.append(ColorClass(label, radius, members))
     return PackingColoring(n, tuple(classes))

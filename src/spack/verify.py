@@ -22,10 +22,15 @@ members' neighbour lists, concatenated.  The set-test lemma:
 
 A class that fails its test, and every class of radius 4 or more, goes
 to the half-radius walk below, which is the only part of ``verify``
-that lists violating pairs and their distances.  The partition check is
-one comparison when it holds: class sizes that sum to n and a union
-equal to ``0 .. n - 1`` leave no vertex missing, doubly assigned or out
-of range.  Only otherwise are the vertices counted one by one.
+that lists violating pairs and their distances.  ``_class_violations``
+is that per-class step, set test then walk, and ``verify`` runs it on
+each class in turn; the audit runs the same step on a core run's two
+square parts, the only classes its replay leaves unproved.
+
+The partition check is one comparison when it holds: class sizes that
+sum to n and a union equal to ``0 .. n - 1`` leave no vertex missing,
+doubly assigned or out of range.  Only otherwise are the vertices
+counted one by one.
 
 The walk searches only half the radius from each member.  Let k = s // 2.
 Two members x and y lie within distance d <= s exactly when their
@@ -134,15 +139,8 @@ def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
         missing, multiply_assigned = _partition_faults(coloring, n)
 
     violations = []
-    adj = g.adj
     for cls in coloring.classes:
-        if _clean(adj, cls.vertices, cls.radius):
-            continue
-        close = _close_pairs(g, cls)
-        if close:
-            violations.extend(
-                Violation(cls.label, cls.radius, pair, close[pair]) for pair in sorted(close)
-            )
+        violations += _class_violations(g, cls.label, cls.radius, cls.vertices)
     ok = not violations and not missing and not multiply_assigned
     return VerifyResult(ok, violations, missing, multiply_assigned)
 
@@ -165,6 +163,21 @@ def _partition_faults(coloring: PackingColoring, n: int) -> tuple[list[int], lis
     missing = [v for v, k in enumerate(hits) if k == 0] if 0 in hits else []
     multiply_assigned = [v for v, k in enumerate(hits) if k > 1] if max(hits, default=0) > 1 else []
     return missing, multiply_assigned
+
+
+def _class_violations(g: Graph, label: str, r: int, members: frozenset[int]) -> list[Violation]:
+    """The violating pairs of one class, ordered by (smaller id, larger id).
+
+    The one per-class step of ``verify``: the set test, then, only for a
+    class that fails it, the half-radius walk.  Every member must be an
+    int in ``0 .. g.n - 1``, as for ``_close_pairs``.  The audit runs it
+    on a core run's two square parts alone, since its replay has already
+    shown the two sides independent.
+    """
+    if _clean(g.adj, members, r):
+        return []
+    close = _close_pairs(g, members, r)
+    return [Violation(label, r, pair, close[pair]) for pair in sorted(close)]
 
 
 def _clean(adj: tuple[tuple[int, ...], ...], members: frozenset[int], r: int) -> bool:
@@ -193,8 +206,8 @@ def _clean(adj: tuple[tuple[int, ...], ...], members: frozenset[int], r: int) ->
     return reach.isdisjoint(chain.from_iterable(map(adj.__getitem__, reach)))
 
 
-def _close_pairs(g: Graph, cls: ColorClass) -> dict[tuple[int, int], int]:
-    """Distance of every member pair (x, y), x < y, at most the class radius apart.
+def _close_pairs(g: Graph, members: frozenset[int], r: int) -> dict[tuple[int, int], int]:
+    """Distance of every member pair (x, y), x < y, at most ``r`` apart.
 
     Every member must lie in ``0 .. g.n - 1``: the lists below are
     indexed by vertex, and a negative id would silently index from the
@@ -215,10 +228,8 @@ def _close_pairs(g: Graph, cls: ColorClass) -> dict[tuple[int, int], int]:
     class the balls are disjoint, so each vertex a walk reaches costs
     two stores and ``overflow`` stays empty.
     """
-    members = cls.vertices
     if len(members) < 2:
         return {}
-    r = cls.radius
     k = r // 2
     adj = g.adj
     last = [-1] * g.n

@@ -56,6 +56,13 @@ from-scratch potential count as it was before it counted from the
 outside vertices, a walk over the inside ones, kept verbatim, so a
 differential test can pin the two counts together.
 
+``reference_core_layout_check`` is the audit's check of a core run's
+final classes as it was before the audit checked the square parts
+alone: ``verify`` on the whole ``colorer._layout`` of the final sides
+and the square parts, on the core.  It is the library's own verifier on
+purpose, so a differential test can show that the narrowed check
+accepts and rejects the same runs and names the same first pair.
+
 The module also holds the helpers only tests need: the two weight
 predicates, a set-based state constructor, a copy-on-write move
 application, a coloring constructor and a check that a graph built
@@ -72,6 +79,7 @@ from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from spack.colorer import _layout
 from spack.exact import (
     DEFAULT_BUDGET,
     ChiRhoResult,
@@ -129,6 +137,7 @@ from spack.verify import (
     PackingColoring,
     VerifyResult,
     Violation,
+    verify,
 )
 from spack.weights import Potential
 
@@ -392,6 +401,18 @@ def reference_verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
     violations = [vi for _, _, vi in keyed]
     ok = not violations and not missing and not multiply_assigned
     return VerifyResult(ok, violations, missing, multiply_assigned)
+
+
+def reference_core_layout_check(
+    core: Graph, state: BipartitionState, square: SquareBipartition
+) -> tuple[int, int] | None:
+    """The first violating pair of the layout of ``state``'s sides and ``square``, or None.
+
+    Verifies all four classes on the core, the two sides included.
+    """
+    layout = _layout(core.n, (state.s1, state.s2, square.h1, square.h2))
+    outcome = verify(core, layout)
+    return outcome.violations[0].pair if outcome.violations else None
 
 
 def make_coloring(n: int, triples) -> PackingColoring:

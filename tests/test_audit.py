@@ -1,16 +1,18 @@
 import dataclasses
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 
 from spack.audit import AuditError, AuditReport, audit_color_result, audit_core_run
-from spack.colorer import ColorOptions, color_core, color_graph
+from spack.colorer import ColorOptions, _layout, color_core, color_graph
 from spack.exchange import OUTSIDE, Flip, MoveRecord, SquareBipartition, square_outside
 from spack.gen import path, random_subcubic
 from spack.graph import EmptyGraphError, Graph, VertexOutOfRangeError, build_graph, induced
 from spack.verify import ColorClass, PackingColoring, verify
 from spack.weights import DisconnectedError, Potential, compute_weights
+from oracles import reference_core_layout_check
 from strategies import subcubic_graphs
 
 
@@ -572,3 +574,64 @@ def test_audit_rejects_every_malformed_result_coloring(forge, message):
     assert audit_color_result(g, result).runs
     with pytest.raises(AuditError, match=message):
         audit_color_result(g, forge(result))
+
+
+def _core_runs(g):
+    """(core, run) for every component of ``g`` that has a core run."""
+    return [
+        (induced(g, c.core_vertices).graph, c.core_run) for c in color_graph(g).components if c.core_run
+    ]
+
+
+def _square_clash(core, run):
+    """The pair the audit names for a square-part clash in ``run``, or None when it accepts the run."""
+    try:
+        audit_core_run(core, run)
+    except AuditError as err:
+        clash = re.fullmatch(r"outside vertices (\d+) and (\d+) share a radius-2 part but are within distance 2", str(err))
+        assert clash, err
+        return int(clash[1]), int(clash[2])
+    return None
+
+
+def test_the_square_part_check_agrees_with_the_whole_layout_verify(corpus_noncubic):
+    # The audit verifies only the square parts; the reference verifies
+    # the whole layout, both sides included.  On every sound run, and on
+    # every run whose square parts are forged (one outside vertex moved
+    # to the other part, or the two parts merged), both accept or both
+    # reject with the same first pair.  A forged run carries the layout
+    # of its forged parts, so only the distance check can reject it.
+    runs = [run for g in corpus_noncubic for run in _core_runs(g)]
+    restarted = [run for n, m, seed in ((105, 157, 9000345), (79, 118, 3763), (100, 148, 722))
+                 for run in _core_runs(random_subcubic(n, m, seed=seed))]
+    assert len(runs) >= 780 and [run.attempts for _, run in restarted] == [2, 2, 2]
+    rejected = 0
+    for core, run in runs + restarted:
+        state, square = run.final, run.square
+        assert reference_core_layout_check(core, state, square) is None
+        assert _square_clash(core, run) is None
+        h1, h2 = square.h1, square.h2
+        forged = [SquareBipartition(h1 ^ {x}, h2 ^ {x}) for x in sorted(h1 | h2)]
+        forged.append(SquareBipartition(h1 | h2, frozenset()))
+        for parts in forged:
+            coloring = _layout(core.n, (state.s1, state.s2, parts.h1, parts.h2))
+            want = reference_core_layout_check(core, state, parts)
+            assert _square_clash(core, dataclasses.replace(run, square=parts, coloring=coloring)) == want
+            rejected += want is not None
+    assert rejected > 500
+
+
+@pytest.mark.parametrize("stand_in", [-1, "n"])
+def test_audit_range_checks_a_radius_1_id_before_it_reads_the_side(stand_in):
+    # -1 would read the side of vertex n - 1 and pass; n would index past
+    # the side list.  Both are ids outside the core.
+    g = random_subcubic(20, 26, seed=0)
+    (core, run), *_ = _core_runs(g)
+    last = core.n - 1
+    classes = list(run.coloring.classes)
+    i = next(i for i, c in enumerate(classes) if c.radius == 1 and last in c.vertices)
+    forged_id = core.n if stand_in == "n" else stand_in
+    classes[i] = dataclasses.replace(classes[i], vertices=classes[i].vertices - {last} | {forged_id})
+    forged = PackingColoring(run.coloring.n, tuple(classes))
+    with pytest.raises(AuditError, match="run coloring is not the layout"):
+        audit_core_run(core, dataclasses.replace(run, coloring=forged))

@@ -339,6 +339,30 @@ def test_subdivide_invalid_coloring_prints_nothing(monkeypatch, capsys, tmp_path
     assert err == expected_err
 
 
+_LISTED_TWICE = {"n": 3, "classes": _classes(("1_a", 1, [0, 2, 2]), ("1_b", 1, [1]))}
+
+
+def test_verify_rejects_a_vertex_listed_twice_exit_two(monkeypatch, capsys):
+    # path(3) with 0 and 2 in one radius-1 class verifies once the repeat is collapsed
+    stdin = encode_graph6(path(3)) + "\n" + json.dumps(_LISTED_TWICE) + "\n"
+    code, out, err = run_cli(
+        monkeypatch, capsys, ["verify", "--graph", "-", "--coloring", "-"], stdin=stdin
+    )
+    assert (code, out, err) == (2, "", "error: class 0: vertex 2 is listed twice\n")
+
+
+def test_subdivide_rejects_a_vertex_listed_twice_exit_two(monkeypatch, capsys, tmp_path):
+    coloring_path = tmp_path / "twice.json"
+    coloring_path.write_text(json.dumps(_LISTED_TWICE))
+    code, out, err = run_cli(
+        monkeypatch,
+        capsys,
+        ["subdivide", "--with-coloring", str(coloring_path)],
+        stdin=encode_graph6(path(3)) + "\n",
+    )
+    assert (code, out, err) == (2, "", "error: class 0: vertex 2 is listed twice\n")
+
+
 def test_subdivide_plain(monkeypatch, capsys):
     code, out, _ = run_cli(
         monkeypatch, capsys, ["subdivide"], stdin=encode_graph6(cycle(3)) + "\n"

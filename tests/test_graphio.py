@@ -350,6 +350,15 @@ def test_coloring_json_rejects_malformed_documents():
             coloring_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("vertices", [[0, 2, 2], [2, 0, 2]])
+def test_coloring_json_rejects_a_vertex_listed_twice(vertices):
+    # a class is a set: collapsing the repeat would accept the document
+    doc = {"n": 3, "classes": [{"label": "a", "radius": 1, "vertices": [1]},
+                               {"label": "b", "radius": 1, "vertices": vertices}]}
+    with pytest.raises(ColoringDocumentError, match=r"^class 1: vertex 2 is listed twice$"):
+        coloring_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -428,10 +428,10 @@ def _walk_recorder(monkeypatch, refuse_up_to=0):
     walked = []
     walk = verify_module._close_pairs
 
-    def recording(g, cls):
-        assert cls.radius > refuse_up_to, f"class {cls.label!r} of radius {cls.radius} was walked"
-        walked.append(cls.radius)
-        return walk(g, cls)
+    def recording(g, members, r):
+        assert r > refuse_up_to, f"a class of radius {r} was walked"
+        walked.append(r)
+        return walk(g, members, r)
 
     monkeypatch.setattr(verify_module, "_close_pairs", recording)
     return walked
