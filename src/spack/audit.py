@@ -32,17 +32,20 @@ only those values, so the two sides and the outside partition the core.
 Both sides were independent at the start, and every commit passed
 ``exchange._evaluate_plan``, which rejects a mover that would share a
 side with a neighbour, so both are still independent: that is all a
-radius-1 verify of them would check.  What is left is checked here:
-the square parts must partition the outside, and each part goes
-through ``verify._class_violations``, the per-class step of ``verify``,
-as a radius-2 class on the core, without the search's outside square,
-so a fault in ``exchange.square_outside`` cannot pass both.  The run's
-coloring must equal the ``colorer._layout`` of the final sides and
-those parts, compared field by field without building it (its type,
-``n``, four classes of the labels and radii in order, sets of int
-ids, each id range-checked before it indexes the side list), and its
-classes, in host ids, lie within the result's classes at the same
-positions.  The result's coloring must be the layout of its own vertex
+radius-1 verify of them would check.  That proof runs the search's own
+``_evaluate_plan``, so a fault there that let a mover share a side
+would pass the search and this core check alike; the one independent
+check of the radius-1 classes is the final ``verify`` of the result on
+the graph.  What is left is checked here: the square parts must
+partition the outside, and each part goes through
+``verify._class_violations``, the per-class step of ``verify``, as a
+radius-2 class on the core, without the search's outside square, so a
+fault in ``exchange.square_outside`` cannot pass both.  The run's
+coloring must equal the ``colorer._layout`` of its own vertex sets,
+with int ids; its radius-2 classes must be those parts, its radius-1
+classes the vertices on side 1 and on side 2 (each id range-checked
+before it indexes the side list), and its classes, in host ids, lie
+within the result's classes at the same positions.  The result's coloring must be the layout of its own vertex
 sets on the graph's vertices, with int ids, and verify; an error
 ``verify`` raises on it becomes an AuditError.  Used by the test suite
 to certify that every committed move strictly increased the potential
@@ -65,15 +68,12 @@ from .exchange import (
     evaluate_move,
 )
 from .graph import Graph, GraphError, induced
-from .verify import ColorClass, PackingColoring, _class_violations, verify
+from .verify import PackingColoring, _class_violations, verify
 from .weights import compute_weights, inside_potential
 
 
 class AuditError(ValueError):
     pass
-
-
-_LAYOUT_SHAPE = list(zip(CLASS_LABELS, CLASS_RADII))
 
 
 def _int_ids(coloring: PackingColoring) -> bool:
@@ -92,26 +92,6 @@ def _holds_side(members, side: list[int], s: int) -> bool:
     if members and not 0 <= min(members) <= max(members) < len(side):
         return False
     return list(map(side.__getitem__, members)).count(s) == len(members)
-
-
-def _is_run_layout(coloring: PackingColoring, side: list[int], parts) -> bool:
-    """True when ``coloring`` equals ``colorer._layout`` of the sides and ``parts``, with int ids.
-
-    That is: a PackingColoring on ``len(side)`` vertices whose classes
-    are a tuple of four ColorClasses, of CLASS_LABELS and CLASS_RADII in
-    order, holding sets of int (not bool) ids; the radius-1 classes are
-    the vertices on side 1 and on side 2, and the radius-2 classes are
-    ``parts``.  Compared field by field, with no layout built.
-    """
-    if type(coloring) is not PackingColoring or coloring.n != len(side) or type(coloring.classes) is not tuple:
-        return False
-    classes = coloring.classes
-    if {*map(type, classes)} != {ColorClass} or [(c.label, c.radius) for c in classes] != _LAYOUT_SHAPE:
-        return False
-    ones, twos, *squares = sets = [c.vertices for c in classes]
-    if not {*map(type, sets)} <= {set, frozenset} or squares != [*parts] or not _int_ids(coloring):
-        return False
-    return _holds_side(ones, side, 1) and _holds_side(twos, side, 2)
 
 
 @dataclass
@@ -183,7 +163,15 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
             if close:
                 a, b = close[0].pair
                 raise AuditError(f"outside vertices {a} and {b} share a radius-2 part but are within distance 2")
-        if not _is_run_layout(run.coloring, state.side, (h1, h2)):
+        coloring = run.coloring
+        sets = [c.vertices for c in coloring.classes]
+        if (
+            coloring != _layout(core.n, sets)
+            or not _int_ids(coloring)
+            or sets[2:] != [h1, h2]
+            or not _holds_side(sets[0], state.side, 1)
+            or not _holds_side(sets[1], state.side, 2)
+        ):
             raise AuditError("run coloring is not the layout of its final sides and square parts")
         return AuditReport(runs=1, moves=len(run.moves))
     except (TypeError, AttributeError) as err:
@@ -222,9 +210,7 @@ def audit_color_result(g: Graph, result: ColorResult) -> AuditReport:
         report.merge(audit_core_run(sub.graph, run))
         # the replay made run.coloring a layout, of as many classes as the result
         for c, held in zip(run.coloring.classes, coloring.classes):
-            # a core of every vertex is g itself, with the identity map
-            core_ids = c.vertices if sub.graph is g else map(sub.to_host.__getitem__, c.vertices)
-            if not held.vertices.issuperset(core_ids):
+            if not held.vertices.issuperset(map(sub.to_host.__getitem__, c.vertices)):
                 raise AuditError(f"core class {c.label} at {comp.vertices[0]} is not in the result")
     try:
         outcome = verify(g, coloring)

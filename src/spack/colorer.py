@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 from .exact import DEFAULT_BUDGET, Status, class_labels, decide
 from .exchange import (
@@ -100,7 +99,8 @@ class ColorOptions:
     fallback_max_n: int = field(default=30, init=False)
 
 
-class PeelStep(NamedTuple):
+@dataclass(frozen=True)
+class PeelStep:
     """One peeled vertex and its unique remaining neighbor (if any)."""
 
     vertex: int
@@ -295,11 +295,9 @@ def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
     assert_subcubic(g)
     comps = components(g)
     core, trace = peel(g)
-    # one component's share is the whole core and trace
-    shares = [(core, trace)] if len(comps) == 1 else _split_by_component(g.n, comps, core, trace)
     sets = [set() for _ in CLASS_LABELS]
     runs: list[ComponentRun] = []
-    for host, (comp_core, comp_trace) in zip(comps, shares):
+    for host, (comp_core, comp_trace) in zip(comps, _split_by_component(g.n, comps, core, trace)):
         run = ComponentRun(vertices=host)
         runs.append(run)
         if not comp_trace and all(len(g.adj[v]) == 3 for v in host):

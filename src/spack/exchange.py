@@ -285,12 +285,8 @@ def _start_sides(g: Graph, w: list[int], seed: int | None) -> list[int]:
     adj = g.adj
     rng = None if seed is None else random.Random(seed)
     if rng is None:
-        # weights are small positive ints: one stable bucket pass keeps ascending ids among equals
-        buckets = [[] for _ in range(max(w) + 1)]
-        adds = [bucket.append for bucket in buckets]
-        for v, x in enumerate(w):
-            adds[x](v)
-        order = list(itertools.chain.from_iterable(reversed(buckets)))
+        # a stable sort keeps ascending ids among equal weights, reversed or not
+        order = sorted(range(g.n), key=w.__getitem__, reverse=True)
     else:
         order = list(range(g.n))
         rng.shuffle(order)

@@ -152,20 +152,9 @@ def bfs(g: Graph, sources: Iterable[int], dist: list[int]) -> list[int]:
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
-    """Connected components as ascending tuples, ordered by smallest vertex.
-
-    When the search from vertex 0 reaches every vertex, the one
-    component is ``range(n)`` and needs no sort.
-    """
-    if g.n == 0:
-        return []
+    """Connected components as ascending tuples, ordered by smallest vertex."""
     dist = [-1] * g.n
-    first = bfs(g, (0,), dist)
-    if len(first) == g.n:
-        return [tuple(range(g.n))]
-    comps = [tuple(sorted(first))]
-    comps += (tuple(sorted(bfs(g, (root,), dist))) for root in range(1, g.n) if dist[root] == -1)
-    return comps
+    return [tuple(sorted(bfs(g, (root,), dist))) for root in range(g.n) if dist[root] == -1]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import re
 import sys
 
 import pytest
+import spack.exchange as exchange
 from hypothesis import given, settings
 
 from spack.audit import AuditError, AuditReport, audit_color_result, audit_core_run
@@ -11,7 +12,7 @@ from spack.exchange import OUTSIDE, Flip, MoveRecord, SquareBipartition, square_
 from spack.gen import path, random_subcubic
 from spack.graph import EmptyGraphError, Graph, VertexOutOfRangeError, build_graph, induced
 from spack.verify import ColorClass, PackingColoring, verify
-from spack.weights import DisconnectedError, Potential, compute_weights
+from spack.weights import DisconnectedError, Potential, compute_weights, inside_potential
 from oracles import reference_core_layout_check
 from strategies import subcubic_graphs
 
@@ -635,3 +636,35 @@ def test_audit_range_checks_a_radius_1_id_before_it_reads_the_side(stand_in):
     forged = PackingColoring(run.coloring.n, tuple(classes))
     with pytest.raises(AuditError, match="run coloring is not the layout"):
         audit_core_run(core, dataclasses.replace(run, coloring=forged))
+
+
+def test_only_the_final_verify_catches_a_side_clash_the_search_and_replay_share(monkeypatch):
+    # The core audit takes the sides' independence from the replay, which
+    # commits each move through the search's own ``_evaluate_plan``.  Were
+    # that to pass a mover that shares a side with a neighbour, and a rule
+    # to offer one, the search and the core audit would both accept the
+    # run: only the verify of the result on G, an independent check, is
+    # left to reject it.
+    def lax_plan(g, w, state, plan):  # the potential, with no independence test
+        side = list(state.side)
+        for v, s in plan:
+            side[v] = s
+        new = inside_potential(g, w, side)
+        return (new, None) if new > state.potential else (None, "no strict increase")
+
+    rules = exchange._outside_sides
+
+    def absorb_anywhere(g, w, state, x):  # an outside vertex may always join side 1
+        absorb, flip, swap = rules(g, w, state, x)
+        return absorb or int(state.side[x] == OUTSIDE), flip, swap
+
+    monkeypatch.setattr(exchange, "_evaluate_plan", lax_plan)
+    monkeypatch.setattr(exchange, "_outside_sides", absorb_anywhere)
+    g = random_subcubic(20, 26, seed=0)
+    result = color_graph(g)
+    for core, run in _core_runs(g):
+        assert audit_core_run(core, run).runs == 1
+    outcome = verify(g, result.coloring)
+    assert outcome.violations and {v.radius for v in outcome.violations} == {1}
+    with pytest.raises(AuditError, match="coloring fails verification"):
+        audit_color_result(g, result)
