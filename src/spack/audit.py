@@ -37,17 +37,18 @@ radius-1 verify of them would check.  That proof runs the search's own
 would pass the search and this core check alike; the one independent
 check of the radius-1 classes is the final ``verify`` of the result on
 the graph.  What is left is checked here: the square parts must
-partition the outside, and each part goes through
-``verify._class_violations``, the per-class step of ``verify``, as a
-radius-2 class on the core, without the search's outside square, so a
-fault in ``exchange.square_outside`` cannot pass both.  The run's
-coloring must equal the ``colorer._layout`` of its own vertex sets,
-with int ids; its radius-2 classes must be those parts, its radius-1
-classes the vertices on side 1 and on side 2 (each id range-checked
-before it indexes the side list), and its classes, in host ids, lie
-within the result's classes at the same positions.  The result's coloring must be the layout of its own vertex
-sets on the graph's vertices, with int ids, and verify; an error
-``verify`` raises on it becomes an AuditError.  Used by the test suite
+partition the outside, and each goes through the per-class steps of
+``verify``, the set test ``verify._clean`` and then the walk
+``verify._close_pairs``, as a radius-2 class on the core, without the
+search's outside square, so a fault in ``exchange.square_outside``
+cannot pass both.  The run's coloring must equal the
+``colorer._layout`` of its own vertex sets, with int ids, with its
+radius-2 classes those parts and its radius-1 classes the vertices on
+side 1 and on side 2 (each id range-checked before it indexes the side
+list), and its classes, in host ids, must lie within the result's
+classes at the same positions.  The result's coloring must be the
+layout of its own vertex sets on the graph's vertices, with int ids,
+and verify; an error ``verify`` raises on it becomes an AuditError.  Used by the test suite
 to certify that every committed move strictly increased the potential
 and that every terminal state satisfies the structural invariants.
 """
@@ -56,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .colorer import _RESTART_ATTEMPTS, CLASS_LABELS, CLASS_RADII, ColorResult, CoreRun, _layout
+from .colorer import _RESTART_ATTEMPTS, CLASS_RADII, ColorResult, CoreRun, _layout
 from .exchange import (
     OUTSIDE,
     ExchangeError,
@@ -68,7 +69,7 @@ from .exchange import (
     evaluate_move,
 )
 from .graph import Graph, GraphError, induced
-from .verify import PackingColoring, _class_violations, verify
+from .verify import PackingColoring, _clean, _close_pairs, verify
 from .weights import compute_weights, inside_potential
 
 
@@ -158,10 +159,10 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
         if h1 & h2 or not {*map(type, h1 | h2)} <= {int} or not _holds_side(h1 | h2, state.side, OUTSIDE):
             raise AuditError("square bipartition does not partition the outside")
         # the replay kept both sides independent, so only the square parts can clash
-        for label, r, part in zip(CLASS_LABELS[2:], CLASS_RADII[2:], (h1, h2)):
-            close = _class_violations(core, label, r, part)
+        for r, part in zip(CLASS_RADII[2:], (h1, h2)):
+            close = not _clean(core.adj, part, r) and _close_pairs(core, part, r)
             if close:
-                a, b = close[0].pair
+                a, b = min(close)
                 raise AuditError(f"outside vertices {a} and {b} share a radius-2 part but are within distance 2")
         coloring = run.coloring
         sets = [c.vertices for c in coloring.classes]

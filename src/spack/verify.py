@@ -22,10 +22,9 @@ members' neighbour lists, concatenated.  The set-test lemma:
 
 A class that fails its test, and every class of radius 4 or more, goes
 to the half-radius walk below, which is the only part of ``verify``
-that lists violating pairs and their distances.  ``_class_violations``
-is that per-class step, set test then walk, and ``verify`` runs it on
-each class in turn; the audit runs the same step on a core run's two
-square parts, the only classes its replay leaves unproved.
+that lists violating pairs and their distances.  The audit runs the
+same two steps, ``_clean`` and then ``_close_pairs``, on a core run's
+two square parts, the only classes its replay leaves unproved.
 
 The partition check is one comparison when it holds: class sizes that
 sum to n and a union equal to ``0 .. n - 1`` leave no vertex missing,
@@ -139,8 +138,15 @@ def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
         missing, multiply_assigned = _partition_faults(coloring, n)
 
     violations = []
+    adj = g.adj
     for cls in coloring.classes:
-        violations += _class_violations(g, cls.label, cls.radius, cls.vertices)
+        if _clean(adj, cls.vertices, cls.radius):
+            continue
+        close = _close_pairs(g, cls.vertices, cls.radius)
+        if close:
+            violations.extend(
+                Violation(cls.label, cls.radius, pair, close[pair]) for pair in sorted(close)
+            )
     ok = not violations and not missing and not multiply_assigned
     return VerifyResult(ok, violations, missing, multiply_assigned)
 
@@ -163,21 +169,6 @@ def _partition_faults(coloring: PackingColoring, n: int) -> tuple[list[int], lis
     missing = [v for v, k in enumerate(hits) if k == 0] if 0 in hits else []
     multiply_assigned = [v for v, k in enumerate(hits) if k > 1] if max(hits, default=0) > 1 else []
     return missing, multiply_assigned
-
-
-def _class_violations(g: Graph, label: str, r: int, members: frozenset[int]) -> list[Violation]:
-    """The violating pairs of one class, ordered by (smaller id, larger id).
-
-    The one per-class step of ``verify``: the set test, then, only for a
-    class that fails it, the half-radius walk.  Every member must be an
-    int in ``0 .. g.n - 1``, as for ``_close_pairs``.  The audit runs it
-    on a core run's two square parts alone, since its replay has already
-    shown the two sides independent.
-    """
-    if _clean(g.adj, members, r):
-        return []
-    close = _close_pairs(g, members, r)
-    return [Violation(label, r, pair, close[pair]) for pair in sorted(close)]
 
 
 def _clean(adj: tuple[tuple[int, ...], ...], members: frozenset[int], r: int) -> bool:
