@@ -41,16 +41,20 @@ def _dedup(n: int, edge_sets: list[tuple[tuple[int, int], ...]]) -> list[tuple[t
     return out
 
 
+def _degrees(n: int, edges: tuple[tuple[int, int], ...]) -> list[int]:
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    return degree
+
+
 def enumerate_connected_subcubic(max_n: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:
     levels: dict[int, list[tuple[tuple[int, int], ...]]] = {1: [()]}
     for n in range(2, max_n + 1):
         grown: list[tuple[tuple[int, int], ...]] = []
         for edges in levels[n - 1]:
-            degree = [0] * (n - 1)
-            for u, v in edges:
-                degree[u] += 1
-                degree[v] += 1
-            low = [v for v in range(n - 1) if degree[v] <= 2]
+            low = [v for v, d in enumerate(_degrees(n - 1, edges)) if d <= 2]
             for size in (1, 2, 3):
                 for combo in itertools.combinations(low, size):
                     grown.append(tuple(sorted(edges + tuple((v, n - 1) for v in combo))))
@@ -84,14 +88,6 @@ def main() -> int:
     args.out.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} graphs to {args.out}")
     return 0
-
-
-def _degrees(n: int, edges: tuple[tuple[int, int], ...]) -> list[int]:
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    return degree
 
 
 if __name__ == "__main__":

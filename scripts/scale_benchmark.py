@@ -7,13 +7,14 @@ subdivision-lift time, committed moves, restart attempts).  The lift
 column times the certification of the corollary on S(G):
 ``derive_subdivision_coloring``, then ``subdivide``, then ``verify`` of
 the lifted coloring.  Validation stays on, as in ``color_graph``'s
-defaults.  Each cell's graph is generated three times, then colored,
-verified, audited and lifted three times; the generation time and each
-of the four timings is the median of its three runs, since single runs
-of the same cell can differ by more than the changes the ladder is meant
-to show.  A generation that differs from the cell's first graph raises
-``RuntimeError``.  The default sizes are the n = 10^3, 10^4, 10^5
-ladder (about 30 s on one core); ``--sizes`` picks others.
+defaults.  Each stage of a cell (generate, color, verify, audit, lift)
+runs at least three times and until its calls have taken ``MIN_STAGE_S``
+in all, and its timing is the median time of one call: a cell at
+n = 10^3 takes about a millisecond per call, and a median of three such
+calls mostly measures scheduling.  Verify, audit and lift check the
+first coloring.  A call whose result differs from its stage's first
+raises ``RuntimeError``.  The default sizes are the n = 10^3, 10^4,
+10^5 ladder (about 30 s on one core); ``--sizes`` picks others.
 
 With ``--json PATH`` it also writes the ladder to PATH: per cell the
 size, density, generation time (apart from the rest), the four timings,
@@ -54,7 +55,8 @@ from spack.gen import random_subcubic
 from spack.graph import Graph, subdivide
 from spack.verify import derive_subdivision_coloring, verify
 
-REPEATS = 3  # each cell's five timings are the median of this many runs
+REPEATS = 3  # each stage runs at least this often
+MIN_STAGE_S = 0.1  # and until its calls have taken this long in all
 
 
 def _load_speed_sample():
@@ -82,47 +84,49 @@ def density_ladder(n: int) -> list[tuple[str, int]]:
     ]
 
 
+def per_call(name: str, stage, where: str):
+    """Run ``stage`` at least REPEATS times and until its calls take MIN_STAGE_S in all.
+
+    Returns the first call's result and the median wall time of one
+    call.  Raises RuntimeError when a later call returns something else,
+    which no stage of this deterministic pipeline does.
+    """
+    first, times = None, []
+    while len(times) < REPEATS or sum(times) < MIN_STAGE_S:
+        start = time.perf_counter()
+        out = stage()
+        times.append(time.perf_counter() - start)
+        if len(times) == 1:
+            first = out
+        elif out != first:
+            raise RuntimeError(f"{name} gave a different result at {where}")
+    return first, statistics.median(times)
+
+
 def time_stages(g: Graph, where: str) -> tuple[ColorResult, dict[str, float]]:
-    """Color, verify, audit and lift ``g`` once; the wall time of each stage."""
-    start = time.perf_counter()
-    result = color_graph(g)
-    t_color = time.perf_counter() - start
-    start = time.perf_counter()
-    report = verify(g, result.coloring)
-    t_verify = time.perf_counter() - start
+    """Color, verify, audit and lift ``g``; the coloring and each stage's time per call."""
+    result, t_color = per_call("color_graph", lambda: color_graph(g), where)
+    report, t_verify = per_call("verify", lambda: verify(g, result.coloring), where)
     if not report.ok:
         raise RuntimeError(f"invalid coloring at {where}")
-    start = time.perf_counter()
-    audit_color_result(g, result)
-    t_audit = time.perf_counter() - start
-    start = time.perf_counter()
-    lifted = derive_subdivision_coloring(g, result.coloring)
-    sg, _ = subdivide(g)
-    lifted_report = verify(sg, lifted)
-    t_lift = time.perf_counter() - start
+    _, t_audit = per_call("audit_color_result", lambda: audit_color_result(g, result), where)
+
+    def lift():
+        lifted = derive_subdivision_coloring(g, result.coloring)
+        sg, _ = subdivide(g)
+        return verify(sg, lifted)
+
+    lifted_report, t_lift = per_call("the lift", lift, where)
     if not lifted_report.ok:
         raise RuntimeError(f"invalid S(G) coloring at {where}")
     return result, {"color_s": t_color, "verify_s": t_verify, "audit_s": t_audit, "lift_s": t_lift}
 
 
-def time_generate(n: int, m: int, seed: int, where: str) -> tuple[Graph, float]:
-    """Generate the cell's graph REPEATS times; the graph and the median wall time."""
-    graphs, times = [], []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        graphs.append(random_subcubic(n, m, seed=seed, require_non_cubic=True))
-        times.append(time.perf_counter() - start)
-    if any(g != graphs[0] for g in graphs):
-        raise RuntimeError(f"random_subcubic gave different graphs at {where}")
-    return graphs[0], statistics.median(times)
-
-
 def bench_one(n: int, m: int, label: str, seed: int) -> dict:
     before = speed_sample()
     where = f"n={n} m={m} seed={seed}"
-    g, t_generate = time_generate(n, m, seed, where)
-    result, first = time_stages(g, where)
-    samples = [first] + [time_stages(g, where)[1] for _ in range(REPEATS - 1)]
+    g, t_generate = per_call("random_subcubic", lambda: random_subcubic(n, m, seed=seed, require_non_cubic=True), where)
+    result, times = time_stages(g, where)
     ref_ms = 1000 * statistics.median((before, speed_sample()))
     runs = [comp.core_run for comp in result.components if comp.core_run is not None]
     kinds = Counter(type(record.move).__name__ for run in runs for record in run.moves)
@@ -131,7 +135,7 @@ def bench_one(n: int, m: int, label: str, seed: int) -> dict:
         "m": m,
         "density": label,
         "generate_s": t_generate,
-        **{stage: statistics.median(t[stage] for t in samples) for stage in first},
+        **times,
         "moves": {kind.__name__: kinds[kind.__name__] for kind in get_args(Move)},
         "attempts": max((run.attempts for run in runs), default=0),
         "ref_ms": ref_ms,

@@ -1,14 +1,10 @@
 """Constructive (1,1,2,2)-packing colorings of non-3-regular subcubic
 graphs, an exact small-graph oracle, and supporting tooling.
 
-The main entry points are :func:`color_graph` (constructive coloring),
-:func:`verify` (S-packing coloring checker), :func:`decide` /
-:func:`chi_rho` (exact backtracking oracle), and
-:func:`derive_subdivision_coloring` (lift a (1,1,2,2) coloring of G to
-a (1,2,3,4,5) coloring of its subdivision).  The package re-exports
-them with their option, result and error types and the graph I/O.  The
-stages of the search (peeling, weights, the exchange state and its
-moves) stay in their modules: ``spack.colorer``, ``spack.weights`` and
+The package re-exports :func:`color_graph`, :func:`verify`,
+:func:`decide`, :func:`chi_rho` and :func:`derive_subdivision_coloring`
+with their option, result and error types and the graph I/O; the
+stages of the search stay in ``spack.colorer``, ``spack.weights`` and
 ``spack.exchange``.
 """
 from .colorer import ColorOptions, ColorResult, CubicComponentError, color_graph

@@ -1,63 +1,34 @@
 """Independent replay audits of coloring runs.
 
-Re-executes a recorded exchange run from its recorded side list alone,
-under weights re-derived from the core (``weights.compute_weights``),
-which must equal the recorded ones.  The replay goes through the
-search's own checks, which reject malformed input themselves:
-``exchange._state_from_sides`` takes the side list only when it holds an
-int (not a bool) 0, 1 or 2 for each core vertex, and rebuilds its
-neighbour counts from it, not from the record, so a forged count can
-neither fail a sound run nor hide a fault; ``exchange.evaluate_move``
-takes a move record only when it is a move that names core vertices
-(ints in 0..n-1), a side of 1 or 2, for a Deg3Exchange a hub next to
-its entering vertex and for a PathSwap a cross that is None or an end of
-its path, and validates it before it is committed in place.  The run's
-``attempts`` must be an int (not a bool) in 1 ..
-``colorer._RESTART_ATTEMPTS``, and the recorded side list must be the
-greedy start of that attempt, ``exchange._start_sides`` under the seed
-``colorer.color_core`` gives it (None for attempt 1, k - 1 for attempt
-k).  A recorded field of the wrong type, which the replay cannot read,
-raises AuditError too.  The potential is recounted from scratch at the
-start and at the end of the replay; in between, every move goes
-through the search's own checked commit (``exchange.checked_commit``),
-whose touched check always runs: the potential change must equal a count
-over the vertices whose side it changed (``weights.touched_potential``),
-which equals a recount by induction from the first anchor.  The replayed
-final sides and potential must equal the recorded ones.  The audit then
-re-checks the fixpoint structure on the replayed state.
+``audit_core_run`` replays a recorded exchange run from its recorded
+side list alone, under weights re-derived from the core, through the
+search's own checks: ``exchange._state_from_sides`` on the side list,
+``exchange.evaluate_move`` on each move record and
+``exchange.checked_commit`` on each commit.  The start must be the one
+``exchange._start_sides`` builds for the recorded attempt
+(``colorer._attempt_seed``), the potential is recounted from scratch at
+both ends, and the final state must be the recorded one and pass the
+fixpoint checks.
 
-By then the replay has proved most of the final layout.  The side list
-held one int 0, 1 or 2 per vertex at the start, and every commit writes
-only those values, so the two sides and the outside partition the core.
-Both sides were independent at the start, and every commit passed
-``exchange._evaluate_plan``, which rejects a mover that would share a
-side with a neighbour, so both are still independent: that is all a
-radius-1 verify of them would check.  That proof runs the search's own
-``_evaluate_plan``, so a fault there that let a mover share a side
-would pass the search and this core check alike; the one independent
-check of the radius-1 classes is the final ``verify`` of the result on
-the graph.  What is left is checked here: the square parts must
-partition the outside, and each goes through the per-class steps of
-``verify``, the set test ``verify._clean`` and then the walk
-``verify._close_pairs``, as a radius-2 class on the core, without the
-search's outside square, so a fault in ``exchange.square_outside``
-cannot pass both.  The run's coloring must equal the
-``colorer._layout`` of its own vertex sets, with int ids, with its
-radius-2 classes those parts and its radius-1 classes the vertices on
-side 1 and on side 2 (each id range-checked before it indexes the side
-list), and its classes, in host ids, must lie within the result's
-classes at the same positions.  The result's coloring must be the
-layout of its own vertex sets on the graph's vertices, with int ids,
-and verify; an error ``verify`` raises on it becomes an AuditError.  Used by the test suite
-to certify that every committed move strictly increased the potential
-and that every terminal state satisfies the structural invariants.
+The replay thereby proves that the sides and the outside partition the
+core (the start holds 0, 1 or 2 per vertex, and so does every commit)
+and that both sides are independent (every commit passed
+``exchange._evaluate_plan``).  That proof shares ``_evaluate_plan`` with
+the search, so the final ``verify`` of the result on the graph is the
+one independent check of the radius-1 classes.  Only the square parts
+are left: they must partition the outside, and each must pass
+``verify``'s own per-class steps (``verify._clean``, then
+``verify._close_pairs``) as a radius-2 class on the core, so a fault in
+``exchange.square_outside`` cannot pass both.  The run's coloring must
+be the ``colorer._layout`` of those sides and parts, with int ids.
+``audit_color_result`` ties the runs to the result and verifies it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
 
-from .colorer import _RESTART_ATTEMPTS, CLASS_RADII, ColorResult, CoreRun, _layout
+from .colorer import _RESTART_ATTEMPTS, CLASS_RADII, ColorResult, CoreRun, _attempt_seed, _layout
 from .exchange import (
     OUTSIDE,
     ExchangeError,
@@ -129,7 +100,7 @@ def audit_core_run(core: Graph, run: CoreRun) -> AuditReport:
         if state.potential != run.initial.potential:
             raise AuditError(f"initial potential {run.initial.potential} != recount {state.potential}")
         try:
-            start = _start_sides(core, w, None if attempts == 1 else attempts - 1)
+            start = _start_sides(core, w, _attempt_seed(attempts))
         except ExchangeError as err:
             raise AuditError(f"core run: {err}") from err
         if state.side != start:

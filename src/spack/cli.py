@@ -3,12 +3,10 @@
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain failure (uncolorable component, UNSAT, verification failure),
 2 malformed input or parameters, 3 search budget exhausted: the
-``--budget`` of ``exact`` or ``chi-rho``, or the exchange search's move
-budget, which the potential argument says cannot run out.  The one
-setting of ``color``'s search is ``--fallback-exact``; its oracle runs
-with the default node budget.  No subcommand reads an environment
-variable.  Graph input defaults to graph6 on stdin; ``-`` means stdin
-anywhere a file is expected.
+``--budget`` of ``exact`` or ``chi-rho``, or the exchange search's step
+budget (``exchange.run_to_fixpoint``).  No subcommand reads an
+environment variable.  Graph input defaults to graph6 on stdin; ``-``
+means stdin anywhere a file is expected.
 """
 from __future__ import annotations
 
@@ -62,13 +60,6 @@ def _add_input_options(sp) -> None:
     sp.add_argument(
         "--format", choices=("g6", "edges"), default="g6", help="graph input format"
     )
-
-
-def _emit_graph(g, fmt: str) -> None:
-    if fmt == "edges":
-        sys.stdout.write(encode_edge_list(g))
-    else:
-        print(encode_graph6(g))
 
 
 def _cmd_color(args) -> int:
@@ -175,7 +166,10 @@ def _cmd_gen(args) -> int:
     g = generate(
         args.family, n=args.n, m=args.m, seed=args.seed, require_non_cubic=args.non_cubic
     )
-    _emit_graph(g, args.out_format)
+    if args.out_format == "edges":
+        sys.stdout.write(encode_edge_list(g))
+    else:
+        print(encode_graph6(g))
     return 0
 
 

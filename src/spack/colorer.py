@@ -1,30 +1,10 @@
-"""End-to-end (1,1,2,2)-packing coloring of subcubic graphs.
+"""End-to-end (1,1,2,2)-packing coloring of subcubic graphs: ``color_graph``.
 
-``color_graph`` works in the host graph's ids throughout.  It peels the
-whole graph once: vertices of current degree <= 1 are stripped, lowest
-id first, down to the min-degree-2 core.  A vertex's degree drops only
-through peels in its own component, so each component's share of the
-trace, in order, is the trace of peeling that component alone, and its
-share of the core is its own core.  A 3-regular component peels nothing
-and goes to the exact oracle (when enabled).  Every other component's
-core, when not empty, is induced from the host graph and split by the
-potential-increasing exchange search, and the outside of the split is
-2-colored in the square graph.  No other component reaches the oracle:
-when the exchange search stays stuck through every restart, its
-StuckError surfaces.
-
-Each core run keeps its classes in the core's own dense ids; they, and
-each oracle witness, are mapped to host ids once and merged label-wise,
-which is safe because vertices in different components are at infinite
-distance.  Last, ``_reattach`` replays the whole trace in reverse into
-the radius-1 classes, the rule that ``extend_coloring`` applies to a
-finished coloring.
-
-``_layout`` builds every coloring here: the classes of
-``SEQUENCE_1122`` in order, labelled by ``exact.class_labels`` as
-``decide`` labels them, ``1_a``/``1_b`` (radius 1) and ``2_a``/``2_b``
-(radius 2); classes may be empty.  It runs once per core run and once
-per result.
+It works in the host graph's ids throughout: the peel is split by
+component (``_split_by_component``), each component's core is colored
+by ``color_core``, and the classes of every component are mapped to
+host ids once and merged label-wise, which is safe because vertices in
+different components are at infinite distance.
 """
 from __future__ import annotations
 
@@ -78,17 +58,13 @@ class ColorOptions:
     ``fallback_exact`` lets 3-regular components go to the exact oracle.
 
     The constants are fields that callers cannot set (``init=False``),
-    only because the benchmark's replay reads them as ``options.<name>``.
-    ``exact_budget`` is the oracle's default node budget
-    (``exact.DEFAULT_BUDGET``), and ``fallback_max_n`` caps the size of
-    a 3-regular component sent to the oracle; ``spack exact --budget``
-    runs the oracle on such a component with any other budget.
-    ``max_moves`` is None: the exchange-step budget is always
-    (m + 1)(sum of weights + 1) commits per run on a core with m edges
-    (``run_to_fixpoint``).  ``validate`` is True: the exchange search
-    always recounts the potential and checks the fixpoint structure.
-    ``restart_attempts`` is the number of starts ``color_core`` always
-    allows.
+    only because ``perfbench/replay.py`` reads them as ``options.<name>``
+    and passes the ``max_moves``, ``validate`` and ``restart_attempts``
+    keywords of ``run_to_fixpoint`` and ``color_core``, which nothing
+    reads.  ``exact_budget`` is the oracle's node budget (``spack exact
+    --budget`` takes another) and ``fallback_max_n`` caps the size of a
+    component sent to it; the other three are what the search always
+    does.
     """
 
     fallback_exact: bool = False
@@ -209,33 +185,36 @@ def extend_coloring(
     return PackingColoring(coloring.n, tuple(classes))
 
 
+def _attempt_seed(k: int) -> int | None:
+    """The seed of ``initial_state`` at attempt k of ``color_core``: None for k = 1, else k - 1."""
+    return None if k == 1 else k - 1
+
+
 def color_core(
     g: Graph,
     w: list[int] | tuple[int, ...],
     *,
     max_moves: int | None = None,
     validate: bool = True,
-    restart_attempts: int = 12,
+    restart_attempts: int = _RESTART_ATTEMPTS,
 ) -> CoreRun:
     """Color a connected, non-3-regular graph of minimum degree 2.
 
     Runs the exchange search to a fixpoint and reads off the classes:
     the two sides become the radius-1 classes, the two parts of the
     outside square bipartition the radius-2 classes.  A run can end on
-    an odd outside cycle with no strict-increase swap; the search then
-    restarts from a seeded greedy state (deterministic seeds 1, 2, ...),
-    and only after 12 starts in all does the last StuckError escape.
-
-    Nothing reads ``max_moves``, ``validate`` or ``restart_attempts``:
-    the search always takes the potential's bound as its step budget
-    (``run_to_fixpoint``), always validates and always allows 12 starts.
-    The three keywords are kept only because the benchmark's replay
-    passes them (as None, True and 12).
+    an odd outside cycle with no strict-increase swap (StuckError); the
+    search then restarts.  Attempt k starts from ``initial_state`` under
+    ``_attempt_seed(k)``: the unseeded greedy state first, then seeds 1,
+    2, ...; after ``_RESTART_ATTEMPTS`` (12) attempts the last
+    StuckError escapes.  The restarts cover the rare starting states
+    that are local optima of the potential.  The keywords are read by
+    nothing (``ColorOptions``).
     """
     w = list(w)
     last_stuck: StuckError | None = None
-    for attempt in range(_RESTART_ATTEMPTS):
-        start = initial_state(g, w, seed=None if attempt == 0 else attempt)
+    for attempt in range(1, _RESTART_ATTEMPTS + 1):
+        start = initial_state(g, w, seed=_attempt_seed(attempt))
         try:
             fixed = run_to_fixpoint(g, w, start)
         except StuckError as stuck:
@@ -243,7 +222,7 @@ def color_core(
             continue
         s, sq = fixed.state, fixed.square_bipartition
         coloring = _layout(g.n, (s.s1, s.s2, sq.h1, sq.h2))
-        return CoreRun(coloring, tuple(w), start, s, sq, tuple(fixed.moves), attempts=attempt + 1)
+        return CoreRun(coloring, tuple(w), start, s, sq, tuple(fixed.moves), attempts=attempt)
     raise last_stuck
 
 
@@ -267,7 +246,12 @@ def _oracle_component(g: Graph, options: ColorOptions, host: tuple[int, ...]) ->
 def _split_by_component(
     n: int, comps: list[tuple[int, ...]], core: tuple[int, ...], trace: tuple[PeelStep, ...]
 ) -> list[tuple[tuple[int, ...], tuple[PeelStep, ...]]]:
-    """Each component's share of the whole graph's core and peel trace, in order."""
+    """Each component's share of the whole graph's core and peel trace, in order.
+
+    A vertex's degree drops only through peels in its own component, so
+    a component's share of the trace, in order, is the trace of peeling
+    that component alone, and its share of the core is its own core.
+    """
     label = [0] * n
     for i, comp in enumerate(comps):
         for v in comp:
@@ -283,9 +267,10 @@ def _split_by_component(
 def color_graph(g: Graph, options: ColorOptions | None = None) -> ColorResult:
     """Produce a (1,1,2,2)-packing coloring of a subcubic graph.
 
-    Peels the whole graph once and colors each component's core in
-    turn, in component order; 3-regular components need the oracle
-    fallback enabled (CubicComponentError otherwise, also raised for
+    Peels the whole graph once, colors each component's core in turn,
+    in component order, and reattaches the peel (``_reattach``);
+    3-regular components, which peel nothing, need the oracle fallback
+    enabled (CubicComponentError otherwise, also raised for
     oracle-refuting components such as the Petersen graph).  The oracle
     sees no other component: a StuckError from the exchange search
     propagates.  The result always carries the four classes 1_a, 1_b,

@@ -1,40 +1,12 @@
 """Exact backtracking decision of S-packing colorability for small graphs.
 
-`decide` answers whether a graph admits a packing coloring with a given
-radius sequence, producing an explicit coloring on success.  `chi_rho`
-computes the packing chromatic number by trying (1), (1,2), (1,2,3), ...
-up to a limit.
-
-The search is iterative: an explicit array holds the class committed at
-each depth, and backtracking resumes at the next class, so no depth
-limit or recursion limit applies.  Conflicts are tested on bitmasks.
-Each vertex's distance ball at every radius comes from one recurrence
-over the adjacency lists: the closed ball at radius r is the one at
-r - 1 joined with its neighbours' balls at r - 1.  So the oracle shares
-no search code with ``graph.bfs``, the solvers' breadth-first search,
-and the tests check its masks against a reference BFS.  For each class
-the search keeps the vertices it bars: its members and every vertex
-within its radius of one.  Symmetric branches are skipped by only
-opening an empty class when every earlier class of the same radius is
-already used.
-
-After each commit a dead-vertex check ANDs every class's barred set
-into the vertices still to be placed.  A vertex left over can join no
-class, now or deeper down, since barred sets only grow along a branch;
-the commit is undone at once (it still counts as a node) and the next
-class is tried.  The check cuts only subtrees that hold no coloring,
-so the search meets the same first coloring, in the same order, as
-one without it: verdicts and witnesses do not change, node counts only
-fall.
-
-Vertices are placed in a static constrained-first order: next comes the
-unplaced vertex with the most already-placed vertices within distance
-2, ties going to the higher degree and then to the lower id, so the
-first vertex is the lowest-id one of highest degree.  The order depends
-on the graph alone.  `decide` builds the masks and the order for its
-one sequence; `chi_rho` builds them once for radii 1..k_max and
-searches every k on them, each k exactly as ``decide(g, (1, ..., k))``
-would.
+`decide` and `chi_rho` share one search, ``_search``.  It is
+iterative, so no recursion limit applies, and tests conflicts on
+bitmasks.  Its distance masks come from a recurrence of its own
+(``_balls``), so the oracle shares no search code with ``graph.bfs``,
+the solvers' breadth-first search, and the tests check its masks
+against a reference BFS.  It places vertices in a static
+constrained-first order that depends on the graph alone (``_order``).
 
 Intended for small instances; the node budget turns runaway searches
 into an explicit inconclusive outcome instead of a hang.
@@ -161,7 +133,8 @@ def _bits(mask: int):
 def _order(g: Graph, near: list[int]) -> list[int]:
     """Constrained-first vertex order: next is the unplaced vertex with the
     most placed vertices in ``near`` (its distance-2 mask), then the
-    higher degree, then the lower id.
+    higher degree, then the lower id, so the first vertex is the
+    lowest-id one of highest degree.
 
     Counts only grow, so a heap entry whose count is stale is skipped
     when popped instead of being updated in place.
@@ -199,9 +172,15 @@ def _search(
 
     ``masks[d][i]`` is the radius-``seq[i]`` mask of the vertex placed at
     depth d; a longer tuple is fine, only its first len(seq) entries are
-    read.  ``nodes`` counts every commit, a commit the dead-vertex check
-    undoes at once included, and the budget trips on the commit that
-    passes it.
+    read.
+
+    After each commit a dead-vertex check ANDs every class's barred set
+    into the vertices still to be placed.  A vertex left over can join
+    no class, now or deeper down, since barred sets only grow along a
+    branch; the commit is undone at once and the next class is tried.
+    The check cuts only subtrees that hold no coloring, so the search
+    meets the same first coloring, in the same order, as one without
+    it: verdicts and witnesses do not change, node counts only fall.
     """
     n, k = len(order), len(seq)
     labels = class_labels(seq)

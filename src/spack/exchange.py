@@ -1,61 +1,17 @@
 """Potential-increasing exchange search for a (1,1,2,2)-friendly bipartition.
 
 The state splits the vertices of a connected, non-3-regular graph of
-minimum degree 2 into two independent sets ``s1``/``s2`` plus an
-``outside`` remainder.  Moves reshape the split while strictly
-increasing the potential (edges inside s1|s2 first, then total weight),
-so the search terminates.  At a fixpoint with no move left, the square
-graph restricted to the outside is bipartite; its two parts become the
-radius-2 color classes while s1/s2 become the radius-1 classes.
-
-The four cheap move kinds (Absorb, Flip, Deg3Exchange,
-SameSideExchange) each have a rule, which says where a move exists, and
-a builder, which makes the one move the rule promises; the search keeps
-a dirty-flag worklist per kind instead of rescanning every vertex after
-each commit.  The rules: Absorb, an outside vertex with no neighbor on
-some side; Flip, an outside vertex with a side whose neighbors there
-have no neighbor across; SameSideExchange, an outside vertex whose three
-S-neighbors split 2 + 1 and whose lone neighbor has S-degree at most 1
-or is lighter; Deg3Exchange, a hub, a degree-3 vertex of S with no
-neighbor in S.  A flag is set exactly where its rule holds.  Where the
-first three rules hold their built moves provably raise the potential,
-and a hub is tried only once no Absorb or Flip rule holds anywhere, when
-its built move provably raises the potential too (the hub lemma, at
-``_Worklist``), so every set flag yields a move.  The three outside
-rules have one evaluator, ``_outside_sides``, which answers them all
-from one read of an outside vertex's neighbors; the hub rule is the one
-rule of S.  One re-flag pass sets all four flags of a vertex from the
-evaluator of its side of the split.  A commit changes the sides of a
-few vertices, and the rules read sides within distance 1, 2, 2 and 1 of
-v, so after each commit the pass runs once on the vertices within
-distance 2 of a changed one and nowhere else.  The worklist thus
-returns the same move, in the same order, as a full scan of the kinds
-in priority order and the vertices in ascending id.
-
-Every candidate move goes through checked application: independence and
-a strict potential increase are validated before any commit, so a proof
-edge case can only ever surface as a ``StuckError`` diagnostic, never as
-a corrupt state.  Each move is evaluated once, by one walk that checks
-both; the search commits the evaluated plan in place.  ``evaluate_move``
-is that one validation of every move, the search's own and any given
-from outside, and ``commit_move`` that commit.  It first rejects a
-malformed move (``_move_plan``): one that is no move, that names an id
-outside 0..n-1 or a side other than 1 or 2, whose Deg3Exchange hub
-is no hub next to its entering vertex, or whose PathSwap cross is no
-end of its path; so the audit's replay keeps no checker of its own.
-The search and the audit's replay both commit through
-``checked_commit``, which checks every commit on the vertices it
-touches (``weights.touched_potential``) rather than by an O(n) recount;
-the from-scratch recount, which always runs, anchors that check at the
-start and at every cheap-move fixpoint.
-
-``initial_state`` builds its greedy side list once (``_start_sides``,
-which the audit also runs to rebuild a run's start) and hands it to
-``_state_from_sides``, the from-scratch count the audit also runs on a
-recorded side list: it rejects a list that is not one int 0, 1 or 2 per
-vertex, and every neighbor count, the independence of both sides and
-the potential are counted again from the side list, so the start state
-is validated as any state from outside is.
+minimum degree 2 into two independent sides, s1 and s2, and an outside
+remainder.  Every committed move strictly raises the potential (inside
+edges, then inside weight), so the search ends (``run_to_fixpoint``)
+where the square of the graph on the outside is bipartite.  Each rule is
+stated where its code makes it true: the cheap moves at
+``_outside_sides``, ``_hub_side`` and ``_Worklist`` (with the hub lemma)
+and ``_Worklist.touch``; malformed moves at ``_move_plan``; side lists
+at ``_state_from_sides``; the checked commit at ``checked_commit`` and
+``run_to_fixpoint``; the square stage at ``_swap_candidates_for_cycle``.
+``evaluate_move`` and ``checked_commit`` validate and commit every move,
+the search's own and those the audit replays.
 """
 from __future__ import annotations
 
@@ -110,10 +66,7 @@ class BipartitionState:
     """Mutable partition of vertices into s1 / s2 / outside.
 
     ``nbr[s][v]`` caches how many neighbors of v currently sit on side s
-    (0 = outside, 1 or 2).  Every commit is checked against a count over
-    the vertices it touches, so the cached potential matches a recount.
-    The search commits moves into its own copy in place, so the caller's
-    state stays as it was.
+    (0 = outside, 1 or 2); ``checked_commit`` checks ``potential``.
     """
 
     side: list[int]  # 0 = outside, 1, 2
@@ -188,8 +141,7 @@ class CycleSwap:
 
 @dataclass(frozen=True)
 class PathSwap:
-    """Swap a cycle segment onto one side for the S-neighbors it
-    displaces.
+    """Swap a cycle segment onto one side for the S-neighbors it displaces.
 
     When ``cross`` names an endpoint of the path, that endpoint enters
     the opposite side instead; this resolves cycles closed by a genuine
@@ -240,6 +192,10 @@ def _state_from_sides(g: Graph, w: list[int], side: list[int]) -> BipartitionSta
 
     Raises InvalidStateError unless ``side`` holds an int (not a bool)
     0, 1 or 2 for each vertex of ``g`` and both sides are independent.
+    Everything is counted from ``side`` alone, so the search's start and
+    a side list the audit replays from a record are checked alike, and a
+    forged count in a record can neither fail a sound run nor hide a
+    fault.
     """
     if len(side) != g.n or not {*map(type, side)} <= {int} or not {*side} <= {0, 1, 2}:
         raise InvalidStateError(f"not a side list of length {g.n} over 0, 1 and 2")
@@ -257,12 +213,7 @@ def _state_from_sides(g: Graph, w: list[int], side: list[int]) -> BipartitionSta
 
 
 def initial_state(g: Graph, w: list[int], seed: int | None = None) -> BipartitionState:
-    """Greedy bipartition to start the exchange from: the state on ``_start_sides``.
-
-    The side list built there is the state's own; its neighbor counts,
-    independence and potential are still counted from scratch, as the
-    audit counts them on a recorded side list.
-    """
+    """Greedy bipartition to start the exchange from: ``_state_from_sides`` of ``_start_sides``."""
     return _state_from_sides(g, w, _start_sides(g, w, seed))
 
 
@@ -273,9 +224,7 @@ def _start_sides(g: Graph, w: list[int], seed: int | None) -> list[int]:
     id), each landing on side 1 when it has no placed neighbor there, else
     on side 2 when it has none there; vertices blocked on both sides
     start outside.  A seed shuffles the placement order and picks among
-    the open sides instead, giving a different deterministic start for
-    restarting out of the rare fixpoint whose leftover odd cycle admits
-    no strict-increase swap.  The audit rebuilds a run's start here.
+    the open sides instead (``color_core`` gives each attempt its seed).
     """
     if min_degree(g) < 2:
         raise MinDegreeError("initial_state needs minimum degree 2")
@@ -459,13 +408,8 @@ def checked_commit(g: Graph, w: list[int], state: BipartitionState, found: Candi
 
 
 # Each cheap kind has a rule, by which the worklist flags, and a builder.
-# The three rules of outside vertices are answered together, by
-# ``_outside_sides``, and the hub rule by ``_hub_side``; a rule's answer
-# is 0 where it fails, else the side s its move is about, and
-# ``build(g, w, state, v, s)`` returns the one move that s promises.  The
-# built moves validate where their rules hold (``_outside_sides`` gives
-# the counts), the hub move once no Absorb or Flip rule holds (the hub
-# lemma at ``_Worklist``).
+# A rule's answer is 0 where it fails, else the side s its move is
+# about, and ``build(g, w, state, v, s)`` returns the one move s promises.
 
 
 def _outside_sides(g: Graph, w: list[int], state: BipartitionState, x: int) -> tuple[int, int, int]:
@@ -560,7 +504,8 @@ class _Worklist:
     """Dirty flags per cheap move kind over one search's graph, weights and state.
 
     Between commits ``flags[k][v]`` is set exactly where the rule of the
-    kind with flag index k holds at v, and the first set flag of the
+    kind with flag index k holds at v (``_reflag`` over every vertex,
+    then ``touch`` after each commit), and the first set flag of the
     highest-priority kind with one set yields a move.  That move is
     therefore the first move of the full scan (kinds in priority order,
     vertices in ascending id).  For Absorb, Flip and SameSideExchange
@@ -577,13 +522,6 @@ class _Worklist:
     not z.  Trading x for y, with z stepping across when y shares its
     side, changes the inside edges by 2 - s_degree(y) >= 0 and raises
     the weight by w[x] - w[y] = 1.
-
-    One re-flag pass (``_reflag``) sets all four flags of each vertex
-    it visits from one evaluation of that vertex's side of the split:
-    an outside vertex from one ``_outside_sides`` call, a vertex of S
-    from the hub rule.  The flags start as this pass over every vertex;
-    ``touch`` runs it after each commit on the vertices within distance
-    2 of a changed one.
     """
 
     def __init__(self, g: Graph, w: list[int], state: BipartitionState):
@@ -739,7 +677,7 @@ def _find_square_swap(
     odd cycle, is the only cycle tried: its swap candidates are
     validated in order and the first strict increase is returned.
     Raises StuckError, carrying ``state`` and that one cycle, when no
-    candidate validates; the caller then restarts from a new start.
+    candidate validates.
     """
     sq, order = square_outside(g, state)
     result = bipartition_or_odd_cycle(sq)
@@ -803,39 +741,27 @@ def run_to_fixpoint(
 ) -> FixpointResult:
     """Drive the state to a fixpoint whose outside square is bipartite.
 
-    Cheap moves come from a dirty-flag worklist (``_Worklist``), one
-    flag array per kind: each search takes the lowest flagged vertex of
-    the highest-priority kind, and each commit re-flags only the
-    vertices near the ones whose side it changed, so the search returns
-    exactly the move a rescan of every vertex from Absorb would find.
-
-    Once no cheap move is left the outside square graph is built; if it
-    is bipartite we are done, otherwise a validated cycle or path swap
-    is committed and its changed vertices are re-flagged the same way.
+    Cheap moves come from ``_Worklist``, and a swap from
+    ``_find_square_swap`` whenever none is left.
 
     The search commits into its own copy of ``state`` in place, so the
     caller's start state stays as it was.  Every commit goes through
-    ``checked_commit``: the potential change is checked on the vertices
-    whose side the commit changes, without an O(n) recount.  That local
-    check equals a recount by induction from an anchor.  The anchors
-    are the from-scratch ``inside_potential`` recount on the start state
-    and at every cheap-move fixpoint (the last of which is the state
-    returned), and the structural fixpoint invariants are checked next
-    to each.  A fault raises InvalidStateError within the run.
+    ``checked_commit``, whose local check equals a recount by induction
+    from an anchor.  The anchors are the from-scratch ``inside_potential``
+    recount on the start state and at every cheap-move fixpoint (the
+    last of which is the state returned), and the structural fixpoint
+    invariants are checked next to each.  A fault raises
+    InvalidStateError within the run.
 
     The step budget is (m + 1)(sum of w + 1) commits.  Every commit
     strictly increases the potential (inside edges, inside weight) in
     lexicographic order, and both parts are integers in [0, m] and
     [0, sum of w], so a run that exceeds the budget means the potential
-    failed to increase.  Nothing reads ``max_moves`` or ``validate``:
-    the budget is always this bound and the checks always run, and the
-    two keywords are kept only because the benchmark's replay passes
-    them (as None and True).
+    failed to increase.  ``max_moves`` and ``validate`` are read by
+    nothing (``colorer.ColorOptions`` says why they stay).
 
-    Raises StuckError when the square's odd-cycle certificate resists
-    every candidate swap and MoveBudgetExceededError when the step
-    budget runs out; both indicate a bug or an unhandled configuration,
-    never a corrupted state.
+    Raises StuckError (``_find_square_swap``) or MoveBudgetExceededError
+    (the budget above), never leaving a corrupted state.
     """
     budget = (g.edge_count + 1) * (sum(w) + 1)
     records: list[MoveRecord] = []

@@ -2,20 +2,10 @@
 
 Fixed families (cycles, paths, prisms, the Petersen graph) plus seeded
 random subcubic trees and connected subcubic graphs.  Random outputs
-are pure functions of (parameters, seed).  ``random_subcubic`` lists its
-degree-<=2 vertices once from a set and draws extra edges from that list
-as it shrinks in place: CPython never reorders a set on discard, so each
-draw picks what ``list(low)`` rebuilt per edge would pick, at O(log n)
-instead of O(n).
-
-Every draw goes through ``_below``, which calls the generator's bound
-``getrandbits`` just as ``Random.randrange(n)`` does for n >= 1 on
-CPython 3.10 to 3.13 (``randrange`` -> ``_randbelow`` ->
-``_randbelow_with_getrandbits``): n.bit_length() bits, drawn again
-until they fall below n.  So the outputs are those of ``randrange``,
-draw for draw, without its argument checks; ``test_below_is_randrange``
-guards the equality.  A dense graph on 10^5 vertices takes about 0.75 s
-on a 2-vCPU Intel Xeon VM under CPython 3.11.
+are pure functions of (parameters, seed), and every draw goes through
+``_below``, so a seed gives the same graph on CPython 3.10 to 3.13.  A
+dense graph on 10^5 vertices takes about 0.75 s on a 2-vCPU Intel Xeon
+VM under CPython 3.11.
 """
 from __future__ import annotations
 
@@ -59,9 +49,14 @@ def prism(n: int) -> Graph:
 
 
 def _below(bits, n: int) -> int:
-    """The draw ``Random.randrange(n)`` makes for n >= 1, given the
-    bound ``getrandbits`` of the same generator: n.bit_length() bits,
-    drawn again until they fall below n."""
+    """The draw ``randrange(n)`` makes for n >= 1, given its generator's bound ``getrandbits``.
+
+    On CPython 3.10 to 3.13 ``randrange`` calls ``_randbelow``, which is
+    ``_randbelow_with_getrandbits``: it draws n.bit_length() bits, again
+    until they fall below n.  This does the same, so its outputs are
+    those of ``randrange``, draw for draw, without its argument checks;
+    ``test_below_is_randrange`` guards the equality.
+    """
     k = n.bit_length()
     r = bits(k)
     while r >= n:
@@ -113,8 +108,7 @@ def random_subcubic(
     seed: int | None = None,
     require_non_cubic: bool = False,
 ) -> Graph:
-    """Connected subcubic graph: a random spanning tree plus uniformly
-    random extra edges between degree-<=2 vertices.
+    """Connected subcubic graph: a random spanning tree plus random edges between degree-<=2 vertices.
 
     Stops at ``target_m`` edges or when no further edge fits (whichever
     comes first).  With ``require_non_cubic`` a 3-regular outcome is
@@ -130,8 +124,6 @@ def random_subcubic(
         )
     if target_m > min(3 * n // 2, n * (n - 1) // 2):
         raise InfeasibleParamsError(f"target_m={target_m} exceeds the subcubic maximum")
-    if require_non_cubic and n < 2:
-        return build_graph(n, [])
     rng = random.Random(seed)
     for _ in range(64):
         g = _fill_edges(n, target_m, rng)
@@ -209,7 +201,11 @@ def _fill_edges(n: int, target_m: int, rng: random.Random) -> Graph:
     return Graph(n, tuple(map(tuple, map(sorted, adj))))
 
 
-FAMILIES = ("cycle", "path", "petersen", "prism", "random-tree", "random-subcubic")
+# Each family and the parameters of ``generate`` that it reads.
+FAMILIES = {
+    "cycle": ("n",), "path": ("n",), "petersen": (), "prism": ("n",),
+    "random-tree": ("n", "seed"), "random-subcubic": ("n", "m", "seed", "require_non_cubic"),
+}
 
 
 def generate(
@@ -219,21 +215,27 @@ def generate(
     seed: int | None = None,
     require_non_cubic: bool = False,
 ) -> Graph:
-    """Dispatch by family name (see FAMILIES); n/m where applicable."""
+    """Dispatch by family name (see FAMILIES); n/m where applicable.
+
+    Raises InfeasibleParamsError for an unknown family and for any
+    parameter set away from its default that the family does not read,
+    rather than ignore it.
+    """
+    reads = FAMILIES.get(family)
+    if reads is None:
+        raise InfeasibleParamsError(f"unknown family {family!r}")
+    given = {"n": n is not None, "m": m is not None, "seed": seed is not None, "require_non_cubic": require_non_cubic}
+    unread = [name for name, is_set in given.items() if is_set and name not in reads]
+    if unread:
+        raise InfeasibleParamsError(f"family {family!r} does not read {', '.join(unread)}")
     if family == "petersen":
         return petersen()
     if n is None:
         raise InfeasibleParamsError(f"family {family!r} needs n")
-    if family == "cycle":
-        return cycle(n)
-    if family == "path":
-        return path(n)
-    if family == "prism":
-        return prism(n)
     if family == "random-tree":
         return random_tree(n, seed)
     if family == "random-subcubic":
         if m is None:
             m = min(3 * n // 2, max(n - 1, round(1.25 * (n - 1))))
         return random_subcubic(n, m, seed, require_non_cubic)
-    raise InfeasibleParamsError(f"unknown family {family!r}")
+    return {"cycle": cycle, "path": path, "prism": prism}[family](n)

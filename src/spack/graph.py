@@ -1,25 +1,13 @@
 """Immutable simple undirected graphs with dense 0-based vertex ids.
 
-Adjacency lists are kept sorted so that every traversal in the package is
-deterministic.  ``build_graph`` validates and sorts an edge list from
-outside the package (and the fixed families and random trees of
-``spack.gen``).  A graph the package derives (an induced subgraph, a
-subdivision, a decoded graph6 line, an outside square, a random
-subcubic graph) is built as ``Graph(n, adj)`` straight from adjacency
-lists that are sorted, symmetric and loop-free by construction.  A
-subdivision's edge vertex ``n + k`` has the k-th edge ``(u, v)`` as its
-adjacency row, so the subdivided graph itself maps edges to the
-vertices splitting them, and ``subdivide`` builds no dict.  Every
-distance the solvers need beyond two steps comes from one breadth-first
-search, ``bfs``, which writes depths into a flat list that the caller
-owns.  It has three callers: ``components`` (one list shared across
-roots), the weights (one search from every light vertex) and
-``bipartition_or_odd_cycle`` (parts from depth parity).  The two
-checkers are the exceptions: ``spack.verify`` decides most classes by
-set operations over neighbour lists and walks its own half-radius balls
-for the rest, and ``spack.exact`` grows its distance masks by a bitmask
-recurrence, so that a fault in ``bfs`` cannot hide in the checks of the
-colorings built on it.
+Adjacency lists are kept sorted so that every traversal in the package
+is deterministic (``Graph`` says how each graph gets them).
+
+Every distance the solvers need beyond two steps comes from one
+breadth-first search, ``bfs``.  The two checkers do not use it:
+``spack.verify`` walks its own balls and ``spack.exact`` grows its own
+distance masks, so that a fault in ``bfs`` cannot hide in the checks of
+the colorings built on it.
 """
 from __future__ import annotations
 
@@ -186,28 +174,15 @@ def induced(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(Graph(len(order), adj), tuple(order))
 
 
-@dataclass(frozen=True)
-class SubdivisionMap:
-    """Vertex bookkeeping for a subdivision: originals keep their ids.
-
-    The ``n`` original vertices keep ids ``0 .. n - 1``.  By
-    ``subdivide``'s id rule, vertex ``n + k`` splits the k-th edge of the
-    original graph, and its adjacency row in ``subdivision`` is that
-    edge, so the edge-to-vertex map is ``subdivision.adj[n:]`` read in
-    order and needs no field of its own.
-    """
-
-    subdivision: Graph
-    n: int
-
-
-def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
-    """Replace every edge by a length-2 path through a fresh vertex.
+def subdivide(g: Graph) -> tuple[Graph, int]:
+    """Replace every edge by a length-2 path through a fresh vertex: S(G), and g.n.
 
     Original vertices keep their ids; the vertex splitting edge (u, v)
     (with u < v) gets id ``n + k`` where k is the rank of the edge in
-    sorted order, and its adjacency row is ``(u, v)``.  All pairwise
-    distances exactly double.
+    sorted order, and its adjacency row is ``(u, v)``, so S(G) itself
+    maps each edge to the vertex splitting it.  All pairwise distances
+    exactly double.  It returns a pair only because
+    ``perfbench/pipeline.py`` unpacks one.
     """
     edges = list(g.edges())
     # Ids are handed out in edge rank order, so each original vertex
@@ -218,7 +193,7 @@ def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
         original[u].append(k)
         original[v].append(k)
     sub = Graph(g.n + len(edges), tuple(map(tuple, original)) + tuple(edges))
-    return sub, SubdivisionMap(sub, g.n)
+    return sub, g.n
 
 
 @dataclass(frozen=True)
@@ -242,8 +217,7 @@ def bipartition_or_odd_cycle(g: Graph) -> Bipartition | OddCycle:
     by at most one, so an edge whose ends share a part joins two vertices
     of one layer.  The certificate is closed at the first such edge in
     BFS scan order, in the first non-bipartite component, and shortened
-    across chords; it is the one odd cycle the exchange search's square
-    stage tries.
+    across chords.
     """
     depth = [-1] * g.n
     for root in range(g.n):

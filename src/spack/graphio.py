@@ -1,11 +1,8 @@
-"""Graph and coloring serialization.
+"""Graph and coloring serialization: graph6, edge lists and the coloring JSON document.
 
-Supports the standard graph6 text encoding (bit-exact, including the
-long size forms and the optional ``>>graph6<<`` header), a line-based
-edge-list format with an optional "n m" header, and a JSON document for
-packing colorings shared by the CLI subcommands.  Every reader takes
-``str``; callers decode bytes themselves.  ``coloring_to_json`` and
-``coloring_from_json`` are the document's one writer and one reader.
+Every reader takes ``str``; callers decode bytes themselves.
+``coloring_to_json`` and ``coloring_from_json`` are the document's one
+writer and one reader.
 
 A graph6 body holds n(n-1)/2 bits, so only C-level ``bytes`` passes
 scan it whole: one ``translate`` deletes the valid characters to

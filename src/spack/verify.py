@@ -2,8 +2,7 @@
 
 A coloring is a list of classes, each carrying a label, a radius s and a
 vertex set; vertices sharing a class must be pairwise further than s
-apart.  ``verify`` enumerates every violating pair (it never stops at
-the first failure) so tests can assert exact witness sets.
+apart.
 
 Most classes it sees are clean, and it decides those by set operations
 over whole neighbour lists, which run in C.  Let ``near`` be the
@@ -22,14 +21,7 @@ members' neighbour lists, concatenated.  The set-test lemma:
 
 A class that fails its test, and every class of radius 4 or more, goes
 to the half-radius walk below, which is the only part of ``verify``
-that lists violating pairs and their distances.  The audit runs the
-same two steps, ``_clean`` and then ``_close_pairs``, on a core run's
-two square parts, the only classes its replay leaves unproved.
-
-The partition check is one comparison when it holds: class sizes that
-sum to n and a union equal to ``0 .. n - 1`` leave no vertex missing,
-doubly assigned or out of range.  Only otherwise are the vertices
-counted one by one.
+that lists violating pairs and their distances.
 
 The walk searches only half the radius from each member.  Let k = s // 2.
 Two members x and y lie within distance d <= s exactly when their
@@ -40,17 +32,11 @@ vertex of a shortest path is a meeting vertex.  An odd d = 2j + 1 <= s
 has j <= k too, so the middle edge of a shortest path is a meeting
 edge.  Edge meetings are needed only for odd s, and only between the
 two balls' outermost layers: any other edge meeting is matched or beaten
-by a vertex meeting one step along the edge.  At s = 1 the balls are the
-members themselves, so the edge step alone lists the adjacent pairs:
-radius 1 takes the same walk as every other radius.
+by a vertex meeting one step along the edge.
 
-The balls are walked over ``g.adj`` with two flat int lists per class,
-one slot per vertex: the member whose walk last reached it and that
-member's distance; a dict takes older entries only where balls overlap.
-``_close_pairs`` says why a pair's first meeting on that walk gives its
-distance.  The lists are indexed by vertex id, so ``verify`` checks the
-partition, and with it the range of every id, first.  The verifier runs
-its own breadth-first search and shares none with the solvers it checks.
+``_close_pairs`` walks the balls and says why a pair's first meeting
+gives its distance.  The verifier runs its own breadth-first search and
+shares none with the solvers it checks.
 """
 from __future__ import annotations
 
@@ -69,13 +55,7 @@ class RadiusMismatchError(ColoringError):
 
 
 class InvalidInputColoringError(ColoringError):
-    """A derivation step was handed a coloring it cannot derive from.
-
-    ``derive_subdivision_coloring`` raises it for a coloring of another
-    n or with radii not drawn from (1, 1, 2, 2), ``extend_coloring`` for
-    one without two radius-1 classes, and ``spack subdivide`` for an
-    input coloring that does not verify on its graph.
-    """
+    """A coloring that a derivation step (a lift or a peel extension) cannot start from."""
 
 
 @dataclass(frozen=True)
@@ -121,12 +101,14 @@ class VerifyResult:
 def verify(g: Graph, coloring: PackingColoring) -> VerifyResult:
     """Check the partition property and all pairwise distance constraints.
 
-    A class the set-test lemma (see the module docstring) shows clean
-    is done.  Any other runs a breadth-first search truncated at s // 2
-    from each member, and a pair of members violates the class exactly
-    when their balls meet, so nothing close to an all-pairs matrix is
-    ever built.  Every violating pair is reported with its distance,
-    ordered by (class position, smaller id, larger id).
+    A class that ``_clean`` passes is done; any other goes to the walk,
+    ``_close_pairs`` (the module docstring proves both), which needs
+    every id in range, so the partition is checked first.  That is one
+    comparison when it holds: class sizes that sum to n and a union
+    equal to ``0 .. n - 1`` leave no vertex missing, doubly assigned or
+    out of range.  Only otherwise are the vertices counted one by one.
+    Every violating pair is reported with its distance, ordered by
+    (class position, smaller id, larger id).
     """
     if coloring.n != g.n:
         raise ColoringError(f"coloring is for n={coloring.n}, graph has n={g.n}")
@@ -160,7 +142,6 @@ def _partition_faults(coloring: PackingColoring, n: int) -> tuple[list[int], lis
     hits = [0] * n  # hits[v]: how many classes hold v
     for cls in coloring.classes:
         for v in cls.vertices:
-            # before any ball is walked: _close_pairs indexes flat lists by vertex id
             if not 0 <= v < n:
                 raise VertexOutOfRangeError(
                     f"class {cls.label!r} mentions vertex {v} outside 0..{n - 1}"
@@ -174,12 +155,10 @@ def _partition_faults(coloring: PackingColoring, n: int) -> tuple[list[int], lis
 def _clean(adj: tuple[tuple[int, ...], ...], members: frozenset[int], r: int) -> bool:
     """True when the set-test lemma shows no two members within distance r.
 
-    False sends the class to the walk: for radius 1 and 2 only when a
-    pair violates it, for radius 3 also when a triangle touches a member,
-    and for radius 4 and up whenever the class has two members.  Every
-    member indexes ``adj`` here or in the walk's flat lists, so one that
-    equals an id without being an int (such as 1.0) raises TypeError, as
-    the per-vertex count does.
+    At radius 4 and up it passes only a class of at most one member.
+    Every member indexes ``adj`` here or in the walk's flat lists, so one
+    that equals an id without being an int (such as 1.0) raises
+    TypeError, as the per-vertex count does.
     """
     if r > 3 and len(members) > 1:
         return False

@@ -1,9 +1,8 @@
 """Distance-to-light-vertex weights and the search potential.
 
 A vertex is *light* when its degree is at most 2.  The weight of x is
-``1 + dist(x, nearest light vertex)``: one ``graph.bfs`` from every light
-vertex at once writes each distance into a flat list.
-Two facts drive the exchange search:
+``1 + dist(x, nearest light vertex)``.  Two facts drive the exchange
+search:
 
 * adjacent weights differ by at most one, and
 * a degree-3 vertex always satisfies ``w(x) = 1 + min over neighbors``.
@@ -11,11 +10,8 @@ Two facts drive the exchange search:
 The potential of a bipartition compares edge count first and total
 weight second, so any move that adds an edge, or keeps edges and adds
 weight, is strict progress.  ``inside_potential`` counts it from
-scratch over a side list, from the outside vertices alone: the inside
-edges are m minus the degree sum of the outside plus the edges with
-both ends outside, and the inside weight is the total weight minus the
-outside weight.  ``touched_potential`` counts only the part that a side
-change of given vertices can move.
+scratch, ``touched_potential`` only the part that a side change of given
+vertices can move.
 """
 from __future__ import annotations
 

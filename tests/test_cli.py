@@ -476,6 +476,21 @@ def test_verify_stdin_rejects_edge_list_format(monkeypatch, capsys):
     assert "edge list" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "prism", "--n", "4", "--non-cubic"],
+        ["--family", "petersen", "--non-cubic", "--n", "7", "--m", "3", "--seed", "1"],
+        ["--family", "random-tree", "--n", "5", "--m", "99"],
+    ],
+)
+def test_gen_rejects_a_parameter_its_family_does_not_read(monkeypatch, capsys, argv):
+    code, out, err = run_cli(monkeypatch, capsys, ["gen", *argv])
+    assert code == 2
+    assert out == ""
+    assert "does not read" in err
+
+
 def test_gen_unknown_family_is_a_parser_error(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--family", "hypercube"])

@@ -155,6 +155,10 @@ def test_random_subcubic_non_cubic_option():
         g = random_subcubic(8, 12, seed=seed, require_non_cubic=True)
         assert not is_cubic(g)
     assert random_subcubic(1, 0, require_non_cubic=True) == build_graph(1, [])
+    # one vertex takes no draw: the general path is the whole answer
+    rng = random.Random(7)
+    state = rng.getstate()
+    assert _fill_edges(1, 0, rng) == build_graph(1, []) and rng.getstate() == state
 
 
 def test_random_subcubic_outputs_pinned():
@@ -230,6 +234,24 @@ def test_generate_dispatch():
     assert generate("prism", n=4) == prism(4)
     assert generate("random-tree", n=9, seed=3) == random_tree(9, 3)
     assert generate("random-subcubic", n=9, m=10, seed=3) == random_subcubic(9, 10, 3)
+
+
+def test_generate_rejects_parameters_the_family_does_not_read():
+    cases = [
+        ("prism", {"n": 4, "require_non_cubic": True}, "require_non_cubic"),
+        ("petersen", {"n": 7, "m": 3, "seed": 1, "require_non_cubic": True}, "n, m, seed, require_non_cubic"),
+        ("random-tree", {"n": 5, "m": 99}, "m"),
+        ("cycle", {"n": 5, "seed": 0}, "seed"),
+        ("path", {"n": 3, "m": 2}, "m"),
+    ]
+    for family, params, unread in cases:
+        with pytest.raises(InfeasibleParamsError, match=f"does not read {unread}$"):
+            generate(family, **params)
+    # every parameter each family reads is still taken
+    for family, reads in FAMILIES.items():
+        params = {"n": 9, "m": 10, "seed": 3, "require_non_cubic": True}
+        if "n" in reads:
+            generate(family, **{name: params[name] for name in reads})
 
 
 def test_generate_default_edge_target():

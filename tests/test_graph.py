@@ -279,27 +279,27 @@ def test_induced_is_canonical_on_random_subsets(g, data):
 
 @given(loose_graphs(max_n=12))
 def test_subdivide_is_canonical_and_numbers_edges_by_rank(g):
-    s, mapping = subdivide(g)
+    s, n = subdivide(g)
     assert_canonical(s)
     edges = list(g.edges())
     assert s.n == g.n + len(edges)
-    assert mapping.subdivision is s and mapping.n == g.n
+    assert n == g.n
     for rank, (u, v) in enumerate(edges):
         assert s.adj[g.n + rank] == (u, v)
 
 
 def test_subdivide_triangle_gives_six_cycle():
-    s, mapping = subdivide(cycle(3))
+    s, n = subdivide(cycle(3))
     assert s.n == 6 and s.edge_count == 6
     assert all(s.degree(v) == 2 for v in range(6))
     assert len(components(s)) == 1
-    assert mapping.n == 3 and s.adj[mapping.n :] == ((0, 1), (0, 2), (1, 2))
+    assert n == 3 and s.adj[n:] == ((0, 1), (0, 2), (1, 2))
 
 
 def test_subdivide_single_edge_gives_p3():
-    s, mapping = subdivide(build_graph(2, [(0, 1)]))
+    s, n = subdivide(build_graph(2, [(0, 1)]))
     assert set(s.edges()) == {(0, 2), (1, 2)}
-    assert mapping.n == 2 and s.adj[mapping.n :] == ((0, 1),)
+    assert n == 2 and s.adj[n:] == ((0, 1),)
 
 
 def test_subdivide_petersen_size():
